@@ -8,11 +8,10 @@ from .rdf import (
     Literal,
     ParseError,
     Quad,
-    make_iri,
     parse_nquads,
     serialize_nquads,
 )
-from .store import ANY, Delta, QuadPattern, Store, Variable, invert_delta, parse_update, serialize_update
+from .store import ANY, Delta, QuadPattern, Store, Variable, parse_update, serialize_update
 from .mapping import MappingDocument, Table, execute_mapping, parse_mapping, read_table, resolve_curie
 from .provenance import ProvenanceTracker, Snapshot
 from .workflow import AssetVersion, ConstraintProfile, PhaseKind, PhaseRecord, UploadRecord, validate_asset
@@ -47,8 +46,6 @@ __all__ = [
     "Variable",
     "check_registry",
     "execute_mapping",
-    "invert_delta",
-    "make_iri",
     "parse_mapping",
     "parse_nquads",
     "parse_update",

@@ -21,10 +21,10 @@ from dataclasses import dataclass, fields
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
-from . import vocab, workflow
+from . import rdf, vocab, workflow
 from .mapping import MappingDocument, Table, execute_mapping, load_table, percent_encode
 from .provenance import ProvenanceTracker, utc_second
-from .rdf import InvalidIri, Iri, Literal, Quad, make_iri
+from .rdf import InvalidIri, Iri, Literal, Quad
 from .store import Delta, Store
 from .workflow import (
     AssetVersion,
@@ -77,13 +77,13 @@ class Config:
 
     def __post_init__(self):
         try:
-            make_iri(self.base_iri)
+            Iri(self.base_iri)
         except InvalidIri as exc:
             raise ConfigError(f"base_iri: {exc}") from None
         if not self.base_iri.endswith("/"):
             raise ConfigError("base_iri must end with '/'")
         try:
-            make_iri(self.agent)
+            Iri(self.agent)
         except InvalidIri as exc:
             raise ConfigError(f"agent: {exc}") from None
 
@@ -228,8 +228,8 @@ class Catalog:
             raise NotACatalog(f"{root} does not look like a catalog (no catalog.cfg)")
         config = Config.from_text((root / "catalog.cfg").read_text(encoding="utf-8"))
         store = Store.load(root / "data.nq")
-        prov_store = Store.load(root / "prov.nq")
-        tracker = ProvenanceTracker.from_quads(store, prov_store.quads())
+        prov_quads = rdf.parse_nquads((root / "prov.nq").read_text(encoding="utf-8"))
+        tracker = ProvenanceTracker.from_quads(store, prov_quads)
         return cls(root, config, store, tracker)
 
     def save(self):
@@ -316,7 +316,7 @@ class Catalog:
                 if shape == "literal":
                     quads.add(Quad(entity, predicate, Literal(cell), graph))
                 elif shape == "iri":
-                    quads.add(Quad(entity, predicate, make_iri(cell), graph))
+                    quads.add(Quad(entity, predicate, Iri(cell), graph))
                 elif shape == "date":
                     quads.add(Quad(entity, predicate, Literal(cell, datatype=vocab.XSD_DATE), graph))
                 elif shape == "literal_list":
@@ -326,7 +326,7 @@ class Catalog:
                 elif shape == "iri_list":
                     for part in cell.split(";"):
                         if part.strip():
-                            quads.add(Quad(entity, predicate, make_iri(part.strip()), graph))
+                            quads.add(Quad(entity, predicate, Iri(part.strip()), graph))
                 elif shape == "agent_list":
                     for part in cell.split(";"):
                         if part.strip():
@@ -460,14 +460,16 @@ class Catalog:
         return workflow.assets_from_store(self.store)
 
     def assets_for(self, dcho: Iri) -> list[AssetVersion]:
-        return [a for a in self.assets if a.dcho == dcho]
+        derived = self.store.subjects(vocab.DERIVATIVE_OF, dcho)
+        return [a for a in workflow.build_records(workflow.asset_record, self.store, derived) if a.dcho == dcho]
 
     @property
     def phases(self) -> list[PhaseRecord]:
         return workflow.phases_from_store(self.store)
 
     def phases_for(self, cho: Iri) -> list[PhaseRecord]:
-        return [p for p in self.phases if p.cho == cho]
+        concerning = self.store.subjects(vocab.CONCERNS, cho)
+        return [p for p in workflow.build_records(workflow.phase_record, self.store, concerning) if p.cho == cho]
 
     @property
     def uploads(self) -> list[UploadRecord]:
@@ -475,12 +477,9 @@ class Catalog:
 
     def objects(self) -> list[tuple[Iri, str]]:
         """Every catalogued physical or digital object, sorted by IRI."""
-        found = []
-        for quad in self.store.quads():
-            if quad.predicate == vocab.RDF_TYPE and quad.object in (vocab.PHYSICAL_OBJECT, vocab.DIGITAL_OBJECT):
-                label = "cho" if quad.object == vocab.PHYSICAL_OBJECT else "dcho"
-                found.append((quad.subject, label))
-        return sorted(set(found), key=lambda pair: pair[0].value)
+        found = {(s, "cho") for s in self.store.subjects(vocab.RDF_TYPE, vocab.PHYSICAL_OBJECT)}
+        found |= {(s, "dcho") for s in self.store.subjects(vocab.RDF_TYPE, vocab.DIGITAL_OBJECT)}
+        return sorted(found, key=lambda pair: pair[0].value)
 
     def technique_for(self, cho: Iri) -> str | None:
         techniques = sorted({p.technique for p in self.phases_for(cho) if p.technique})
@@ -502,8 +501,8 @@ class Catalog:
 
     def workflow_status(self, cho: Iri) -> dict:
         records = self.phases_for(cho)
-        known = {entity for entity, _ in self.objects()}
-        if not records and cho not in known:
+        types = self.store.objects(cho, vocab.RDF_TYPE)
+        if not records and vocab.PHYSICAL_OBJECT not in types and vocab.DIGITAL_OBJECT not in types:
             raise NoSuchObject(f"{cho} is not in the catalog")
         return workflow.status_vector(records)
 

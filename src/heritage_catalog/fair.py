@@ -94,18 +94,6 @@ def _quads_evidence(quads, cap: int = 3) -> str:
     return " ".join(shown)
 
 
-def _statements(store, subject, predicate):
-    return [q for q in store.subject_quads(subject) if q.predicate == predicate]
-
-
-def _literal_statement(quads):
-    return [q for q in quads if isinstance(q.object, Literal)]
-
-
-def _iri_statements(quads):
-    return [q for q in quads if isinstance(q.object, Iri)]
-
-
 class _AuditContext:
     def __init__(self, catalog: Catalog, profile, authority_domains, quality_threshold, required_fields, open_schemes):
         self.catalog = catalog
@@ -116,24 +104,21 @@ class _AuditContext:
         self.quality_threshold = quality_threshold if quality_threshold is not None else catalog.config.quality_threshold
         self.required_fields = tuple(required_fields or catalog.config.required_fields)
         self.open_schemes = tuple(open_schemes or catalog.config.open_schemes)
-        self.assets = catalog.assets
-
-    def is_digital(self, entity) -> bool:
-        return any(q.object == vocab.DIGITAL_OBJECT for q in _statements(self.store, entity, vocab.RDF_TYPE))
-
-    def assets_of(self, entity):
-        return [a for a in self.assets if a.dcho == entity]
 
 
 def _presence(ctx, subject, predicate, absent_note) -> tuple[str, str]:
-    quads = _statements(ctx.store, subject, predicate)
+    quads = ctx.store.subject_quads(subject, predicate)
     if quads:
         return PASS, _quads_evidence(quads)
     return FAIL, absent_note
 
 
+def _iri_quads(ctx, subject, predicate) -> list[Quad]:
+    return [q for q in ctx.store.subject_quads(subject, predicate) if isinstance(q.object, Iri)]
+
+
 def _iri_presence(ctx, subject, predicate, absent_note) -> tuple[str, str]:
-    quads = _iri_statements(_statements(ctx.store, subject, predicate))
+    quads = _iri_quads(ctx, subject, predicate)
     if quads:
         return PASS, _quads_evidence(quads)
     return FAIL, absent_note
@@ -148,7 +133,7 @@ def _authority_host(iri: Iri, domains) -> bool:
 
 
 def _eval_object_check(check_id: str, entity: Iri, ctx: _AuditContext) -> tuple[str, str]:
-    digital = ctx.is_digital(entity)
+    digital = vocab.DIGITAL_OBJECT in ctx.store.objects(entity, vocab.RDF_TYPE)
     # Storage, protocol, versions, backups, formats and timestamps are
     # digital-object rows of the checklist; a purely physical object is
     # out of their scope.
@@ -165,7 +150,7 @@ def _eval_object_check(check_id: str, entity: Iri, ctx: _AuditContext) -> tuple[
     if check_id == "OBJ-A1":
         return _presence(ctx, entity, vocab.STORAGE_LOCATION, "no storage location statement")
     if check_id == "OBJ-A2":
-        quads = _iri_statements(_statements(ctx.store, entity, vocab.ACCESS_URL))
+        quads = _iri_quads(ctx, entity, vocab.ACCESS_URL)
         good = [q for q in quads if q.object.value.split(":", 1)[0].lower() in ctx.open_schemes]
         if good:
             return PASS, _quads_evidence(good)
@@ -173,14 +158,14 @@ def _eval_object_check(check_id: str, entity: Iri, ctx: _AuditContext) -> tuple[
             return FAIL, _quads_evidence(quads) + " (scheme not in open-scheme list)"
         return FAIL, "no access IRI statement"
     if check_id == "OBJ-A3":
-        assets = ctx.assets_of(entity)
+        assets = ctx.catalog.assets_for(entity)
         if assets:
             return PASS, f"{len(assets)} asset version(s): " + ", ".join(a.id.value for a in assets[:3])
         return FAIL, "no asset versions recorded"
     if check_id == "OBJ-A4":
         return _presence(ctx, entity, vocab.BACKUP_LOCATION, "no backup location statement")
     if check_id == "OBJ-I1":
-        assets = ctx.assets_of(entity)
+        assets = ctx.catalog.assets_for(entity)
         if not assets:
             return NOT_APPLICABLE, "no asset versions recorded"
         acceptable = ctx.profile.acceptable_formats()
@@ -189,10 +174,10 @@ def _eval_object_check(check_id: str, entity: Iri, ctx: _AuditContext) -> tuple[
             return FAIL, "unacceptable format(s): " + ", ".join(f"{a.id.value}={a.format}" for a in bad)
         return PASS, "formats " + ", ".join(sorted({a.format for a in assets})) + " all acceptable"
     if check_id == "OBJ-R1":
-        start = _statements(ctx.store, entity, vocab.INTERVAL_START)
-        end = _statements(ctx.store, entity, vocab.INTERVAL_END)
+        start = ctx.store.subject_quads(entity, vocab.INTERVAL_START)
+        end = ctx.store.subject_quads(entity, vocab.INTERVAL_END)
         if start and end:
-            return PASS, _quads_evidence(start + end)
+            return PASS, _quads_evidence(start | end)
         return FAIL, "no timestamp interval (start and end) recorded"
     if check_id == "OBJ-R2":
         return _iri_presence(ctx, entity, vocab.DCT_LICENSE, "no licence IRI statement")
@@ -201,9 +186,8 @@ def _eval_object_check(check_id: str, entity: Iri, ctx: _AuditContext) -> tuple[
 
 def _eval_metadata_check(check_id: str, entity: Iri, ctx: _AuditContext) -> tuple[str, str]:
     if check_id == "MET-F1":
-        quads = _statements(ctx.store, entity, vocab.DCT_IDENTIFIER)
         stated = [
-            q for q in quads
+            q for q in ctx.store.subject_quads(entity, vocab.DCT_IDENTIFIER)
             if (isinstance(q.object, Literal) and q.object.lexical == entity.value) or q.object == entity
         ]
         if stated:
@@ -216,7 +200,7 @@ def _eval_metadata_check(check_id: str, entity: Iri, ctx: _AuditContext) -> tupl
     if check_id == "MET-I1":
         return _presence(ctx, entity, vocab.DCT_CONFORMS_TO, "no metadata-schema declaration")
     if check_id == "MET-I2":
-        quads = _literal_statement(_statements(ctx.store, entity, vocab.DCT_FORMAT))
+        quads = [q for q in ctx.store.subject_quads(entity, vocab.DCT_FORMAT) if isinstance(q.object, Literal)]
         distinct = {q.object.lexical for q in quads}
         if len(distinct) >= 2:
             return PASS, _quads_evidence(quads)
@@ -234,10 +218,10 @@ def _eval_metadata_check(check_id: str, entity: Iri, ctx: _AuditContext) -> tupl
     if check_id == "MET-R2":
         return _presence(ctx, entity, vocab.DCT_LICENSE, "no licence statement")
     if check_id == "MET-R3":
-        institution = _statements(ctx.store, entity, vocab.HOLDING_INSTITUTION)
-        producers = _statements(ctx.store, entity, vocab.PRODUCED_BY)
+        institution = ctx.store.subject_quads(entity, vocab.HOLDING_INSTITUTION)
+        producers = ctx.store.subject_quads(entity, vocab.PRODUCED_BY)
         if institution and producers:
-            return PASS, _quads_evidence(institution + producers)
+            return PASS, _quads_evidence(institution | producers)
         missing = []
         if not institution:
             missing.append("holding institution")
@@ -291,10 +275,7 @@ def _eval_record_check(check_id: str, entity: Iri, graph: Iri, ctx: _AuditContex
             return PASS, f"attributed to {', '.join(a.value for a in latest.attributed_to)}"
         return FAIL, "latest snapshot has no attribution"
     if check_id == "REC-R3":
-        quads = _iri_statements(_statements(ctx.store, entity, vocab.RECORD_LICENCE))
-        if quads:
-            return PASS, _quads_evidence(quads)
-        return FAIL, "no record licence IRI statement"
+        return _iri_presence(ctx, entity, vocab.RECORD_LICENCE, "no record licence IRI statement")
     raise KeyError(check_id)
 
 

@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass
 from datetime import datetime
 
-from .rdf import InvalidIri, Iri, Literal, ParseError, Quad, RDF_NS, Term, XSD_NS, make_iri
+from .rdf import InvalidIri, Iri, Literal, ParseError, Quad, RDF_NS, Term, XSD_NS
 
 BUILTIN_PREFIXES = {"rdf": RDF_NS, "xsd": XSD_NS}
 RDF_TYPE = Iri(RDF_NS + "type")
@@ -275,7 +275,7 @@ def _parse_object_spec(raw: str, datatype_or_lang: str | None, prefixes: dict, l
         if datatype_or_lang:
             raise ParseError("an IRI object cannot carry a datatype or language tag", line)
         try:
-            return Constant(make_iri(raw[1:-1]))
+            return Constant(Iri(raw[1:-1]))
         except InvalidIri as exc:
             raise ParseError(str(exc), line) from None
     if iri_marked:
@@ -288,7 +288,7 @@ def _parse_object_spec(raw: str, datatype_or_lang: str | None, prefixes: dict, l
             if "://" not in text and _CURIE_RE.match(raw):
                 return Constant(resolve_curie(raw, prefixes))
             try:
-                return Constant(make_iri(text))
+                return Constant(Iri(text))
             except InvalidIri as exc:
                 raise ParseError(str(exc), line) from None
         return IriTemplate(template)
@@ -377,7 +377,7 @@ def parse_mapping(text: str) -> MappingDocument:
             if label in prefixes:
                 raise ParseError(f"prefix {label!r} declared twice", line_no)
             try:
-                make_iri(namespace)
+                Iri(namespace)
             except InvalidIri as exc:
                 raise ParseError(str(exc), line_no) from None
             prefixes[label] = namespace
@@ -479,7 +479,7 @@ def _realize_object(spec: ObjectSpec, row: dict, map_name: str, row_index: int):
         if text is SKIP:
             return SKIP
         try:
-            return make_iri(text)
+            return Iri(text)
         except InvalidIri:
             raise InvalidExpandedIri(map_name, row_index, text) from None
     text = expand_template(spec.template, row)
@@ -509,7 +509,7 @@ def execute_mapping(document: MappingDocument, tables) -> set[Quad]:
             if subject_text is SKIP:
                 continue
             try:
-                subject = make_iri(subject_text)
+                subject = Iri(subject_text)
             except InvalidIri:
                 raise InvalidExpandedIri(tm.name, row_index, subject_text) from None
             for predicate, spec in tm.pairs:

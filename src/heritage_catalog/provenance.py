@@ -340,7 +340,8 @@ class ProvenanceTracker:
 
     @classmethod
     def from_quads(cls, store: Store, prov_quads) -> "ProvenanceTracker":
-        """Rebuild chains from a persisted provenance graph set."""
+        """Rebuild chains from a persisted provenance graph set, indexing
+        each entity's graph once as a :class:`Store`."""
         tracker = cls(store)
         by_graph: dict[Iri, set[Quad]] = {}
         for q in prov_quads:
@@ -348,48 +349,37 @@ class ProvenanceTracker:
                 by_graph.setdefault(q.graph, set()).add(q)
         for graph in sorted(by_graph, key=lambda g: g.value):
             entity = Iri(graph.value[: -len("/prov")])
-            tracker._chains[entity] = _parse_chain(entity, by_graph[graph])
+            tracker._chains[entity] = _parse_chain(entity, Store(by_graph[graph]))
         return tracker
 
 
-def _literal_value(quads, subject, predicate):
-    values = [q.object.lexical for q in quads if q.subject == subject and q.predicate == predicate and isinstance(q.object, Literal)]
-    return values[0] if values else None
-
-
-def _iri_values(quads, subject, predicate):
-    return sorted(
-        (q.object for q in quads if q.subject == subject and q.predicate == predicate and isinstance(q.object, Iri)),
-        key=lambda i: i.value,
-    )
-
-
-def _parse_chain(entity: Iri, quads: set[Quad]) -> list:
+def _parse_chain(entity: Iri, graph: Store) -> list:
     marker = f"{entity.value}/prov/se/"
-    subjects = {q.subject for q in quads if q.predicate == vocab.RDF_TYPE and q.object == vocab.PROV_ENTITY}
     snapshots = []
-    for subject in subjects:
+    for subject in graph.subjects(vocab.RDF_TYPE, vocab.PROV_ENTITY):
         if not isinstance(subject, Iri) or not subject.value.startswith(marker):
             raise CorruptProvenance(f"unexpected snapshot identifier {subject}")
         try:
             index = int(subject.value[len(marker):])
         except ValueError:
             raise CorruptProvenance(f"non-numeric snapshot index in {subject}") from None
-        generated = _literal_value(quads, subject, vocab.GENERATED_AT)
-        if generated is None:
+        generated = graph.objects(subject, vocab.GENERATED_AT, Literal)
+        if not generated:
             raise CorruptProvenance(f"{subject} has no generation timestamp")
-        invalidated = _literal_value(quads, subject, vocab.INVALIDATED_AT)
-        update_text = _literal_value(quads, subject, vocab.HAS_UPDATE_QUERY)
-        if update_text is None:
+        invalidated = graph.objects(subject, vocab.INVALIDATED_AT, Literal)
+        updates = graph.objects(subject, vocab.HAS_UPDATE_QUERY, Literal)
+        if not updates:
             raise CorruptProvenance(f"{subject} has no update query")
-        agents = tuple(_iri_values(quads, subject, vocab.ATTRIBUTED_TO))
+        agents = tuple(graph.objects(subject, vocab.ATTRIBUTED_TO, Iri))
         if not agents:
             raise CorruptProvenance(f"{subject} has no attribution")
-        sources = _iri_values(quads, subject, vocab.PRIMARY_SOURCE)
-        derived = _iri_values(quads, subject, vocab.DERIVED_FROM)
-        generated_at = parse_timestamp(generated)
-        invalidated_at = parse_timestamp(invalidated) if invalidated else None
-        kind = _literal_value(quads, subject, vocab.CHANGE_KIND)
+        sources = graph.objects(subject, vocab.PRIMARY_SOURCE, Iri)
+        derived = graph.objects(subject, vocab.DERIVED_FROM, Iri)
+        generated_at = parse_timestamp(generated[0].lexical)
+        # An empty invalidation literal reads as no invalidation.
+        invalidated_at = parse_timestamp(invalidated[0].lexical) if invalidated and invalidated[0].lexical else None
+        kinds = graph.objects(subject, vocab.CHANGE_KIND, Literal)
+        kind = kinds[0].lexical if kinds else None
         if kind not in CHANGE_KINDS:
             if index == 1:
                 kind = CREATION
@@ -408,7 +398,7 @@ def _parse_chain(entity: Iri, quads: set[Quad]) -> list:
                 attributed_to=agents,
                 primary_source=source,
                 derived_from=derived[0] if derived else None,
-                update_query=parse_update(update_text),
+                update_query=parse_update(updates[0].lexical),
                 kind=kind,
                 description=_describe(kind, entity, source),
             )

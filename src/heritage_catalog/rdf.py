@@ -65,11 +65,6 @@ class Iri:
         return self.value
 
 
-def make_iri(text: str) -> Iri:
-    """Validate text as an absolute IRI, raising :class:`InvalidIri` otherwise."""
-    return Iri(text)
-
-
 @dataclass(frozen=True)
 class BlankNode:
     label: str
@@ -129,11 +124,6 @@ class Quad:
             raise InvalidTerm(f"bad object {self.object!r}")
         if self.graph is not None and not isinstance(self.graph, Iri):
             raise InvalidTerm("graph label must be an IRI")
-
-
-# A dataset is simply a set of quads; set semantics give duplicate-free
-# insertion for free.
-Dataset = set
 
 
 _LITERAL_ESCAPES = {'"': '\\"', "\\": "\\\\", "\n": "\\n", "\r": "\\r"}

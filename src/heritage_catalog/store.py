@@ -96,18 +96,30 @@ class Delta:
         return not self.deletes and not self.inserts
 
 
-def invert_delta(delta: Delta) -> Delta:
-    return delta.invert()
+def _term_key(term: Term) -> tuple:
+    """Order terms by IRI, lexical form or blank-node label; ties go by
+    kind, then by a literal's datatype and language."""
+    if isinstance(term, Iri):
+        return (term.value, 0)
+    if isinstance(term, BlankNode):
+        return (term.label, 1)
+    return (term.lexical, 2, term.datatype.value, term.language or "")
 
 
 class Store:
-    """In-memory quad store with graph, subject and subject-predicate indexes."""
+    """In-memory quad store indexed by graph, subject, subject-predicate and
+    predicate-object.
+
+    :meth:`objects` and :meth:`subjects` answer single-hop lookups from the
+    last two indexes, ignoring graphs.
+    """
 
     def __init__(self, quads=()):
         self._quads: set[Quad] = set()
         self._by_graph: dict[Iri | None, set[Quad]] = {}
         self._by_subject: dict[Iri | BlankNode, set[Quad]] = {}
         self._by_sp: dict[tuple, set[Quad]] = {}
+        self._by_po: dict[tuple, set[Quad]] = {}
         if quads:
             self.insert_quads(quads)
 
@@ -127,12 +139,14 @@ class Store:
         self._by_graph.setdefault(q.graph, set()).add(q)
         self._by_subject.setdefault(q.subject, set()).add(q)
         self._by_sp.setdefault((q.subject, q.predicate), set()).add(q)
+        self._by_po.setdefault((q.predicate, q.object), set()).add(q)
 
     def _index_remove(self, q: Quad):
         for index, key in (
             (self._by_graph, q.graph),
             (self._by_subject, q.subject),
             (self._by_sp, (q.subject, q.predicate)),
+            (self._by_po, (q.predicate, q.object)),
         ):
             bucket = index[key]
             bucket.discard(q)
@@ -162,8 +176,21 @@ class Store:
     def named_graphs(self) -> list[Iri]:
         return sorted((g for g in self._by_graph if g is not None), key=lambda g: g.value)
 
-    def subject_quads(self, subject) -> set[Quad]:
-        return set(self._by_subject.get(subject, ()))
+    def subject_quads(self, subject, predicate: Iri | None = None) -> set[Quad]:
+        """Quads with this subject, and with this predicate when one is given."""
+        if predicate is None:
+            return set(self._by_subject.get(subject, ()))
+        return set(self._by_sp.get((subject, predicate), ()))
+
+    def objects(self, subject, predicate: Iri, kind=Term) -> list:
+        """Distinct objects of (subject, predicate) in any graph that are
+        instances of ``kind``, ordered by IRI, lexical form or label."""
+        found = {q.object for q in self._by_sp.get((subject, predicate), ()) if isinstance(q.object, kind)}
+        return sorted(found, key=_term_key)
+
+    def subjects(self, predicate: Iri, obj) -> list:
+        """Distinct subjects of (predicate, obj) in any graph, ordered like :meth:`objects`."""
+        return sorted({q.subject for q in self._by_po.get((predicate, obj), ())}, key=_term_key)
 
     def graph_quads(self, graph: Iri | None) -> set[Quad]:
         return set(self._by_graph.get(graph, ()))
@@ -171,6 +198,8 @@ class Store:
     def _candidates(self, pattern: QuadPattern):
         if isinstance(pattern.subject, (Iri, BlankNode)) and isinstance(pattern.predicate, Iri):
             return self._by_sp.get((pattern.subject, pattern.predicate), ())
+        if isinstance(pattern.predicate, Iri) and isinstance(pattern.object, (Iri, BlankNode, Literal)):
+            return self._by_po.get((pattern.predicate, pattern.object), ())
         if isinstance(pattern.subject, (Iri, BlankNode)):
             return self._by_subject.get(pattern.subject, ())
         if isinstance(pattern.graph, Iri) or pattern.graph is None:

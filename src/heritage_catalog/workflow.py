@@ -470,11 +470,6 @@ def _texture_side(row_no: int, row: dict, index: int) -> int | None:
         raise ValidationError(row_no, f"output_texture must look like 4096x4096, got {cell!r}") from None
 
 
-def ingest_process_table(table: Table, base_iri: str) -> list[PhaseRecord]:
-    """The validated phase records of a process table."""
-    return [row.record for row in parse_process_table(table, base_iri)]
-
-
 def _date_literal(value: date) -> Literal:
     return Literal(value.isoformat(), datatype=vocab.XSD_DATE)
 
@@ -529,109 +524,115 @@ def asset_quads(asset: AssetVersion, graph: Iri) -> set[Quad]:
     return quads
 
 
-def _lexicals(quads, subject, predicate):
-    return sorted(q.object.lexical for q in quads if q.subject == subject and q.predicate == predicate and isinstance(q.object, Literal))
+def build_records(build, store, subjects, *args) -> list:
+    """``build(store, subject, *args)`` for each subject in canonical term
+    order, skipping the subjects it returns None for."""
+    built = (build(store, subject, *args) for subject in sorted(subjects, key=serialize_term))
+    return [record for record in built if record is not None]
 
 
-def _iris(quads, subject, predicate):
-    return sorted((q.object for q in quads if q.subject == subject and q.predicate == predicate and isinstance(q.object, Iri)), key=lambda i: i.value)
+def asset_record(store, subject) -> AssetVersion | None:
+    """The asset version the subject describes; None if it is not typed as
+    one or is malformed."""
+    if vocab.ASSET_VERSION not in store.objects(subject, vocab.RDF_TYPE):
+        return None
+    dchos = store.objects(subject, vocab.DERIVATIVE_OF, Iri)
+    kinds = store.objects(subject, vocab.VERSION_KIND, Literal)
+    formats = store.objects(subject, vocab.FILE_FORMAT, Literal)
+    sizes = store.objects(subject, vocab.SIZE_BYTES, Literal)
+    if not (dchos and kinds and formats and sizes):
+        return None
+    checksums = store.objects(subject, vocab.CHECKSUM, Literal)
+    try:
+        return AssetVersion(
+            id=subject,
+            dcho=dchos[0],
+            kind=kinds[0].lexical,
+            format=formats[0].lexical,
+            size_bytes=int(sizes[0].lexical),
+            polygon_count=_first_int(store.objects(subject, vocab.POLYGON_COUNT, Literal)),
+            texture_width=_first_int(store.objects(subject, vocab.TEXTURE_WIDTH, Literal)),
+            texture_height=_first_int(store.objects(subject, vocab.TEXTURE_HEIGHT, Literal)),
+            checksum=checksums[0].lexical if checksums else "",
+        )
+    except ValueError:
+        return None
 
 
 def assets_from_store(store) -> list[AssetVersion]:
     """Rebuild typed asset records from the store; malformed ones are skipped."""
-    assets = []
-    subjects = {q.subject for q in store.quads() if q.predicate == vocab.RDF_TYPE and q.object == vocab.ASSET_VERSION}
-    for subject in sorted(subjects, key=lambda s: serialize_term(s)):
-        quads = store.subject_quads(subject)
-        dchos = _iris(quads, subject, vocab.DERIVATIVE_OF)
-        kinds = _lexicals(quads, subject, vocab.VERSION_KIND)
-        formats = _lexicals(quads, subject, vocab.FILE_FORMAT)
-        sizes = _lexicals(quads, subject, vocab.SIZE_BYTES)
-        if not (dchos and kinds and formats and sizes):
-            continue
-        try:
-            assets.append(
-                AssetVersion(
-                    id=subject,
-                    dcho=dchos[0],
-                    kind=kinds[0],
-                    format=formats[0],
-                    size_bytes=int(sizes[0]),
-                    polygon_count=_first_int(_lexicals(quads, subject, vocab.POLYGON_COUNT)),
-                    texture_width=_first_int(_lexicals(quads, subject, vocab.TEXTURE_WIDTH)),
-                    texture_height=_first_int(_lexicals(quads, subject, vocab.TEXTURE_HEIGHT)),
-                    checksum=(_lexicals(quads, subject, vocab.CHECKSUM) or [""])[0],
-                )
-            )
-        except ValueError:
-            continue
-    return assets
+    return build_records(asset_record, store, store.subjects(vocab.RDF_TYPE, vocab.ASSET_VERSION))
 
 
-def _first_int(values) -> int | None:
-    if not values:
+def _first_int(literals) -> int | None:
+    if not literals:
         return None
     try:
-        return int(values[0])
+        return int(literals[0].lexical)
+    except ValueError:
+        return None
+
+
+def phase_record(store, subject) -> PhaseRecord | None:
+    """The phase an activity records; None if the subject is not an activity
+    or is malformed.  Agent and tool order is not preserved."""
+    if vocab.ACTIVITY not in store.objects(subject, vocab.RDF_TYPE):
+        return None
+    phases = store.objects(subject, vocab.PHASE, Literal)
+    chos = store.objects(subject, vocab.CONCERNS, Iri)
+    starts = store.objects(subject, vocab.START_DATE, Literal)
+    if not (phases and chos and starts):
+        return None
+    ends = store.objects(subject, vocab.END_DATE, Literal)
+    units = store.objects(subject, vocab.UNIT, Literal)
+    techniques = store.objects(subject, vocab.TECHNIQUE, Literal)
+    try:
+        return PhaseRecord(
+            cho=chos[0],
+            kind=PhaseKind(phases[0].lexical),
+            unit=units[0].lexical if units else "",
+            agents=tuple(store.objects(subject, vocab.AGENT, Iri)),
+            technique=techniques[0].lexical if techniques else "",
+            tools=tuple(tool.lexical for tool in store.objects(subject, vocab.TOOL, Literal)),
+            start=date.fromisoformat(starts[0].lexical),
+            end=date.fromisoformat(ends[0].lexical) if ends else None,
+            inputs=tuple(store.objects(subject, vocab.INPUT, Iri)),
+            outputs=tuple(store.objects(subject, vocab.OUTPUT, Iri)),
+        )
     except ValueError:
         return None
 
 
 def phases_from_store(store) -> list[PhaseRecord]:
-    """Rebuild phase records from activity quads; agent and tool order is not preserved."""
-    subjects = {q.subject for q in store.quads() if q.predicate == vocab.RDF_TYPE and q.object == vocab.ACTIVITY}
-    records = []
-    for subject in sorted(subjects, key=lambda s: serialize_term(s)):
-        quads = store.subject_quads(subject)
-        phases = _lexicals(quads, subject, vocab.PHASE)
-        chos = _iris(quads, subject, vocab.CONCERNS)
-        starts = _lexicals(quads, subject, vocab.START_DATE)
-        if not (phases and chos and starts):
-            continue
-        try:
-            kind = PhaseKind(phases[0])
-            ends = _lexicals(quads, subject, vocab.END_DATE)
-            records.append(
-                PhaseRecord(
-                    cho=chos[0],
-                    kind=kind,
-                    unit=(_lexicals(quads, subject, vocab.UNIT) or [""])[0],
-                    agents=tuple(_iris(quads, subject, vocab.AGENT)),
-                    technique=(_lexicals(quads, subject, vocab.TECHNIQUE) or [""])[0],
-                    tools=tuple(_lexicals(quads, subject, vocab.TOOL)),
-                    start=date.fromisoformat(starts[0]),
-                    end=date.fromisoformat(ends[0]) if ends else None,
-                    inputs=tuple(_iris(quads, subject, vocab.INPUT)),
-                    outputs=tuple(_iris(quads, subject, vocab.OUTPUT)),
-                )
-            )
-        except ValueError:
-            continue
-    return records
+    """Rebuild phase records from activity quads; malformed ones are skipped."""
+    return build_records(phase_record, store, store.subjects(vocab.RDF_TYPE, vocab.ACTIVITY))
+
+
+def upload_record(store, subject, base_iri: str) -> UploadRecord | None:
+    """The upload an activity records through its scene id; None if there is
+    none or it is malformed.  The upload time is the phase's end date, else
+    its start date; an activity with neither is malformed."""
+    scenes = store.objects(subject, vocab.SCENE_ID, Literal)
+    chos = store.objects(subject, vocab.CONCERNS, Iri)
+    days = store.objects(subject, vocab.END_DATE, Literal) or store.objects(subject, vocab.START_DATE, Literal)
+    if not (scenes and chos and days):
+        return None
+    cho_prefix = base_iri + "cho/"
+    if chos[0].value.startswith(cho_prefix):
+        dcho = Iri(base_iri + "dcho/" + chos[0].value[len(cho_prefix):])
+    else:
+        dcho = Iri(chos[0].value.replace("/cho/", "/dcho/", 1))
+    targets = store.objects(subject, vocab.UPLOAD_TARGET, Literal)
+    try:
+        moment = datetime.combine(date.fromisoformat(days[0].lexical), datetime.min.time(), tzinfo=timezone.utc)
+        return UploadRecord(dcho=dcho, scene_id=scenes[0].lexical, target=targets[0].lexical if targets else "ATON", time=moment)
+    except ValueError:
+        return None
 
 
 def uploads_from_store(store, base_iri: str) -> list[UploadRecord]:
-    subjects = {q.subject for q in store.quads() if q.predicate == vocab.SCENE_ID}
-    uploads = []
-    for subject in sorted(subjects, key=lambda s: serialize_term(s)):
-        quads = store.subject_quads(subject)
-        scenes = _lexicals(quads, subject, vocab.SCENE_ID)
-        chos = _iris(quads, subject, vocab.CONCERNS)
-        if not (scenes and chos):
-            continue
-        cho_prefix = base_iri + "cho/"
-        if chos[0].value.startswith(cho_prefix):
-            dcho = Iri(base_iri + "dcho/" + chos[0].value[len(cho_prefix):])
-        else:
-            dcho = Iri(chos[0].value.replace("/cho/", "/dcho/", 1))
-        ends = _lexicals(quads, subject, vocab.END_DATE) or _lexicals(quads, subject, vocab.START_DATE)
-        moment = datetime.combine(date.fromisoformat(ends[0]), datetime.min.time(), tzinfo=timezone.utc) if ends else datetime.now(timezone.utc)
-        targets = _lexicals(quads, subject, vocab.UPLOAD_TARGET)
-        try:
-            uploads.append(UploadRecord(dcho=dcho, scene_id=scenes[0], target=targets[0] if targets else "ATON", time=moment))
-        except ValueError:
-            continue
-    return uploads
+    """Rebuild the uploads recorded by activities; malformed ones are skipped."""
+    return build_records(upload_record, store, store.subjects(vocab.RDF_TYPE, vocab.ACTIVITY), base_iri)
 
 
 def _sha256(data: bytes) -> str:
@@ -649,7 +650,8 @@ def export_bundle(catalog, dcho: Iri, out_dir) -> dict[str, tuple[str, int]]:
     assets = catalog.assets_for(dcho)
     if not assets:
         raise NoAssets(f"{dcho} has no recorded asset versions")
-    licences = _iris(catalog.store.subject_quads(dcho), dcho, vocab.DCT_LICENSE)
+    store = catalog.store
+    licences = store.objects(dcho, vocab.DCT_LICENSE, Iri)
     if not licences:
         raise MissingLicence(f"{dcho} has no licence recorded in its metadata")
 
@@ -657,20 +659,19 @@ def export_bundle(catalog, dcho: Iri, out_dir) -> dict[str, tuple[str, int]]:
     (out / "assets").mkdir(parents=True, exist_ok=True)
     files: dict[str, bytes] = {}
 
-    quads = catalog.store.subject_quads(dcho)
     lines = []
-    for title in _lexicals(quads, dcho, vocab.DCT_TITLE):
-        lines.append(f"title={title}")
+    for title in store.objects(dcho, vocab.DCT_TITLE, Literal):
+        lines.append(f"title={title.lexical}")
     lines.append(f"identifier={dcho.value}")
-    for ident in _lexicals(quads, dcho, vocab.DCT_IDENTIFIER):
-        if ident != dcho.value:
-            lines.append(f"identifier={ident}")
-    for agent in _iris(quads, dcho, vocab.PRODUCED_BY):
+    for ident in store.objects(dcho, vocab.DCT_IDENTIFIER, Literal):
+        if ident.lexical != dcho.value:
+            lines.append(f"identifier={ident.lexical}")
+    for agent in store.objects(dcho, vocab.PRODUCED_BY, Iri):
         lines.append(f"agent={agent.value}")
     lines.append(f"licence={licences[0].value}")
     for key, predicate in (("created", vocab.INTERVAL_START), ("modified", vocab.INTERVAL_END)):
-        for value in _lexicals(quads, dcho, predicate):
-            lines.append(f"{key}={value}")
+        for value in store.objects(dcho, predicate, Literal):
+            lines.append(f"{key}={value.lexical}")
     files["descriptor.txt"] = ("\n".join(lines) + "\n").encode("utf-8")
 
     files["provenance.nq"] = serialize_nquads(catalog.tracker.export_prov_graph(dcho)).encode("utf-8")

@@ -31,7 +31,7 @@ from heritage_catalog.fair import FAIL, PASS, check_registry, run_audit
 from heritage_catalog.mapping import Table, execute_mapping, load_mapping, load_table
 from heritage_catalog.provenance import ProvenanceTracker
 from heritage_catalog.rdf import Iri, Literal, Quad, parse_nquads, serialize_nquads
-from heritage_catalog.store import Delta, Store, invert_delta, parse_update, serialize_update
+from heritage_catalog.store import Delta, Store, parse_update, serialize_update
 from heritage_catalog.workflow import AssetVersion, storage_report, validate_asset
 
 BASE = "https://example.org/catalog/"
@@ -124,9 +124,9 @@ def test_delta_algebra():
             before = serialize_nquads(store.quads())
             delta = rand_strict_delta(rng, quads)
             store.apply_delta(delta)
-            store.apply_delta(invert_delta(delta))
+            store.apply_delta(delta.invert())
             assert serialize_nquads(store.quads()) == before
-            assert invert_delta(invert_delta(delta)) == delta
+            assert delta.invert().invert() == delta
 
 
 def test_serialization_round_trips():

@@ -15,7 +15,6 @@ from heritage_catalog.rdf import (
     Quad,
     RDF_LANG_STRING,
     XSD_STRING,
-    make_iri,
     parse_nquads,
     serialize_nquads,
     serialize_term,
@@ -24,26 +23,26 @@ from heritage_catalog.rdf import (
 
 class TestMakeIri:
     def test_accepts_absolute(self):
-        assert make_iri("https://w3id.org/x").value == "https://w3id.org/x"
+        assert Iri("https://w3id.org/x").value == "https://w3id.org/x"
 
     def test_rejects_relative(self):
         with pytest.raises(InvalidIri):
-            make_iri("obj/42")
+            Iri("obj/42")
 
     def test_rejects_space(self):
         with pytest.raises(InvalidIri):
-            make_iri("http://ex.org/a b")
+            Iri("http://ex.org/a b")
 
     def test_rejects_empty_scheme(self):
         with pytest.raises(InvalidIri):
-            make_iri(":foo")
+            Iri(":foo")
 
     def test_rejects_control_characters(self):
         with pytest.raises(InvalidIri):
-            make_iri("http://ex.org/a\x01b")
+            Iri("http://ex.org/a\x01b")
 
     def test_urn_scheme_ok(self):
-        assert make_iri("urn:uuid:1234").value == "urn:uuid:1234"
+        assert Iri("urn:uuid:1234").value == "urn:uuid:1234"
 
 
 class TestTerms:

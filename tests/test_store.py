@@ -9,11 +9,13 @@ from conftest import (
     brute_force_match,
     forward_replay,
     rand_dataset,
+    rand_iri,
     rand_pattern,
     rand_quad,
     rand_strict_delta,
+    rand_term,
 )
-from heritage_catalog.rdf import Iri, Literal, ParseError, Quad
+from heritage_catalog.rdf import BlankNode, Iri, Literal, ParseError, Quad
 from heritage_catalog.store import (
     ANY,
     Delta,
@@ -22,7 +24,6 @@ from heritage_catalog.store import (
     QuadPattern,
     Store,
     Variable,
-    invert_delta,
     parse_update,
     serialize_update,
 )
@@ -84,6 +85,46 @@ class TestInsertDelete:
         assert store._by_graph == rebuilt._by_graph
         assert store._by_subject == rebuilt._by_subject
         assert store._by_sp == rebuilt._by_sp
+        assert store._by_po == rebuilt._by_po
+
+    def test_accessors_match_brute_force_after_random_ops(self):
+        rng = random.Random(17)
+        # Few distinct terms, so lookups hit buckets holding several quads.
+        subjects = [rand_iri(rng) for _ in range(3)] + [BlankNode("b1")]
+        predicates = [rand_iri(rng, "http://example.org/p/") for _ in range(3)]
+        objects = [rand_term(rng) for _ in range(5)] + [subjects[0]]
+        graphs = [None, rand_iri(rng, "http://example.org/g/")]
+        pool = [Quad(rng.choice(subjects), rng.choice(predicates), rng.choice(objects), rng.choice(graphs)) for _ in range(60)]
+        store = Store()
+        for step in range(400):
+            if rng.random() < 0.6:
+                store.insert_quads({rng.choice(pool)})
+            else:
+                store.delete_quads({rng.choice(pool)})
+            if step % 20:
+                continue
+            quads = store.quads()
+            replayed = Store(sorted(quads, key=repr, reverse=True))
+            for s in subjects:
+                for p in predicates:
+                    bucket = {q for q in quads if q.subject == s and q.predicate == p}
+                    assert store.subject_quads(s, p) == bucket
+                    got = store.objects(s, p)
+                    assert set(got) == {q.object for q in bucket}
+                    assert len(got) == len(set(got))
+                    assert got == replayed.objects(s, p)
+                    assert [o.value for o in got if isinstance(o, Iri)] == sorted(o.value for o in got if isinstance(o, Iri))
+                    assert [o.lexical for o in got if isinstance(o, Literal)] == sorted(o.lexical for o in got if isinstance(o, Literal))
+                    assert store.objects(s, p, Literal) == [o for o in got if isinstance(o, Literal)]
+            for p in predicates:
+                for o in objects:
+                    got = store.subjects(p, o)
+                    assert set(got) == {q.subject for q in quads if q.predicate == p and q.object == o}
+                    assert len(got) == len(set(got))
+                    assert got == replayed.subjects(p, o)
+                    for graph in (ANY, Variable("g"), graphs[1]):
+                        pattern = QuadPattern(Variable("s"), p, o, graph)
+                        assert sorted(map(repr, store.match(pattern))) == sorted(map(repr, brute_force_match(quads, pattern)))
 
 
 class TestMatch:
@@ -257,15 +298,15 @@ class TestDeltaAlgebra:
         rng = random.Random(31)
         for _ in range(20):
             delta = rand_strict_delta(rng, rand_dataset(rng, 10))
-            assert invert_delta(invert_delta(delta)) == delta
+            assert delta.invert().invert() == delta
 
     def test_invert_swaps_sides(self):
         a = q("http://ex.org/s", "http://ex.org/p", "a")
         b = q("http://ex.org/s", "http://ex.org/p", "b")
-        assert invert_delta(Delta(deletes={b}, inserts={a})) == Delta(deletes={a}, inserts={b})
+        assert Delta(deletes={b}, inserts={a}).invert() == Delta(deletes={a}, inserts={b})
 
     def test_invert_empty(self):
-        assert invert_delta(Delta()) == Delta()
+        assert Delta().invert() == Delta()
 
     def test_overlapping_delta_rejected_at_construction(self):
         quad = q("http://ex.org/s", "http://ex.org/p", "v")

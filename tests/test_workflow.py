@@ -5,8 +5,11 @@ from datetime import date
 import pytest
 
 from conftest import DATA_DIR, gold_catalog  # noqa: F401
+from heritage_catalog import vocab, workflow
+from heritage_catalog.catalog import Catalog
 from heritage_catalog.mapping import Table, load_table
-from heritage_catalog.rdf import Iri
+from heritage_catalog.rdf import Iri, Literal, Quad
+from heritage_catalog.store import Store
 from heritage_catalog.workflow import (
     ASSET_KINDS,
     AssetVersion,
@@ -21,7 +24,6 @@ from heritage_catalog.workflow import (
     UnknownPhase,
     ValidationError,
     check_phase_order,
-    ingest_process_table,
     parse_process_table,
     status_vector,
     storage_report,
@@ -56,7 +58,7 @@ def process_table(rows, header=None):
 class TestIngestProcessTable:
     def test_sls_acquisition_row(self):
         table = process_table([("1", "acquisition", "Lab", "Anna", "SLS", "Scanner", "2023-01-01", "2023-01-02")])
-        (record,) = ingest_process_table(table, BASE)
+        (record,) = [r.record for r in parse_process_table(table, BASE)]
         assert record.kind == PhaseKind.ACQUISITION
         assert record.technique == "SLS"
         assert record.cho == Iri(BASE + "cho/1")
@@ -64,33 +66,33 @@ class TestIngestProcessTable:
     def test_technique_on_non_acquisition_rejected(self):
         table = process_table([("1", "processing", "Lab", "Anna", "SLS", "Tool", "2023-01-01", "2023-01-02")])
         with pytest.raises(ValidationError):
-            ingest_process_table(table, BASE)
+            [r.record for r in parse_process_table(table, BASE)]
 
     def test_end_before_start_rejected(self):
         table = process_table([("1", "acquisition", "Lab", "Anna", "SLS", "Tool", "2023-01-05", "2023-01-02")])
         with pytest.raises(BadDate):
-            ingest_process_table(table, BASE)
+            [r.record for r in parse_process_table(table, BASE)]
 
     def test_missing_column(self):
         table = Table(name="p", header=("object", "phase"), rows=())
         with pytest.raises(MissingColumn) as err:
-            ingest_process_table(table, BASE)
+            [r.record for r in parse_process_table(table, BASE)]
         assert err.value.name == "unit"
 
     def test_unknown_phase(self):
         table = process_table([("1", "scanning", "Lab", "Anna", "", "Tool", "2023-01-01", "2023-01-02")])
         with pytest.raises(UnknownPhase) as err:
-            ingest_process_table(table, BASE)
+            [r.record for r in parse_process_table(table, BASE)]
         assert err.value.row == 1
 
     def test_bad_date_cell(self):
         table = process_table([("1", "acquisition", "Lab", "Anna", "SLS", "Tool", "01/02/2023", "2023-01-02")])
         with pytest.raises(BadDate):
-            ingest_process_table(table, BASE)
+            [r.record for r in parse_process_table(table, BASE)]
 
     def test_open_ended_phase(self):
         table = process_table([("1", "acquisition", "Lab", "Anna", "SLS", "Tool", "2023-01-01", "")])
-        (record,) = ingest_process_table(table, BASE)
+        (record,) = [r.record for r in parse_process_table(table, BASE)]
         assert record.end is None
 
     def test_asset_metadata_extraction(self):
@@ -375,6 +377,48 @@ class TestCatalogRegistration:
     def test_uploads_view(self, gold_catalog):
         assert {u.scene_id for u in gold_catalog.uploads} == {"SCN25A", "SCN26B"}
         assert all(u.target == "ATON" for u in gold_catalog.uploads)
+
+    def test_upload_without_dates_is_skipped(self):
+        activity = Iri(BASE + "activity/1/upload/1")
+        store = Store({
+            Quad(activity, vocab.RDF_TYPE, vocab.ACTIVITY),
+            Quad(activity, vocab.SCENE_ID, Literal("SCN1")),
+            Quad(activity, vocab.CONCERNS, Iri(BASE + "cho/1")),
+        })
+        assert workflow.uploads_from_store(store, BASE) == []
+
+
+def _doubled_process_table(table: Table) -> Table:
+    """The table plus a copy of every row for a new object, with its own assets."""
+    renamed = ("object", "inputs", "outputs")
+    copies = []
+    for row in table.rows:
+        copy = [
+            ";".join("x" + token for token in cell.split(";")) if column in renamed and cell else cell
+            for column, cell in zip(table.header, row)
+        ]
+        copies.append(tuple(copy))
+    return Table(name=table.name, header=table.header, rows=table.rows + tuple(copies))
+
+
+class TestViewRebuilds:
+    def test_rebuild_count_does_not_grow_with_rows(self, tmp_path, monkeypatch):
+        calls = []
+        for name in ("phases_from_store", "assets_from_store"):
+            original = getattr(workflow, name)
+            monkeypatch.setattr(workflow, name, lambda store, _f=original: calls.append(1) or _f(store))
+        gold = load_table(DATA_DIR / "gold_process.csv")
+        counts = []
+        for i, table in enumerate((gold, _doubled_process_table(gold))):
+            catalog = Catalog.create(tmp_path / f"catalog{i}")
+            calls.clear()
+            catalog.ingest_process(table, Iri("file:///process.csv"))
+            ingest_calls = len(calls)
+            calls.clear()
+            catalog.validate_assets()
+            counts.append((ingest_calls, len(calls), len(catalog.phases)))
+        assert counts[1][2] == 2 * counts[0][2]
+        assert counts[0][:2] == counts[1][:2]
 
 
 class TestBundle:
