@@ -11,6 +11,7 @@ import argparse
 import csv
 import io
 import os
+import re
 import sys
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -28,8 +29,8 @@ from .mapping import (
     load_table,
 )
 from .provenance import NoSuchEntity, parse_timestamp
-from .rdf import InvalidIri, InvalidTerm, Iri, ParseError, serialize_nquads, serialize_term
-from .store import OverlapError, PreconditionViolation, QuadPattern, Variable
+from .rdf import InvalidIri, InvalidTerm, Iri, ParseError, TermScanner, serialize_nquads, serialize_term
+from .store import ANY, OverlapError, PreconditionViolation, QuadPattern, Variable
 from .workflow import (
     BadDate,
     MissingColumn,
@@ -83,44 +84,42 @@ def _fail(code: int, message: str) -> int:
     return code
 
 
+_VARIABLE = re.compile(r"\?(\w*)")
+_SPACE = re.compile(r"\s*")
+
+
 def parse_bgp_text(text: str) -> tuple[list[QuadPattern], list[str]]:
     """Parse query text: one pattern per line, terms or ?variables.
 
     Three terms match any graph; a fourth constrains the graph position.
     Returns the patterns and variable names in order of first appearance.
     """
-    from .rdf import TermScanner
-
     patterns = []
     variables: list[str] = []
 
     def read_position(sc: TermScanner):
-        sc.skip_ws()
-        if sc.peek() == "?":
-            sc._advance()
-            start = sc.pos
-            while not sc.eof() and (sc.text[sc.pos].isalnum() or sc.text[sc.pos] == "_"):
-                sc._advance()
-            name = sc.text[start : sc.pos]
-            if not name:
-                sc.error("empty variable name")
-            if name not in variables:
-                variables.append(name)
-            return Variable(name)
-        return sc.read_term()
+        variable = sc.match(_VARIABLE)
+        if variable is None:
+            return sc.read_term()
+        name = variable.group(1)
+        if not name:
+            sc.error("empty variable name")
+        if name not in variables:
+            variables.append(name)
+        return Variable(name)
 
     for line_no, raw in enumerate(text.split("\n"), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        sc = TermScanner(raw.rstrip(), line=line_no)
+        sc.match(_SPACE)  # any leading whitespace, still counted in columns
+        if sc.eof() or sc.peek() == "#":
             continue
-        sc = TermScanner(line, line=line_no)
         positions = []
         while True:
             sc.skip_ws()
             if sc.eof():
                 break
             if sc.peek() == ".":
-                sc._advance()
+                sc.expect(".")
                 sc.skip_ws()
                 if not sc.eof():
                     sc.error("unexpected content after '.'")
@@ -130,8 +129,6 @@ def parse_bgp_text(text: str) -> tuple[list[QuadPattern], list[str]]:
                 sc.error("a pattern has at most four positions")
         if len(positions) < 3:
             raise ParseError("a pattern needs subject, predicate and object", line_no)
-        from .store import ANY
-
         graph = positions[3] if len(positions) == 4 else ANY
         patterns.append(QuadPattern(positions[0], positions[1], positions[2], graph))
     if not patterns:

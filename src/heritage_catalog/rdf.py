@@ -4,13 +4,16 @@ All values are immutable and hashable, so datasets are plain sets of
 :class:`Quad` and can be shared freely across threads.  Parsing and
 serialization are pure functions; serialization is canonical (sorted,
 deterministic escaping, trailing newline), which makes byte comparison a
-valid equality test for datasets.
+valid equality test for datasets.  The parsers read each token with one
+compiled-pattern match and work out a syntax error's line and column from
+its offset only when raising it.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import NoReturn
 
 RDF_NS = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
 XSD_NS = "http://www.w3.org/2001/XMLSchema#"
@@ -18,7 +21,7 @@ XSD_NS = "http://www.w3.org/2001/XMLSchema#"
 _SCHEME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9+.\-]*:")
 # Characters never allowed in an IRI reference: controls, space and the
 # bracket/quote/caret family excluded by the N-Quads IRIREF production.
-_IRI_FORBIDDEN = {chr(c) for c in range(0x21)} | set('<>"{}|^`\\') | {chr(0x7F)}
+_IRI_FORBIDDEN = re.compile(r'[\x00-\x20<>"{}|^`\\\x7f]')
 _BNODE_RE = re.compile(r"^[A-Za-z0-9_](?:[A-Za-z0-9_.\-]*[A-Za-z0-9_\-])?$")
 _LANG_RE = re.compile(r"^[A-Za-z]+(?:-[A-Za-z0-9]+)*$")
 
@@ -28,7 +31,7 @@ class InvalidIri(ValueError):
 
 
 class InvalidTerm(ValueError):
-    """Malformed blank-node label or literal."""
+    """Malformed blank-node label, literal or escape sequence."""
 
 
 class ParseError(ValueError):
@@ -56,10 +59,11 @@ class Iri:
             raise InvalidIri(f"empty scheme in {v!r}")
         if not _SCHEME_RE.match(v):
             raise InvalidIri(f"relative reference (no scheme) in {v!r}")
-        for c in v:
-            if c in _IRI_FORBIDDEN:
-                what = "space" if c == " " else f"character {c!r}"
-                raise InvalidIri(f"{what} not allowed in IRI {v!r}")
+        forbidden = _IRI_FORBIDDEN.search(v)
+        if forbidden:
+            c = forbidden.group()
+            what = "space" if c == " " else f"character {c!r}"
+            raise InvalidIri(f"{what} not allowed in IRI {v!r}")
 
     def __str__(self):
         return self.value
@@ -126,11 +130,11 @@ class Quad:
             raise InvalidTerm("graph label must be an IRI")
 
 
-_LITERAL_ESCAPES = {'"': '\\"', "\\": "\\\\", "\n": "\\n", "\r": "\\r"}
+_LITERAL_ESCAPES = str.maketrans({'"': '\\"', "\\": "\\\\", "\n": "\\n", "\r": "\\r"})
 
 
 def _escape_literal(text: str) -> str:
-    return "".join(_LITERAL_ESCAPES.get(c, c) for c in text)
+    return text.translate(_LITERAL_ESCAPES)
 
 
 def serialize_term(term: Term) -> str:
@@ -173,166 +177,154 @@ def serialize_nquads(quads) -> str:
     return "".join(serialize_quad(q) + "\n" for q in sorted(quads, key=quad_sort_key))
 
 
+# Token patterns, each matched once at the scanner's cursor.  An IRI token
+# runs to the next '>'; what it may contain is checked by ``Iri`` alone.
+_WS = re.compile(r"[ \t\r\n]*")
+_KEYWORD = re.compile(r"[^\W\d_]*")  # word characters other than digits and '_'
+_IRI_TOKEN = re.compile(r"<([^>]*)>")
+# A trailing dot belongs to the statement, not the label.
+_BNODE_TOKEN = re.compile(r"_:((?:[\w.-]*[\w-])?)")
+# Unrolled body: one repetition per escape, not per character.  The closing
+# quote is optional so that an unclosed literal still yields its body.
+_LITERAL_TOKEN = re.compile(r'"([^"\\\n\r]*(?:\\.[^"\\\n\r]*)*)("?)', re.S)
+_LANG_TOKEN = re.compile(r"@((?:[^\W_]|-)*)")
+_UCHAR = re.compile(r"\\u([0-9A-Fa-f]{4})|\\U([0-9A-Fa-f]{8})")
+_UCHAR_OR_ECHAR = re.compile(r"\\u([0-9A-Fa-f]{4})|\\U([0-9A-Fa-f]{8})|\\(.)", re.S)
+_ECHARS = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f", '"': '"', "'": "'", "\\": "\\"}
+
+
+def _decode_escape(match: re.Match) -> str:
+    digits = match.group(1) or match.group(2)
+    if digits is None:  # only _UCHAR_OR_ECHAR has a third group
+        char = match.group(3)
+        if char in _ECHARS:
+            return _ECHARS[char]
+        raise InvalidTerm(f"bad \\{char} escape" if char in "uU" else f"bad escape '\\{char}' in literal")
+    code = int(digits, 16)
+    if code > 0x10FFFF:
+        raise InvalidTerm("escape out of unicode range")
+    return chr(code)
+
+
+def _unescape(pattern: re.Pattern, body: str) -> str:
+    return pattern.sub(_decode_escape, body) if "\\" in body else body
+
+
 class TermScanner:
     """Cursor over one piece of N-Triples-flavoured text.
 
-    Tracks line and column so syntax errors point at the offending token.
-    Shared by the N-Quads parser and the update-subset parser.
+    Each token is read with one match of a compiled pattern at the cursor.
+    Only the offset is tracked: the line and column of a syntax error are
+    computed from it when the error is raised.  Shared by the N-Quads,
+    update and query-pattern parsers; ``line`` numbers the text's first line.
     """
 
-    def __init__(self, text: str, line: int = 1, column: int = 1):
+    def __init__(self, text: str, line: int = 1):
         self.text = text
         self.pos = 0
         self.line = line
-        self.column = column
 
-    def error(self, message: str, line: int | None = None, column: int | None = None):
-        raise ParseError(message, line or self.line, column or self.column)
+    def error(self, message: str, pos: int | None = None) -> NoReturn:
+        """Raise a :class:`ParseError` at ``pos`` (default: the cursor)."""
+        if pos is None:
+            pos = self.pos
+        line_start = self.text.rfind("\n", 0, pos) + 1
+        raise ParseError(message, self.line + self.text.count("\n", 0, pos), pos - line_start + 1)
 
     def eof(self) -> bool:
         return self.pos >= len(self.text)
 
     def peek(self) -> str:
-        return "" if self.eof() else self.text[self.pos]
+        return self.text[self.pos : self.pos + 1]
 
-    def _advance(self, n: int = 1) -> str:
-        taken = self.text[self.pos : self.pos + n]
-        for c in taken:
-            if c == "\n":
-                self.line += 1
-                self.column = 1
-            else:
-                self.column += 1
-        self.pos += n
-        return taken
+    def match(self, pattern: re.Pattern) -> re.Match | None:
+        """Match ``pattern`` at the cursor and move past it on success."""
+        found = pattern.match(self.text, self.pos)
+        if found:
+            self.pos = found.end()
+        return found
 
     def skip_ws(self):
-        while not self.eof() and self.text[self.pos] in " \t\r\n":
-            self._advance()
+        self.pos = _WS.match(self.text, self.pos).end()
 
     def expect(self, char: str):
-        if self.peek() != char:
-            self.error(f"expected {char!r}, found {self.peek()!r}" if self.peek() else f"expected {char!r}, found end of input")
-        self._advance()
+        found = self.peek()
+        if found != char:
+            self.error(f"expected {char!r}, found {found!r}" if found else f"expected {char!r}, found end of input")
+        self.pos += 1
 
     def read_keyword(self) -> str:
-        start = self.pos
-        while not self.eof() and self.text[self.pos].isalpha():
-            self._advance()
-        return self.text[start : self.pos]
-
-    def _read_uchar(self, start_line: int, start_col: int) -> str:
-        kind = self._advance()  # 'u' or 'U'
-        width = 4 if kind == "u" else 8
-        digits = self._advance(width)
-        if len(digits) != width or any(c not in "0123456789abcdefABCDEF" for c in digits):
-            self.error("bad \\%s escape" % kind, start_line, start_col)
-        code = int(digits, 16)
-        if code > 0x10FFFF:
-            self.error("escape out of unicode range", start_line, start_col)
-        return chr(code)
+        """The run of letters at the cursor, possibly empty."""
+        return self.match(_KEYWORD).group()
 
     def read_term(self) -> Term:
+        """One IRI, blank node or literal; a malformed one is reported at its start."""
+        start = self.pos
         c = self.peek()
-        self.term_line, self.term_column = self.line, self.column
-        if c == "<":
-            return self._read_iri()
-        if c == "_":
-            return self._read_bnode()
-        if c == '"':
-            return self._read_literal()
-        if c == "":
-            self.error("expected a term, found end of input")
-        self.error(f"unexpected character {c!r}")
+        try:
+            if c == "<":
+                return self._read_iri()
+            if c == "_":
+                return self._read_bnode()
+            if c == '"':
+                return self._read_literal()
+        except (InvalidIri, InvalidTerm) as exc:
+            self.error(str(exc), start)
+        self.error(f"unexpected character {c!r}" if c else "expected a term, found end of input")
+
+    def read_triple(self) -> tuple[Iri | BlankNode, Iri, Term]:
+        """Subject, predicate and object, each followed by optional whitespace."""
+        start = self.pos
+        subject = self.read_term()
+        if isinstance(subject, Literal):
+            self.error("literal not allowed in subject position", start)
+        self.skip_ws()
+        start = self.pos
+        predicate = self.read_term()
+        if not isinstance(predicate, Iri):
+            self.error("predicate must be an IRI", start)
+        self.skip_ws()
+        obj = self.read_term()
+        self.skip_ws()
+        return subject, predicate, obj
+
+    def read_graph_label(self) -> Iri:
+        """A graph IRI followed by optional whitespace."""
+        start = self.pos
+        graph = self.read_term()
+        if not isinstance(graph, Iri):
+            self.error("graph label must be an IRI", start)
+        self.skip_ws()
+        return graph
 
     def _read_iri(self) -> Iri:
-        start_line, start_col = self.line, self.column
-        self._advance()  # '<'
-        out = []
-        while True:
-            if self.eof():
-                self.error("unterminated IRI", start_line, start_col)
-            c = self._advance()
-            if c == ">":
-                break
-            if c == "\\":
-                if self.peek() in "uU":
-                    out.append(self._read_uchar(start_line, start_col))
-                    continue
-                self.error("bad escape in IRI", start_line, start_col)
-            if c in _IRI_FORBIDDEN:
-                self.error(f"character {c!r} not allowed in IRI", start_line, start_col)
-            out.append(c)
-        try:
-            return Iri("".join(out))
-        except InvalidIri as exc:
-            self.error(str(exc), start_line, start_col)
+        token = self.match(_IRI_TOKEN)
+        if token is None:
+            raise InvalidIri("unterminated IRI")
+        return Iri(_unescape(_UCHAR, token.group(1)))
 
     def _read_bnode(self) -> BlankNode:
-        start_line, start_col = self.line, self.column
-        self._advance()  # '_'
-        if self.peek() != ":":
-            self.error("expected ':' after '_'", start_line, start_col)
-        self._advance()
-        start = self.pos
-        while not self.eof() and (self.text[self.pos].isalnum() or self.text[self.pos] in "_.-"):
-            self._advance()
-        label = self.text[start : self.pos]
-        # A trailing dot belongs to the statement, not the label.
-        while label.endswith("."):
-            label = label[:-1]
-            self.pos -= 1
-            self.column -= 1
-        try:
-            return BlankNode(label)
-        except InvalidTerm as exc:
-            self.error(str(exc), start_line, start_col)
+        token = self.match(_BNODE_TOKEN)
+        if token is None:
+            raise InvalidTerm("expected ':' after '_'")
+        return BlankNode(token.group(1))
 
     def _read_literal(self) -> Literal:
-        start_line, start_col = self.line, self.column
-        self._advance()  # '"'
-        out = []
-        while True:
-            if self.eof():
-                self.error("unterminated literal", start_line, start_col)
-            c = self._advance()
-            if c == '"':
-                break
-            if c in "\n\r":
-                self.error("unescaped line break in literal", start_line, start_col)
-            if c == "\\":
-                e = self.peek()
-                if e in "uU":
-                    out.append(self._read_uchar(start_line, start_col))
-                    continue
-                escapes = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f", '"': '"', "'": "'", "\\": "\\"}
-                if e not in escapes:
-                    self.error(f"bad escape '\\{e}' in literal", start_line, start_col)
-                out.append(escapes[e])
-                self._advance()
-                continue
-            out.append(c)
-        lexical = "".join(out)
-        if self.peek() == "@":
-            self._advance()
-            start = self.pos
-            while not self.eof() and (self.text[self.pos].isalnum() or self.text[self.pos] == "-"):
-                self._advance()
-            tag = self.text[start : self.pos]
-            try:
-                return Literal(lexical, language=tag)
-            except InvalidTerm as exc:
-                self.error(str(exc), start_line, start_col)
-        if self.text[self.pos : self.pos + 2] == "^^":
-            self._advance(2)
+        body, closed = self.match(_LITERAL_TOKEN).groups()
+        lexical = _unescape(_UCHAR_OR_ECHAR, body)
+        if not closed:
+            broken = self.peek() in ("\n", "\r")
+            raise InvalidTerm("unescaped line break in literal" if broken else "unterminated literal")
+        language = datatype = None
+        tag = self.match(_LANG_TOKEN)
+        if tag:
+            language = tag.group(1)
+        elif self.text.startswith("^^", self.pos):
+            self.pos += 2
             if self.peek() != "<":
                 self.error("expected datatype IRI after '^^'")
-            dt = self._read_iri()
-            try:
-                return Literal(lexical, datatype=dt)
-            except InvalidTerm as exc:
-                self.error(str(exc), start_line, start_col)
-        return Literal(lexical)
+            datatype = self.read_term()
+        return Literal(lexical, datatype, language)
 
 
 def parse_nquads(text: str) -> set[Quad]:
@@ -349,22 +341,8 @@ def parse_nquads(text: str) -> set[Quad]:
         sc.skip_ws()
         if sc.eof() or sc.peek() == "#":
             continue
-        subject = sc.read_term()
-        if isinstance(subject, Literal):
-            sc.error("literal not allowed in subject position", sc.term_line, sc.term_column)
-        sc.skip_ws()
-        predicate = sc.read_term()
-        if not isinstance(predicate, Iri):
-            sc.error("predicate must be an IRI", sc.term_line, sc.term_column)
-        sc.skip_ws()
-        obj = sc.read_term()
-        sc.skip_ws()
-        graph = None
-        if sc.peek() not in (".", ""):
-            graph = sc.read_term()
-            if not isinstance(graph, Iri):
-                sc.error("graph label must be an IRI", sc.term_line, sc.term_column)
-            sc.skip_ws()
+        subject, predicate, obj = sc.read_triple()
+        graph = None if sc.peek() in (".", "") else sc.read_graph_label()
         sc.expect(".")
         sc.skip_ws()
         if not sc.eof() and sc.peek() != "#":

@@ -15,7 +15,6 @@ from .rdf import (
     BlankNode,
     Iri,
     Literal,
-    ParseError,
     Quad,
     Term,
     TermScanner,
@@ -320,51 +319,36 @@ def parse_update(text: str) -> Delta:
     if sc.eof():
         return Delta()
     while True:
-        kw_line, kw_col = sc.line, sc.column
+        keyword_pos = sc.pos
         op = sc.read_keyword().upper()
         if op not in ("INSERT", "DELETE"):
-            sc.error(f"expected INSERT or DELETE, found {op!r}", kw_line, kw_col)
+            sc.error(f"expected INSERT or DELETE, found {op!r}", keyword_pos)
         sc.skip_ws()
         if sc.read_keyword().upper() != "DATA":
-            sc.error("expected DATA", kw_line, kw_col)
+            sc.error("expected DATA", keyword_pos)
         sc.skip_ws()
         sc.expect("{")
         sc.skip_ws()
         graph = None
-        wrapped = False
-        if sc.peek().isalpha():
-            word = sc.read_keyword()
-            if word.upper() == "GRAPH":
-                wrapped = True
-                sc.skip_ws()
-                graph = sc.read_term()
-                if not isinstance(graph, Iri):
-                    sc.error("graph label must be an IRI", sc.term_line, sc.term_column)
-                sc.skip_ws()
-                sc.expect("{")
-                sc.skip_ws()
-            else:
+        word = sc.read_keyword()
+        if word:
+            if word.upper() != "GRAPH":
                 sc.error(f"unexpected token {word!r} in data block")
+            sc.skip_ws()
+            graph = sc.read_graph_label()
+            sc.expect("{")
+            sc.skip_ws()
         target = deletes if op == "DELETE" else inserts
         while sc.peek() != "}":
             if sc.eof():
                 sc.error("unterminated data block")
-            s = sc.read_term()
-            if isinstance(s, Literal):
-                sc.error("literal not allowed in subject position", sc.term_line, sc.term_column)
-            sc.skip_ws()
-            p = sc.read_term()
-            if not isinstance(p, Iri):
-                sc.error("predicate must be an IRI", sc.term_line, sc.term_column)
-            sc.skip_ws()
-            o = sc.read_term()
-            sc.skip_ws()
+            s, p, o = sc.read_triple()
             sc.expect(".")
             sc.skip_ws()
             target.add(Quad(s, p, o, graph))
         sc.expect("}")
         sc.skip_ws()
-        if wrapped:
+        if graph is not None:
             sc.expect("}")
             sc.skip_ws()
         if sc.eof():
@@ -373,10 +357,7 @@ def parse_update(text: str) -> Delta:
         sc.skip_ws()
         if sc.eof():
             sc.error("expected a statement after ';'")
-    overlap = deletes & inserts
-    if overlap:
-        raise OverlapError(f"{len(overlap)} quad(s) in both delete and insert sets")
-    return Delta(deletes=deletes, inserts=inserts)
+    return Delta(deletes=deletes, inserts=inserts)  # raises OverlapError itself
 
 
 def _update_block(op: str, graph: Iri | None, quads) -> str:

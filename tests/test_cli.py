@@ -364,6 +364,12 @@ class TestPatternParsing:
         with pytest.raises(ParseError):
             parse_bgp_text("?s ?p")
 
+    @pytest.mark.parametrize("text, column", [("    ?s <rel> ?o", 8), ("\t?s <rel> ?o", 5), ("?s ?p ?o .\n  ?s ?p ?o . x", 14)])
+    def test_indented_line_reports_raw_column(self, text, column):
+        with pytest.raises(ParseError) as err:
+            parse_bgp_text(text)
+        assert err.value.column == column
+
     def test_csv_rendering(self):
         from heritage_catalog.rdf import Literal
 

@@ -144,6 +144,64 @@ class TestParse:
         assert Literal("ciao", language="it") in objects
 
 
+S, P = "<http://ex.org/s>", "<http://ex.org/p>"
+
+# The (line, column) each malformed statement reports: the column of the
+# offending term's first character, or of the cursor for a missing or
+# unexpected token.  Columns count code points from 1.
+NQUADS_ERRORS = [
+    pytest.param(f'{S} <p> "v" .', 1, 19, id="relative-predicate"),
+    pytest.param(f'{S} {P} "v"', 1, 40, id="missing-dot"),
+    pytest.param(f'{S} {P} "v\\q" .', 1, 37, id="bad-literal-escape"),
+    pytest.param(f'{S} {P} "v" "g" .', 1, 41, id="literal-graph"),
+    pytest.param("\n".join([f'{S} {P} "v" .'] * 6 + ["garbage"]), 7, 1, id="garbage-line-7"),
+    pytest.param("<http://ex.org/s", 1, 1, id="unterminated-iri"),
+    pytest.param(f'<http://ex.org/a b> {P} "v" .', 1, 1, id="space-in-iri"),
+    pytest.param(f"<http://ex.org/a<b> {P} \"v\" .", 1, 1, id="bracket-in-iri"),
+    pytest.param(f'{S} {P} "v" . extra', 1, 43, id="content-after-statement"),
+    pytest.param(f'"s" {P} "v" .', 1, 1, id="literal-subject"),
+    pytest.param(f'{S} _:b "v" .', 1, 19, id="bnode-predicate"),
+    pytest.param(f'_x {P} "v" .', 1, 1, id="underscore-without-colon"),
+    pytest.param(f'{S} {P} "unterminated', 1, 37, id="unterminated-literal"),
+    pytest.param(f'{S} {P} "v\\', 1, 37, id="backslash-at-end"),
+    pytest.param(f'<http://ex.org/a\\u0020b> {P} "v" .', 1, 1, id="iri-escape-decodes-to-space"),
+    pytest.param(f'<http://ex.org/a\\U00110000> {P} "v" .', 1, 1, id="iri-escape-out-of-range"),
+    pytest.param(f'<http://ex.org/a\\qb> {P} "v" .', 1, 1, id="iri-bad-escape"),
+    pytest.param(f'<http://ex.org/a\\u12G4> {P} "v" .', 1, 1, id="iri-bad-u-digits"),
+    pytest.param(f"{S} {P} <http://ex.org/\\u003E> .", 1, 37, id="iri-escape-decodes-to-bracket"),
+    pytest.param(f'{S} {P} "v\\u12" .', 1, 37, id="literal-short-u-escape"),
+    pytest.param(f'{S} {P} "v\\U00110000" .', 1, 37, id="literal-escape-out-of-range"),
+    pytest.param(f'{S} {P} "v"@ .', 1, 37, id="empty-language-tag"),
+    pytest.param(f'{S} {P} "v"@en_US .', 1, 43, id="language-tag-stops-at-underscore"),
+    pytest.param(f'{S} {P} "v"^^foo .', 1, 42, id="datatype-not-iri"),
+    pytest.param(f'{S} {P} "v"^^<{RDF_LANG_STRING.value}> .', 1, 37, id="lang-string-datatype"),
+    pytest.param(f'{S} {P} "v" .\r\n{S} {P} "v"\r\n', 2, 40, id="crlf-missing-dot"),
+    pytest.param(f'{S} {P} "a\rb" .', 1, 37, id="carriage-return-in-literal"),
+    pytest.param(f"{S} {P} _:. .", 1, 37, id="empty-bnode-label"),
+    pytest.param(f'\t  {S} <p> "v" .', 1, 22, id="indented-relative-predicate"),
+    pytest.param(S, 1, 18, id="subject-only"),
+    pytest.param(f'{S} {P} "v" _:g .', 1, 41, id="bnode-graph"),
+    pytest.param(f'{S} {P} "è" x .', 1, 41, id="columns-count-code-points"),
+    pytest.param(f"{S} {P} _:a.b. .", 1, 44, id="bnode-dot-then-second-dot"),
+]
+
+
+class TestErrorPositions:
+    @pytest.mark.parametrize("text, line, column", NQUADS_ERRORS)
+    def test_error_position(self, text, line, column):
+        with pytest.raises(ParseError) as err:
+            parse_nquads(text)
+        assert (err.value.line, err.value.column) == (line, column)
+
+    def test_iri_escape_decodes(self):
+        (q,) = parse_nquads(f'<http://ex.org/a\\u00E9\\U0001F600> {P} "v" .')
+        assert q.subject == Iri("http://ex.org/aé😀")
+
+    def test_escape_out_of_range_message(self):
+        with pytest.raises(ParseError, match="escape out of unicode range"):
+            parse_nquads(f'<http://ex.org/a\\U00110000> {P} "v" .')
+
+
 class TestSerialize:
     def test_empty_dataset(self):
         assert serialize_nquads(set()) == ""

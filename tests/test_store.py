@@ -15,6 +15,7 @@ from conftest import (
     rand_strict_delta,
     rand_term,
 )
+from heritage_catalog.cli import parse_bgp_text
 from heritage_catalog.rdf import BlankNode, Iri, Literal, ParseError, Quad
 from heritage_catalog.store import (
     ANY,
@@ -225,6 +226,85 @@ class TestParseUpdate:
     def test_prefixed_names_rejected(self):
         with pytest.raises(ParseError):
             parse_update('INSERT DATA { ex:s <http://ex.org/p> "v" . }')
+
+
+S, P = "<http://ex.org/s>", "<http://ex.org/p>"
+
+# The (line, column) each malformed update reports.  Positions run across
+# the whole multi-line text; keyword errors point at the operation keyword.
+UPDATE_ERRORS = [
+    pytest.param(f'INSERT DATA {{ ?x {P} "v" . }}', 1, 15, id="variable"),
+    pytest.param(f'INSERT DATA {{ ex:s {P} "v" . }}', 1, 17, id="prefixed-name"),
+    pytest.param("UPSERT DATA { }", 1, 1, id="unknown-operation"),
+    pytest.param("INSERT DATUM { }", 1, 1, id="missing-data-keyword"),
+    pytest.param(f"INSERT DATA {S}", 1, 13, id="missing-brace"),
+    pytest.param(f'INSERT DATA {{\n  {S} {P} "v" .\n  {S} <rel> "v" .\n}}', 3, 21, id="relative-iri-line-3"),
+    pytest.param(f'INSERT DATA {{\n  {S} {P} "a\\nb" .\n  {S} {P} "v" x\n}}', 3, 43, id="missing-dot-line-3"),
+    pytest.param(f'INSERT DATA {{\n  {S} {P} "a\nb" .\n}}', 2, 39, id="raw-newline-in-literal"),
+    pytest.param(f'INSERT DATA {{\n  {S} {P} "\\u00e9 caffè" .\n  {S} {P} "è" x }}', 3, 43, id="unicode-before-error"),
+    pytest.param(f'INSERT DATA {{ {S} {P} "v" .', 1, 56, id="unterminated-block"),
+    pytest.param(f'INSERT DATA {{ {S} {P} "v" . }} x', 1, 59, id="junk-after-block"),
+    pytest.param(f'INSERT DATA {{ {S} {P} "v" . }} ;', 1, 60, id="trailing-semicolon"),
+    pytest.param(f'INSERT DATA {{ {S} {P} "v" . }} ;\n', 2, 1, id="trailing-semicolon-newline"),
+    pytest.param(f'INSERT DATA {{ {S} {P} "v" . }} ; INSERT', 1, 61, id="second-op-without-data"),
+    pytest.param("INSERT\nDATA\n{ }\n;\nDELETE", 5, 1, id="keyword-on-line-5"),
+    pytest.param('INSERT DATA { GRAPH "g" { } }', 1, 21, id="literal-graph-label"),
+    pytest.param(f"INSERT DATA {{ GRAPH {S} {S} }}", 1, 39, id="graph-without-brace"),
+    pytest.param(f'INSERT DATA {{ GRAPH {S} {{ {S} {P} "v" . }}', 1, 84, id="graph-without-closing-brace"),
+    pytest.param(f"INSERT DATA {{ {S} {P} _:b1. {S} <rel> _:b2.}}", 1, 75, id="bnode-statement-dot"),
+    pytest.param(f'INSERT DATA {{\r\n  {S} <rel> "v" .\r\n}}', 2, 21, id="crlf"),
+    pytest.param(f'INSERT DATA {{ {S} {P} "v" }}', 1, 55, id="missing-dot"),
+    pytest.param(f'INSERT DATA {{ "s" {P} "v" . }}', 1, 15, id="literal-subject"),
+    pytest.param(f'INSERT DATA {{ {S} _:p "v" . }}', 1, 33, id="bnode-predicate"),
+    pytest.param(f'INSERT DATA {{ <http://ex.org/a\nb> {P} "v" . }}', 1, 15, id="newline-in-iri"),
+    pytest.param(f'INSERT DATA {{ {S} {P} <http://ex.org/o "v" . }}', 1, 51, id="unclosed-iri"),
+    pytest.param(f'DELETE DATA {{\n}}\n;\nINSERT DATA {{\n  <http://ex.org/a\\U00110000> {P} "v" .\n}}', 5, 3,
+                 id="iri-escape-out-of-range-line-5"),
+    pytest.param(f'DELETE DATA {{\n}}\n;\nINSERT DATA {{\n  <http://ex.org/a\\u0020> {P} "v" .\n}}', 5, 3,
+                 id="iri-escape-to-space-line-5"),
+]
+
+# The (line, column) each malformed query pattern reports; ``None`` where
+# the error concerns a whole line or the whole text.
+PATTERN_ERRORS = [
+    pytest.param("?s ?p", 1, None, id="too-few-positions"),
+    pytest.param("?s <rel> ?o", 1, 4, id="relative-iri"),
+    pytest.param("? <http://ex.org/p> ?o", 1, 2, id="empty-variable"),
+    pytest.param("?s ?p ?o ?g ?x", 1, 15, id="five-positions"),
+    pytest.param("?s ?p ?o . x", 1, 12, id="content-after-dot"),
+    pytest.param("# comment\n\n?s ?p ?o\n?s <rel> ?o", 4, 4, id="line-4-after-comment"),
+    pytest.param('?s <http://ex.org/p> "v', 1, 22, id="unterminated-literal"),
+    pytest.param("?s ?p ?o\r\n?s <rel> ?o\r\n", 2, 4, id="crlf"),
+    pytest.param("?s ?p _:b. x", 1, 12, id="bnode-dot-then-content"),
+    pytest.param("   \n  # only comments", None, None, id="empty-query"),
+]
+
+
+class TestErrorPositions:
+    @pytest.mark.parametrize("text, line, column", UPDATE_ERRORS)
+    def test_update_error_position(self, text, line, column):
+        with pytest.raises(ParseError) as err:
+            parse_update(text)
+        assert (err.value.line, err.value.column) == (line, column)
+
+    @pytest.mark.parametrize("text, line, column", PATTERN_ERRORS)
+    def test_pattern_error_position(self, text, line, column):
+        with pytest.raises(ParseError) as err:
+            parse_bgp_text(text)
+        assert (err.value.line, err.value.column) == (line, column)
+
+    def test_bnode_label_stops_before_statement_dot(self):
+        delta = parse_update(f"INSERT DATA {{ {S} {P} _:b1. {S} {P} _:b2.}}")
+        assert {quad.object for quad in delta.inserts} == {BlankNode("b1"), BlankNode("b2")}
+
+    def test_escaped_iri_in_later_block(self):
+        delta = parse_update(f'DELETE DATA {{\n}}\n;\nINSERT DATA {{\n  <http://ex.org/a\\u00E9> {P} "v" .\n}}')
+        assert {quad.subject for quad in delta.inserts} == {Iri("http://ex.org/aé")}
+
+    def test_pattern_line_strips_any_whitespace(self):
+        patterns, variables = parse_bgp_text("\xa0?s ?p _:b.\u2003")
+        assert variables == ["s", "p"]
+        assert patterns == [QuadPattern(Variable("s"), Variable("p"), BlankNode("b"), ANY)]
 
 
 class TestSerializeUpdate:
