@@ -14,7 +14,7 @@ from datetime import datetime, timezone
 
 from . import vocab
 from .rdf import Iri, Literal, ParseError, Quad
-from .store import Delta, PreconditionViolation, Store, parse_update, serialize_update
+from .store import Delta, PreconditionViolation, Store, ordered_terms, parse_update, serialize_update
 
 CREATION = "creation"
 MODIFICATION = "modification"
@@ -340,45 +340,50 @@ class ProvenanceTracker:
 
     @classmethod
     def from_quads(cls, store: Store, prov_quads) -> "ProvenanceTracker":
-        """Rebuild chains from a persisted provenance graph set, indexing
-        each entity's graph once as a :class:`Store`."""
+        """Rebuild chains from a persisted provenance graph set, grouping the
+        quads once by graph, subject and predicate."""
         tracker = cls(store)
-        by_graph: dict[Iri, set[Quad]] = {}
+        by_graph: dict[Iri, dict] = {}
         for q in prov_quads:
             if q.graph is not None and q.graph.value.endswith("/prov"):
-                by_graph.setdefault(q.graph, set()).add(q)
+                by_graph.setdefault(q.graph, {}).setdefault(q.subject, {}).setdefault(q.predicate, []).append(q.object)
         for graph in sorted(by_graph, key=lambda g: g.value):
             entity = Iri(graph.value[: -len("/prov")])
-            tracker._chains[entity] = _parse_chain(entity, Store(by_graph[graph]))
+            tracker._chains[entity] = _parse_chain(entity, by_graph[graph])
         return tracker
 
 
-def _parse_chain(entity: Iri, graph: Store) -> list:
+def _parse_chain(entity: Iri, graph: dict) -> list:
+    """One entity's chain from its graph, grouped as subject -> predicate ->
+    objects.  Where a property has several values the lowest in
+    :func:`ordered_terms` order is read, as :meth:`Store.objects` lists them."""
     marker = f"{entity.value}/prov/se/"
     snapshots = []
-    for subject in graph.subjects(vocab.RDF_TYPE, vocab.PROV_ENTITY):
+    typed = [s for s, properties in graph.items() if vocab.PROV_ENTITY in properties.get(vocab.RDF_TYPE, ())]
+    for subject in ordered_terms(typed):
         if not isinstance(subject, Iri) or not subject.value.startswith(marker):
             raise CorruptProvenance(f"unexpected snapshot identifier {subject}")
         try:
             index = int(subject.value[len(marker):])
         except ValueError:
             raise CorruptProvenance(f"non-numeric snapshot index in {subject}") from None
-        generated = graph.objects(subject, vocab.GENERATED_AT, Literal)
+        properties = graph[subject]
+        generated = ordered_terms(properties.get(vocab.GENERATED_AT, ()), Literal)
         if not generated:
             raise CorruptProvenance(f"{subject} has no generation timestamp")
-        invalidated = graph.objects(subject, vocab.INVALIDATED_AT, Literal)
-        updates = graph.objects(subject, vocab.HAS_UPDATE_QUERY, Literal)
+        invalidated = ordered_terms(properties.get(vocab.INVALIDATED_AT, ()), Literal)
+        updates = ordered_terms(properties.get(vocab.HAS_UPDATE_QUERY, ()), Literal)
         if not updates:
             raise CorruptProvenance(f"{subject} has no update query")
-        agents = tuple(graph.objects(subject, vocab.ATTRIBUTED_TO, Iri))
+        agents = tuple(ordered_terms(properties.get(vocab.ATTRIBUTED_TO, ()), Iri))
         if not agents:
             raise CorruptProvenance(f"{subject} has no attribution")
-        sources = graph.objects(subject, vocab.PRIMARY_SOURCE, Iri)
-        derived = graph.objects(subject, vocab.DERIVED_FROM, Iri)
+        sources = ordered_terms(properties.get(vocab.PRIMARY_SOURCE, ()), Iri)
+        derived = ordered_terms(properties.get(vocab.DERIVED_FROM, ()), Iri)
         generated_at = parse_timestamp(generated[0].lexical)
         # An empty invalidation literal reads as no invalidation.
         invalidated_at = parse_timestamp(invalidated[0].lexical) if invalidated and invalidated[0].lexical else None
-        kinds = graph.objects(subject, vocab.CHANGE_KIND, Literal)
+        kinds = ordered_terms(properties.get(vocab.CHANGE_KIND, ()), Literal)
         kind = kinds[0].lexical if kinds else None
         if kind not in CHANGE_KINDS:
             if index == 1:

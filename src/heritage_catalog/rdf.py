@@ -7,12 +7,17 @@ deterministic escaping, trailing newline), which makes byte comparison a
 valid equality test for datasets.  The parsers read each token with one
 compiled-pattern match and work out a syntax error's line and column from
 its offset only when raising it.
+
+Term work is done once: a parse builds and validates each distinct IRI
+token once, through a memo that lives only as long as that parse; a
+quad's hash is computed when it is built; serialization renders each term
+once per quad and sorts the rendered rows.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NoReturn
 
 RDF_NS = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
@@ -47,11 +52,14 @@ class ParseError(ValueError):
         super().__init__(where + message)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Iri:
     """Absolute IRI; equality is exact codepoint equality."""
 
     value: str
+
+    def __hash__(self):
+        return hash(self.value)
 
     def __post_init__(self):
         v = self.value
@@ -69,7 +77,7 @@ class Iri:
         return self.value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BlankNode:
     label: str
 
@@ -82,7 +90,7 @@ XSD_STRING = Iri(XSD_NS + "string")
 RDF_LANG_STRING = Iri(RDF_NS + "langString")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Literal:
     """Typed or language-tagged literal.
 
@@ -110,12 +118,13 @@ class Literal:
 Term = Iri | BlankNode | Literal
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Quad:
     subject: Iri | BlankNode
     predicate: Iri
     object: Term
     graph: Iri | None = None
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if isinstance(self.subject, Literal):
@@ -128,13 +137,15 @@ class Quad:
             raise InvalidTerm(f"bad object {self.object!r}")
         if self.graph is not None and not isinstance(self.graph, Iri):
             raise InvalidTerm("graph label must be an IRI")
+        object.__setattr__(self, "_hash", hash((self.subject, self.predicate, self.object, self.graph)))
 
-
-_LITERAL_ESCAPES = str.maketrans({'"': '\\"', "\\": "\\\\", "\n": "\\n", "\r": "\\r"})
+    def __hash__(self):
+        return self._hash
 
 
 def _escape_literal(text: str) -> str:
-    return text.translate(_LITERAL_ESCAPES)
+    # Backslash first, so the backslashes added after it stay single.
+    return text.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n").replace("\r", "\\r")
 
 
 def serialize_term(term: Term) -> str:
@@ -159,13 +170,11 @@ def serialize_quad(quad: Quad) -> str:
     return " ".join(parts) + " ."
 
 
-def quad_sort_key(quad: Quad) -> tuple[str, str, str, str]:
-    return (
-        "" if quad.graph is None else serialize_term(quad.graph),
-        serialize_term(quad.subject),
-        serialize_term(quad.predicate),
-        serialize_term(quad.object),
-    )
+def canonical_rows(quads) -> list[tuple[str, str, str, str]]:
+    """Each quad as its (graph, subject, predicate, object) serializations,
+    every term serialized once, sorted; the default graph is "" and sorts first."""
+    term = serialize_term
+    return sorted(("" if q.graph is None else term(q.graph), term(q.subject), term(q.predicate), term(q.object)) for q in quads)
 
 
 def serialize_nquads(quads) -> str:
@@ -174,7 +183,7 @@ def serialize_nquads(quads) -> str:
     A pure function of the quad set; two equal sets serialize to identical
     bytes regardless of insertion order.
     """
-    return "".join(serialize_quad(q) + "\n" for q in sorted(quads, key=quad_sort_key))
+    return "".join(f"{s} {p} {o} {g} .\n" if g else f"{s} {p} {o} .\n" for g, s, p, o in canonical_rows(quads))
 
 
 # Token patterns, each matched once at the scanner's cursor.  An IRI token
@@ -217,12 +226,19 @@ class TermScanner:
     Only the offset is tracked: the line and column of a syntax error are
     computed from it when the error is raised.  Shared by the N-Quads,
     update and query-pattern parsers; ``line`` numbers the text's first line.
+
+    ``iris`` maps a raw IRI token to the :class:`Iri` built from it.  A
+    parse passes one dict to all its scanners and drops it when done, so a
+    repeated IRI is built and validated once per parse and never across
+    parses.  Only valid IRIs enter it, so an invalid one raises wherever
+    it occurs.
     """
 
-    def __init__(self, text: str, line: int = 1):
+    def __init__(self, text: str, line: int = 1, iris: dict[str, Iri] | None = None):
         self.text = text
         self.pos = 0
         self.line = line
+        self.iris = {} if iris is None else iris
 
     def error(self, message: str, pos: int | None = None) -> NoReturn:
         """Raise a :class:`ParseError` at ``pos`` (default: the cursor)."""
@@ -301,7 +317,11 @@ class TermScanner:
         token = self.match(_IRI_TOKEN)
         if token is None:
             raise InvalidIri("unterminated IRI")
-        return Iri(_unescape(_UCHAR, token.group(1)))
+        raw = token.group(1)
+        iri = self.iris.get(raw)
+        if iri is None:
+            iri = self.iris[raw] = Iri(_unescape(_UCHAR, raw))
+        return iri
 
     def _read_bnode(self) -> BlankNode:
         token = self.match(_BNODE_TOKEN)
@@ -335,9 +355,10 @@ def parse_nquads(text: str) -> set[Quad]:
     line and column.
     """
     quads: set[Quad] = set()
+    iris: dict[str, Iri] = {}
     for line_no, raw in enumerate(text.split("\n"), start=1):
         line = raw[:-1] if raw.endswith("\r") else raw
-        sc = TermScanner(line, line=line_no)
+        sc = TermScanner(line, line=line_no, iris=iris)
         sc.skip_ws()
         if sc.eof() or sc.peek() == "#":
             continue

@@ -18,8 +18,8 @@ from .rdf import (
     Quad,
     Term,
     TermScanner,
+    canonical_rows,
     parse_nquads,
-    quad_sort_key,
     serialize_nquads,
     serialize_quad,
     serialize_term,
@@ -96,13 +96,18 @@ class Delta:
 
 
 def _term_key(term: Term) -> tuple:
-    """Order terms by IRI, lexical form or blank-node label; ties go by
-    kind, then by a literal's datatype and language."""
     if isinstance(term, Iri):
         return (term.value, 0)
     if isinstance(term, BlankNode):
         return (term.label, 1)
     return (term.lexical, 2, term.datatype.value, term.language or "")
+
+
+def ordered_terms(terms, kind=Term) -> list:
+    """The distinct instances of ``kind`` among ``terms``, ordered by IRI,
+    lexical form or blank-node label; ties go by kind, then by a literal's
+    datatype and language."""
+    return sorted({t for t in terms if isinstance(t, kind)}, key=_term_key)
 
 
 class Store:
@@ -184,12 +189,11 @@ class Store:
     def objects(self, subject, predicate: Iri, kind=Term) -> list:
         """Distinct objects of (subject, predicate) in any graph that are
         instances of ``kind``, ordered by IRI, lexical form or label."""
-        found = {q.object for q in self._by_sp.get((subject, predicate), ()) if isinstance(q.object, kind)}
-        return sorted(found, key=_term_key)
+        return ordered_terms((q.object for q in self._by_sp.get((subject, predicate), ())), kind)
 
     def subjects(self, predicate: Iri, obj) -> list:
         """Distinct subjects of (predicate, obj) in any graph, ordered like :meth:`objects`."""
-        return sorted({q.subject for q in self._by_po.get((predicate, obj), ())}, key=_term_key)
+        return ordered_terms(q.subject for q in self._by_po.get((predicate, obj), ()))
 
     def graph_quads(self, graph: Iri | None) -> set[Quad]:
         return set(self._by_graph.get(graph, ()))
@@ -361,10 +365,7 @@ def parse_update(text: str) -> Delta:
 
 
 def _update_block(op: str, graph: Iri | None, quads) -> str:
-    lines = "".join(
-        f"  {serialize_term(q.subject)} {serialize_term(q.predicate)} {serialize_term(q.object)} .\n"
-        for q in sorted(quads, key=quad_sort_key)
-    )
+    lines = "".join(f"  {s} {p} {o} .\n" for _, s, p, o in canonical_rows(quads))
     if graph is None:
         return f"{op} DATA {{\n{lines}}}"
     return f"{op} DATA {{ GRAPH {serialize_term(graph)} {{\n{lines}}} }}"

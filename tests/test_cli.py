@@ -340,6 +340,32 @@ class TestReadOnlyCommands:
         assert catalog_digests(gold_root) == before
 
 
+class TestCorruptProvenance:
+    def test_every_open_checks_every_chain(self, gold_root, capsys):
+        prov = gold_root / "prov.nq"
+        lines = prov.read_text(encoding="utf-8").splitlines(keepends=True)
+        target = next(
+            i for i, line in enumerate(lines)
+            if "hasUpdateQuery" in line and not line.startswith(f"<{BASE}cho/25/")
+        )
+        subject, predicate, _ = lines[target].split(" ", 2)
+        graph = lines[target].rsplit(" ", 2)[-2]
+        lines[target] = f'{subject} {predicate} "INSERT DATA {{ oops" {graph} .\n'
+        prov.write_text("".join(lines), encoding="utf-8")
+        before = catalog_digests(gold_root)
+        capsys.readouterr()
+        for argv in (
+            ("report", "status", BASE + "cho/25"),
+            ("query", "?s ?p ?o"),
+            ("prov", "log", BASE + "cho/25"),
+        ):
+            assert run("--catalog", str(gold_root), *argv) == 3, argv
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "unexpected token 'oops' in data block" in captured.err
+        assert catalog_digests(gold_root) == before
+
+
 class TestCatalogFiles:
     def test_store_files_stay_canonical_after_commands(self, gold_root):
         for name in ("data.nq", "prov.nq"):

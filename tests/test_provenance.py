@@ -6,6 +6,7 @@ from conftest import forward_replay, ts
 from heritage_catalog import vocab
 from heritage_catalog.provenance import (
     AlreadyExists,
+    CorruptProvenance,
     CREATION,
     DELETION,
     EntityDeleted,
@@ -314,6 +315,88 @@ class TestPersistenceRoundTrip:
         assert snap.index == len(tracker.chain(E)) + 1
         with pytest.raises(EntityDeleted):
             reloaded.record_modification(Iri("http://ex.org/obj/2"), Delta(), AGENT, time=ts(11))
+
+
+def se(index: int) -> Iri:
+    return Iri(f"{E.value}/prov/se/{index}")
+
+
+def _three_snapshot_payload() -> set:
+    tracker = fresh()
+    tracker.record_creation(E, {eq("t", "A")}, AGENT, source=SOURCE, time=ts(0))
+    tracker.record_modification(E, Delta(deletes={eq("t", "A")}, inserts={eq("t", "B")}), AGENT, time=ts(5))
+    tracker.record_modification(E, Delta(inserts={eq("n", "1")}), AGENT, time=ts(10))
+    return tracker.export_all_graphs()
+
+
+def _without(subject: Iri, predicate: Iri | None = None):
+    def corrupt(quads):
+        return {q for q in quads if not (q.subject == subject and predicate in (None, q.predicate))}
+
+    return corrupt
+
+
+def _replaced(subject: Iri, predicate: Iri, obj):
+    def corrupt(quads):
+        return _without(subject, predicate)(quads) | {Quad(subject, predicate, obj, prov_graph_iri(E))}
+
+    return corrupt
+
+
+def _typed(subject: Iri):
+    def corrupt(quads):
+        return quads | {Quad(subject, vocab.RDF_TYPE, vocab.PROV_ENTITY, prov_graph_iri(E))}
+
+    return corrupt
+
+
+# One corruption of a persisted chain per check of the chain rebuild, with
+# the message it raises.
+CHAIN_CORRUPTIONS = [
+    pytest.param(_typed(Iri("http://ex.org/stray")), "unexpected snapshot identifier http://ex.org/stray", id="unexpected-identifier"),
+    pytest.param(_typed(Iri(f"{E.value}/prov/se/two")), f"non-numeric snapshot index in {E.value}/prov/se/two", id="non-numeric-index"),
+    pytest.param(_without(se(2), vocab.GENERATED_AT), f"{se(2)} has no generation timestamp", id="no-generation-time"),
+    pytest.param(_without(se(1), vocab.HAS_UPDATE_QUERY), f"{se(1)} has no update query", id="no-update-query"),
+    pytest.param(_without(se(3), vocab.ATTRIBUTED_TO), f"{se(3)} has no attribution", id="no-attribution"),
+    pytest.param(_without(se(2)), f"snapshot indexes for {E} are not contiguous", id="non-contiguous"),
+    pytest.param(
+        _replaced(se(2), vocab.GENERATED_AT, Literal(iso_timestamp(ts(0)), datatype=vocab.XSD_DATETIME)),
+        f"timestamps for {E} are not strictly increasing",
+        id="non-increasing-times",
+    ),
+    pytest.param(_replaced(se(3), vocab.DERIVED_FROM, se(1)), f"{se(3)} is not derived from {se(2)}", id="wrong-derivation"),
+    pytest.param(_replaced(se(2), vocab.CHANGE_KIND, Literal(CREATION)), f"{se(2)} claims to be a creation snapshot", id="creation-mid-chain"),
+    pytest.param(
+        _replaced(se(2), vocab.CHANGE_KIND, Literal(DELETION)),
+        f"{E} has a deletion snapshot before the end of the chain",
+        id="deletion-before-end",
+    ),
+]
+
+
+class TestChainRebuildChecks:
+    @pytest.mark.parametrize("corrupt, message", CHAIN_CORRUPTIONS)
+    def test_corrupt_chain_is_rejected(self, corrupt, message):
+        payload = corrupt(_three_snapshot_payload())
+        with pytest.raises(CorruptProvenance) as err:
+            ProvenanceTracker.from_quads(Store(), payload)
+        assert str(err.value) == message
+
+    def test_intact_payload_rebuilds(self):
+        chain = ProvenanceTracker.from_quads(Store(), _three_snapshot_payload()).chain(E)
+        assert [s.index for s in chain] == [1, 2, 3]
+
+    def test_several_values_read_lowest_first(self):
+        graph = prov_graph_iri(E)
+        early = Literal(iso_timestamp(ts(-1)), datatype=vocab.XSD_DATETIME)
+        second_agent = Iri("http://ex.org/agent/0")
+        payload = _three_snapshot_payload() | {
+            Quad(se(1), vocab.GENERATED_AT, early, graph),
+            Quad(se(1), vocab.ATTRIBUTED_TO, second_agent, graph),
+        }
+        first = ProvenanceTracker.from_quads(Store(), payload).chain(E)[0]
+        assert first.generated_at == ts(-1)
+        assert first.attributed_to == (second_agent, AGENT)
 
 
 class TestChainInvariants:

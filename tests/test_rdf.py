@@ -19,6 +19,7 @@ from heritage_catalog.rdf import (
     serialize_nquads,
     serialize_term,
 )
+from heritage_catalog.store import Delta, serialize_update
 
 
 class TestMakeIri:
@@ -256,3 +257,171 @@ class TestRoundTrip:
         quad = Quad(Iri("http://ex.org/s"), Iri("http://ex.org/p"), literal)
         parsed = parse_nquads(serialize_nquads({quad}))
         assert parsed == {quad}
+
+
+# The serializer as it was before terms were serialized once per row:
+# literals escaped through a translation table, quads sorted by a key of
+# four term serializations and then serialized again for the line.
+_REFERENCE_ESCAPES = str.maketrans({'"': '\\"', "\\": "\\\\", "\n": "\\n", "\r": "\\r"})
+
+
+def _reference_term(term) -> str:
+    if isinstance(term, Iri):
+        return f"<{term.value}>"
+    if isinstance(term, BlankNode):
+        return f"_:{term.label}"
+    body = f'"{term.lexical.translate(_REFERENCE_ESCAPES)}"'
+    if term.language is not None:
+        return f"{body}@{term.language}"
+    if term.datatype != XSD_STRING:
+        return f"{body}^^<{term.datatype.value}>"
+    return body
+
+
+def _reference_key(q: Quad) -> tuple:
+    graph = "" if q.graph is None else _reference_term(q.graph)
+    return (graph, _reference_term(q.subject), _reference_term(q.predicate), _reference_term(q.object))
+
+
+def _reference_nquads(quads) -> str:
+    lines = []
+    for q in sorted(quads, key=_reference_key):
+        parts = [_reference_term(q.subject), _reference_term(q.predicate), _reference_term(q.object)]
+        if q.graph is not None:
+            parts.append(_reference_term(q.graph))
+        lines.append(" ".join(parts) + " .\n")
+    return "".join(lines)
+
+
+def _reference_update(delta: Delta) -> str:
+    blocks = []
+    for op, quads in (("DELETE", delta.deletes), ("INSERT", delta.inserts)):
+        groups: dict = {}
+        for q in quads:
+            groups.setdefault(q.graph, set()).add(q)
+        for graph in sorted(groups, key=lambda g: "" if g is None else g.value):
+            lines = "".join(
+                f"  {_reference_term(q.subject)} {_reference_term(q.predicate)} {_reference_term(q.object)} .\n"
+                for q in sorted(groups[graph], key=_reference_key)
+            )
+            if graph is None:
+                blocks.append(f"{op} DATA {{\n{lines}}}")
+            else:
+                blocks.append(f"{op} DATA {{ GRAPH {_reference_term(graph)} {{\n{lines}}} }}")
+    return "\n;\n".join(blocks) + "\n" if blocks else ""
+
+
+_iris = st.text(
+    st.characters(min_codepoint=0x21, blacklist_characters='<>"{}|^`\\\x7f'), max_size=4
+).map(lambda tail: Iri("http://ex.org/" + tail))
+_bnodes = st.from_regex(r"\A[A-Za-z0-9_]{1,3}\Z").map(BlankNode)
+_lexicals = st.text(st.one_of(st.sampled_from(["\\", '"', "\n", "\r", "a", "\U0001F600"]), st.characters()), max_size=10)
+
+
+@st.composite
+def _literals(draw):
+    lexical = draw(_lexicals)
+    language = draw(st.sampled_from([None, "en", "de-CH"]))
+    if language is not None:
+        return Literal(lexical, language=language)
+    return Literal(lexical, draw(st.sampled_from([None, XSD_STRING, Iri("http://ex.org/dt")])))
+
+
+_quads = st.builds(
+    Quad,
+    st.one_of(_iris, _bnodes),
+    _iris,
+    st.one_of(_iris, _bnodes, _literals()),
+    st.one_of(st.none(), _iris),
+)
+
+
+class TestSerializerEquivalence:
+    @settings(max_examples=150, deadline=None)
+    @given(st.sets(_quads, max_size=10))
+    def test_nquads_match_reference(self, quads):
+        assert serialize_nquads(quads) == _reference_nquads(quads)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sets(_quads, max_size=6), st.sets(_quads, max_size=6))
+    def test_update_matches_reference(self, deletes, inserts):
+        delta = Delta(deletes=deletes, inserts=inserts - deletes)
+        assert serialize_update(delta) == _reference_update(delta)
+
+    def test_escapes_backslash_before_the_rest(self):
+        literal = Literal('\\"\n\r\\n')
+        assert serialize_term(literal) == _reference_term(literal) == '"\\\\\\"\\n\\r\\\\n"'
+
+
+class TestHashContract:
+    @settings(max_examples=100, deadline=None)
+    @given(_quads)
+    def test_rebuilt_quads_are_equal_and_hash_equal(self, quad):
+        def rebuilt(term):
+            if isinstance(term, Iri):
+                return Iri(str(term.value))
+            if isinstance(term, BlankNode):
+                return BlankNode(term.label)
+            return Literal(term.lexical, rebuilt(term.datatype) if term.language is None else None, term.language)
+
+        graph = None if quad.graph is None else rebuilt(quad.graph)
+        twin = Quad(rebuilt(quad.subject), rebuilt(quad.predicate), rebuilt(quad.object), graph)
+        assert twin == quad and hash(twin) == hash(quad)
+        for mine, theirs in zip((twin.subject, twin.predicate, twin.object), (quad.subject, quad.predicate, quad.object)):
+            assert mine == theirs and hash(mine) == hash(theirs)
+
+    def test_implicit_and_explicit_string_datatype(self):
+        assert Literal("a") == Literal("a", XSD_STRING)
+        assert hash(Literal("a")) == hash(Literal("a", XSD_STRING))
+        s, p = Iri("http://ex.org/s"), Iri("http://ex.org/p")
+        assert hash(Quad(s, p, Literal("a"))) == hash(Quad(s, p, Literal("a", XSD_STRING)))
+
+    def test_different_quads_differ(self):
+        s, p = Iri("http://ex.org/s"), Iri("http://ex.org/p")
+        assert Quad(s, p, Literal("a")) != Quad(s, p, Literal("a"), Iri("http://ex.org/g"))
+        assert Quad(s, p, Literal("a")) != Quad(s, p, Literal("a", language="en"))
+        assert Iri("http://ex.org/s") != "http://ex.org/s"
+
+
+class TestIriMemo:
+    TEXT = "\n".join([
+        f'{S} {P} "1" <http://ex.org/g> .',
+        f'{S} {P} "2"^^<http://ex.org/dt> <http://ex.org/g> .',
+        f"{S} <http://ex.org/q> {S} .",
+        f'<http://ex.org/t> {P} "3"^^<http://ex.org/dt> .',
+    ])
+    DISTINCT = ["http://ex.org/dt", "http://ex.org/g", "http://ex.org/p", "http://ex.org/q", "http://ex.org/s", "http://ex.org/t"]
+
+    def test_repeated_iri_is_one_object_within_a_parse(self):
+        subjects = {id(q.subject) for q in parse_nquads(self.TEXT) if q.subject == Iri("http://ex.org/s")}
+        assert len(subjects) == 1
+
+    def test_parses_share_no_iri(self):
+        first, second = parse_nquads(self.TEXT), parse_nquads(self.TEXT)
+        assert first == second
+        ids = {id(term) for q in first for term in (q.subject, q.predicate, q.object, q.graph) if isinstance(term, Iri)}
+        assert not any(
+            id(term) in ids for q in second for term in (q.subject, q.predicate, q.object, q.graph) if isinstance(term, Iri)
+        )
+
+    def test_each_distinct_iri_is_validated_once_per_parse(self, monkeypatch):
+        built = []
+        validate = Iri.__post_init__
+
+        def counting(self):
+            built.append(self.value)
+            validate(self)
+
+        monkeypatch.setattr(Iri, "__post_init__", counting)
+        parse_nquads(self.TEXT)
+        assert sorted(built) == self.DISTINCT
+        parse_nquads(self.TEXT)
+        assert sorted(built) == sorted(self.DISTINCT * 2)
+
+    def test_repeated_invalid_iri_reports_its_first_line(self):
+        bad = "<http://ex.org/a b>"
+        lines = [f'{S} {P} "v" .', f"{S} {P} {bad} .", f'{S} {P} "w" .', f"{S} {P} {S} .", f"{bad} {P} {S} ."]
+        with pytest.raises(ParseError) as err:
+            parse_nquads("\n".join(lines))
+        assert (err.value.line, err.value.column) == (2, 37)
+        assert err.value.message == "space not allowed in IRI 'http://ex.org/a b'"
