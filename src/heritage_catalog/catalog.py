@@ -202,7 +202,6 @@ class Catalog:
         self.config = config
         self.store = store
         self.tracker = tracker
-        self._clock_floor = None
 
     # -- directory plumbing ------------------------------------------------
 
@@ -243,21 +242,20 @@ class Catalog:
     def load_table(self, name: str) -> Table:
         return load_table(self.table_path(name), name)
 
-    # -- deterministic snapshot clock ---------------------------------------
+    # -- snapshot clock ----------------------------------------------------
 
-    def next_time(self) -> datetime:
-        """Strictly increasing second-resolution timestamps for snapshots."""
-        if self._clock_floor is None:
-            latest = None
-            for entity in self.tracker.entities():
-                last = self.tracker.chain(entity)[-1].generated_at
-                if latest is None or last > latest:
-                    latest = last
-            self._clock_floor = latest
+    def next_time(self, entity: Iri) -> datetime:
+        """The time of the entity's next snapshot: now, to the second, or one
+        second after its last snapshot when that is not yet in the past.
+
+        Times increase per entity, which is all the tracker requires, so a
+        batch of snapshots of many entities is not stamped ahead of the clock.
+        """
         now = utc_second(datetime.now(timezone.utc))
-        if self._clock_floor is not None and now <= self._clock_floor:
-            now = self._clock_floor + timedelta(seconds=1)
-        self._clock_floor = now
+        if self.tracker.has_chain(entity):
+            last = self.tracker.chain(entity)[-1].generated_at
+            if now <= last:
+                return last + timedelta(seconds=1)
         return now
 
     # -- entity state updates ----------------------------------------------
@@ -271,7 +269,7 @@ class Catalog:
         """
         agent = self.config.agent_iri()
         if not self.tracker.has_chain(entity):
-            self.tracker.record_creation(entity, desired, agent, source=source, time=self.next_time())
+            self.tracker.record_creation(entity, desired, agent, source=source, time=self.next_time(entity))
             return "created"
         current = self.tracker.current_quads(entity)
         owned = {q for q in current if q.predicate in owned_predicates}
@@ -279,12 +277,12 @@ class Catalog:
         inserts = desired - current
         if not deletes and not inserts:
             return "unchanged"
-        self.tracker.record_modification(entity, Delta(deletes=deletes, inserts=inserts), agent, source=source, time=self.next_time())
+        self.tracker.record_modification(entity, Delta(deletes=deletes, inserts=inserts), agent, source=source, time=self.next_time(entity))
         return "modified"
 
     def ensure_entity(self, entity: Iri, skeleton: set[Quad], source: Iri | None):
         if not self.tracker.has_chain(entity):
-            self.tracker.record_creation(entity, skeleton, self.config.agent_iri(), source=source, time=self.next_time())
+            self.tracker.record_creation(entity, skeleton, self.config.agent_iri(), source=source, time=self.next_time(entity))
 
     # -- bibliographic ingest ------------------------------------------------
 
@@ -446,9 +444,9 @@ class Catalog:
             if not novel:
                 continue
             if self.tracker.has_chain(subject):
-                self.tracker.record_modification(subject, Delta(inserts=novel), agent, source=source, time=self.next_time())
+                self.tracker.record_modification(subject, Delta(inserts=novel), agent, source=source, time=self.next_time(subject))
             else:
-                self.tracker.record_creation(subject, novel, agent, source=source, time=self.next_time())
+                self.tracker.record_creation(subject, novel, agent, source=source, time=self.next_time(subject))
             new_quads += len(novel)
             entities += 1
         return new_quads, entities

@@ -4,9 +4,14 @@ All values are immutable and hashable, so datasets are plain sets of
 :class:`Quad` and can be shared freely across threads.  Parsing and
 serialization are pure functions; serialization is canonical (sorted,
 deterministic escaping, trailing newline), which makes byte comparison a
-valid equality test for datasets.  The parsers read each token with one
-compiled-pattern match and work out a syntax error's line and column from
-its offset only when raising it.
+valid equality test for datasets.
+
+The N-Quads and update parsers read each statement with one match of a
+statement pattern, composed from the same token patterns the scanner
+uses.  A statement the pattern does not take, or whose terms fail to
+build, goes to :class:`TermScanner`, which reads it token by token and
+either parses it or raises its syntax error with line and column.  The
+scanner alone parses query patterns.
 
 Term work is done once: a parse builds and validates each distinct IRI
 token once, through a memo that lives only as long as that parse; a
@@ -23,10 +28,14 @@ from typing import NoReturn
 RDF_NS = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
 XSD_NS = "http://www.w3.org/2001/XMLSchema#"
 
-_SCHEME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9+.\-]*:")
+_SCHEME = r"[A-Za-z][A-Za-z0-9+.\-]*:"
 # Characters never allowed in an IRI reference: controls, space and the
 # bracket/quote/caret family excluded by the N-Quads IRIREF production.
-_IRI_FORBIDDEN = re.compile(r'[\x00-\x20<>"{}|^`\\\x7f]')
+_IRI_FORBIDDEN_CHARS = r'\x00-\x20<>"{}|^`\\\x7f'
+_SCHEME_RE = re.compile(_SCHEME)
+_IRI_FORBIDDEN = re.compile(f"[{_IRI_FORBIDDEN_CHARS}]")
+# What ``Iri`` accepts: a scheme, then none of those characters.
+_ABSOLUTE_IRI = re.compile(f"{_SCHEME}[^{_IRI_FORBIDDEN_CHARS}]*\\Z")
 _BNODE_RE = re.compile(r"^[A-Za-z0-9_](?:[A-Za-z0-9_.\-]*[A-Za-z0-9_\-])?$")
 _LANG_RE = re.compile(r"^[A-Za-z]+(?:-[A-Za-z0-9]+)*$")
 
@@ -52,6 +61,17 @@ class ParseError(ValueError):
         super().__init__(where + message)
 
 
+def _iri_fault(v: str) -> str:
+    """Why ``v``, which ``_ABSOLUTE_IRI`` rejects, is not an absolute IRI."""
+    if v.startswith(":"):
+        return f"empty scheme in {v!r}"
+    if not _SCHEME_RE.match(v):
+        return f"relative reference (no scheme) in {v!r}"
+    c = _IRI_FORBIDDEN.search(v).group()
+    what = "space" if c == " " else f"character {c!r}"
+    return f"{what} not allowed in IRI {v!r}"
+
+
 @dataclass(frozen=True, slots=True)
 class Iri:
     """Absolute IRI; equality is exact codepoint equality."""
@@ -62,16 +82,9 @@ class Iri:
         return hash(self.value)
 
     def __post_init__(self):
-        v = self.value
-        if v.startswith(":"):
-            raise InvalidIri(f"empty scheme in {v!r}")
-        if not _SCHEME_RE.match(v):
-            raise InvalidIri(f"relative reference (no scheme) in {v!r}")
-        forbidden = _IRI_FORBIDDEN.search(v)
-        if forbidden:
-            c = forbidden.group()
-            what = "space" if c == " " else f"character {c!r}"
-            raise InvalidIri(f"{what} not allowed in IRI {v!r}")
+        # One match decides; the reason is worked out only for a rejection.
+        if not _ABSOLUTE_IRI.match(self.value):
+            raise InvalidIri(_iri_fault(self.value))
 
     def __str__(self):
         return self.value
@@ -186,19 +199,51 @@ def serialize_nquads(quads) -> str:
     return "".join(f"{s} {p} {o} {g} .\n" if g else f"{s} {p} {o} .\n" for g, s, p, o in canonical_rows(quads))
 
 
-# Token patterns, each matched once at the scanner's cursor.  An IRI token
-# runs to the next '>'; what it may contain is checked by ``Iri`` alone.
-_WS = re.compile(r"[ \t\r\n]*")
-_KEYWORD = re.compile(r"[^\W\d_]*")  # word characters other than digits and '_'
-_IRI_TOKEN = re.compile(r"<([^>]*)>")
+# Token pattern sources.  The scanner compiles each token pattern from its
+# source and matches it at its cursor; the two statement patterns below are
+# composed from the same sources.  An IRI token runs to the next '>'; what
+# it may contain is checked by ``Iri`` alone.
+_WS_SOURCE = r"[ \t\r\n]*"
+_IRI_SOURCE = r"<([^>]*)>"
 # A trailing dot belongs to the statement, not the label.
-_BNODE_TOKEN = re.compile(r"_:((?:[\w.-]*[\w-])?)")
-# Unrolled body: one repetition per escape, not per character.  The closing
-# quote is optional so that an unclosed literal still yields its body.
-_LITERAL_TOKEN = re.compile(r'"([^"\\\n\r]*(?:\\.[^"\\\n\r]*)*)("?)', re.S)
-_LANG_TOKEN = re.compile(r"@((?:[^\W_]|-)*)")
+_BNODE_SOURCE = r"_:((?:[\w.-]*[\w-])?)"
+# Opening quote and body, unrolled: one repetition per escape, not per
+# character.  Compiled with re.S, so an escape may take any character.
+_LITERAL_SOURCE = r'"([^"\\\n\r]*(?:\\.[^"\\\n\r]*)*)'
+_LANG_SOURCE = r"@((?:[^\W_]|-)*)"
+_DATATYPE_SOURCE = r"\^\^" + _IRI_SOURCE
+
+_WS = re.compile(_WS_SOURCE)
+_KEYWORD = re.compile(r"[^\W\d_]*")  # word characters other than digits and '_'
+_IRI_TOKEN = re.compile(_IRI_SOURCE)
+_BNODE_TOKEN = re.compile(_BNODE_SOURCE)
+# The closing quote is optional so that an unclosed literal still yields its body.
+_LITERAL_TOKEN = re.compile(_LITERAL_SOURCE + '("?)', re.S)
+_LANG_TOKEN = re.compile(_LANG_SOURCE)
+
+# Statement patterns.  They must accept no text that the scanner rejects,
+# and split what they accept into the scanner's tokens; backtracking must
+# therefore never shorten a token the scanner reads as far as it can.  IRI
+# and literal tokens end at a fixed character.  An object is followed only
+# by whitespace, '<' or '.', none of which can continue a language tag, so
+# a bare '^^' or '@' (a broken suffix to the scanner) fails the match.  A
+# blank-node label could end early, so it must not be followed by more
+# label: ``\.*[\w-]`` states that after a label exactly as ``[\w.-]*[\w-]``
+# would, and fails in time linear in the dots it passes.
+_LABEL_END = r"(?!\.*[\w-])"
+_SUBJECT = f"(?:{_IRI_SOURCE}|{_BNODE_SOURCE}{_LABEL_END})"
+_OBJECT = f'(?:{_IRI_SOURCE}|{_BNODE_SOURCE}{_LABEL_END}|{_LITERAL_SOURCE}"(?:{_LANG_SOURCE}|{_DATATYPE_SOURCE})?)'
+# Groups 1-8: subject IRI or label, predicate IRI, object IRI, label or
+# literal body, language tag, datatype IRI.
+_TRIPLE = f"{_SUBJECT}{_WS_SOURCE}{_IRI_SOURCE}{_WS_SOURCE}{_OBJECT}{_WS_SOURCE}"
+# One whole N-Quads line; group 9 is the graph IRI.
+_NQUADS_STATEMENT = re.compile(f"{_WS_SOURCE}{_TRIPLE}(?:{_IRI_SOURCE}{_WS_SOURCE})?\\.{_WS_SOURCE}(?:#.*)?\\Z", re.S)
+# One statement inside an update's data block, with the whitespace after it.
+_UPDATE_STATEMENT = re.compile(f"{_TRIPLE}\\.{_WS_SOURCE}", re.S)
+
 _UCHAR = re.compile(r"\\u([0-9A-Fa-f]{4})|\\U([0-9A-Fa-f]{8})")
 _UCHAR_OR_ECHAR = re.compile(r"\\u([0-9A-Fa-f]{4})|\\U([0-9A-Fa-f]{8})|\\(.)", re.S)
+_ESCAPE_SPLIT = re.compile(r"\\(.)", re.S)
 _ECHARS = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f", '"': '"', "'": "'", "\\": "\\"}
 
 
@@ -219,13 +264,59 @@ def _unescape(pattern: re.Pattern, body: str) -> str:
     return pattern.sub(_decode_escape, body) if "\\" in body else body
 
 
+def _unescape_literal(body: str) -> str:
+    """A literal body with its escapes decoded.  A body whose escapes are all
+    single-character ones is split around them and decoded by table lookup,
+    without a call per escape; any other goes through ``_decode_escape``."""
+    if "\\" not in body:
+        return body
+    parts = _ESCAPE_SPLIT.split(body)
+    try:
+        parts[1::2] = [_ECHARS[char] for char in parts[1::2]]
+    except KeyError:  # \u, \U or a bad escape
+        return _unescape(_UCHAR_OR_ECHAR, body)
+    return "".join(parts)
+
+
+def _memo_iri(raw: str, iris: dict[str, Iri]) -> Iri:
+    """The :class:`Iri` of a raw IRI token, built once per parse."""
+    iri = iris.get(raw)
+    if iri is None:
+        iri = iris[raw] = Iri(_unescape(_UCHAR, raw))
+    return iri
+
+
+def _matched_quad(groups: tuple, iris: dict[str, Iri], graph: Iri | None) -> Quad:
+    """The quad of a statement-pattern match, from its groups, built through
+    the same IRI memo, unescaping and term constructors as the scanner's;
+    raises :class:`InvalidIri` or :class:`InvalidTerm` as they do."""
+    subject, subject_label, predicate, iri, label, body, language, datatype = groups[:8]
+    memo = iris.get
+    if iri is not None:
+        obj = memo(iri) or _memo_iri(iri, iris)
+    elif label is not None:
+        obj = BlankNode(label)
+    else:
+        obj = Literal(_unescape_literal(body), None if datatype is None else memo(datatype) or _memo_iri(datatype, iris), language)
+    return Quad(
+        BlankNode(subject_label) if subject is None else memo(subject) or _memo_iri(subject, iris),
+        memo(predicate) or _memo_iri(predicate, iris),
+        obj,
+        graph,
+    )
+
+
 class TermScanner:
     """Cursor over one piece of N-Triples-flavoured text.
 
     Each token is read with one match of a compiled pattern at the cursor.
     Only the offset is tracked: the line and column of a syntax error are
-    computed from it when the error is raised.  Shared by the N-Quads,
-    update and query-pattern parsers; ``line`` numbers the text's first line.
+    computed from it when the error is raised; ``line`` numbers the text's
+    first line.  The N-Quads and update parsers read whole statements with
+    one match each (:meth:`match_statements` inside a data block) and use
+    the token readers only for what those matches do not take, so the
+    scanner is what places every syntax error.  Query patterns are read
+    with the token readers alone.
 
     ``iris`` maps a raw IRI token to the :class:`Iri` built from it.  A
     parse passes one dict to all its scanners and drops it when done, so a
@@ -313,15 +404,28 @@ class TermScanner:
         self.skip_ws()
         return graph
 
+    def match_statements(self, graph: Iri | None) -> list[Quad]:
+        """Read ``subject predicate object .`` statements and the whitespace
+        after each, with one statement-pattern match per statement.
+
+        Stops before the first statement that does not match, or whose terms
+        fail to build, and leaves it to the token readers, which parse it
+        or report its error.
+        """
+        quads = []
+        while found := _UPDATE_STATEMENT.match(self.text, self.pos):
+            try:
+                quads.append(_matched_quad(found.groups(), self.iris, graph))
+            except (InvalidIri, InvalidTerm):
+                break
+            self.pos = found.end()
+        return quads
+
     def _read_iri(self) -> Iri:
         token = self.match(_IRI_TOKEN)
         if token is None:
             raise InvalidIri("unterminated IRI")
-        raw = token.group(1)
-        iri = self.iris.get(raw)
-        if iri is None:
-            iri = self.iris[raw] = Iri(_unescape(_UCHAR, raw))
-        return iri
+        return _memo_iri(token.group(1), self.iris)
 
     def _read_bnode(self) -> BlankNode:
         token = self.match(_BNODE_TOKEN)
@@ -331,7 +435,7 @@ class TermScanner:
 
     def _read_literal(self) -> Literal:
         body, closed = self.match(_LITERAL_TOKEN).groups()
-        lexical = _unescape(_UCHAR_OR_ECHAR, body)
+        lexical = _unescape_literal(body)
         if not closed:
             broken = self.peek() in ("\n", "\r")
             raise InvalidTerm("unescaped line break in literal" if broken else "unterminated literal")
@@ -347,26 +451,47 @@ class TermScanner:
         return Literal(lexical, datatype, language)
 
 
+def _scan_nquads_line(line: str, line_no: int, iris: dict[str, Iri]) -> Quad | None:
+    """One line read token by token: its quad, or ``None`` for a blank or
+    comment line; raises the :class:`ParseError` of its first syntax error."""
+    sc = TermScanner(line, line=line_no, iris=iris)
+    sc.skip_ws()
+    if sc.eof() or sc.peek() == "#":
+        return None
+    subject, predicate, obj = sc.read_triple()
+    graph = None if sc.peek() in (".", "") else sc.read_graph_label()
+    sc.expect(".")
+    sc.skip_ws()
+    if not sc.eof() and sc.peek() != "#":
+        sc.error("unexpected content after statement")
+    return Quad(subject, predicate, obj, graph)
+
+
 def parse_nquads(text: str) -> set[Quad]:
     """Parse N-Quads (or N-Triples) text into a set of quads.
 
     Accepts LF or CRLF line endings, blank lines and full-line ``#``
     comments.  The first syntax error raises :class:`ParseError` with its
-    line and column.
+    line and column.  A statement line is read with one match of the
+    statement pattern; any other line, or one whose terms fail to build,
+    goes to the scanner, which parses it or reports its error.
     """
     quads: set[Quad] = set()
     iris: dict[str, Iri] = {}
-    for line_no, raw in enumerate(text.split("\n"), start=1):
-        line = raw[:-1] if raw.endswith("\r") else raw
-        sc = TermScanner(line, line=line_no, iris=iris)
-        sc.skip_ws()
-        if sc.eof() or sc.peek() == "#":
-            continue
-        subject, predicate, obj = sc.read_triple()
-        graph = None if sc.peek() in (".", "") else sc.read_graph_label()
-        sc.expect(".")
-        sc.skip_ws()
-        if not sc.eof() and sc.peek() != "#":
-            sc.error("unexpected content after statement")
-        quads.add(Quad(subject, predicate, obj, graph))
+    lines = text.split("\n")
+    # A trailing '\r' is whitespace to the statement pattern, as it is to
+    # the scanner, which is given the line without it.
+    for line_no, found in enumerate(map(_NQUADS_STATEMENT.match, lines), start=1):
+        if found:
+            groups = found.groups()
+            graph = groups[8]
+            try:
+                quads.add(_matched_quad(groups, iris, None if graph is None else _memo_iri(graph, iris)))
+                continue
+            except (InvalidIri, InvalidTerm):
+                pass
+        line = lines[line_no - 1]
+        quad = _scan_nquads_line(line[:-1] if line.endswith("\r") else line, line_no, iris)
+        if quad is not None:
+            quads.add(quad)
     return quads

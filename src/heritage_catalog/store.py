@@ -314,7 +314,9 @@ def parse_update(text: str) -> Delta:
 
     Ground quads only; an optional single GRAPH wrapper per block sets the
     quad graph.  Statements are separated by ``;``.  A quad occurring in
-    both sets raises :class:`OverlapError`.
+    both sets raises :class:`OverlapError`.  A data block's statements are
+    read with one pattern match each, and the token scanner reads the rest
+    and places every syntax error.
     """
     sc = TermScanner(text)
     deletes: set[Quad] = set()
@@ -343,6 +345,7 @@ def parse_update(text: str) -> Delta:
             sc.expect("{")
             sc.skip_ws()
         target = deletes if op == "DELETE" else inserts
+        target.update(sc.match_statements(graph))
         while sc.peek() != "}":
             if sc.eof():
                 sc.error("unterminated data block")

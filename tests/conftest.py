@@ -1,15 +1,18 @@
 """Shared fixtures: randomized term generators, oracles, the gold catalog."""
 
 import random
+import re
 import string
 from datetime import datetime, timezone
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
+from heritage_catalog import rdf
 from heritage_catalog.catalog import Catalog
 from heritage_catalog.mapping import load_table
-from heritage_catalog.rdf import BlankNode, Iri, Literal, Quad
+from heritage_catalog.rdf import XSD_STRING, BlankNode, Iri, Literal, Quad
 from heritage_catalog.store import ANY, Delta, QuadPattern, Variable
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -68,6 +71,32 @@ def rand_dataset(rng: random.Random, size: int, graphs=None) -> set:
     while len(quads) < size:
         quads.add(rand_quad(rng, graphs))
     return quads
+
+
+_st_iris = st.text(
+    st.characters(min_codepoint=0x21, blacklist_characters='<>"{}|^`\\\x7f'), max_size=4
+).map(lambda tail: Iri("http://ex.org/" + tail))
+_st_bnodes = st.from_regex(r"\A[A-Za-z0-9_]{1,3}\Z").map(BlankNode)
+_st_lexicals = st.text(st.one_of(st.sampled_from(["\\", '"', "\n", "\r", "a", "\U0001F600"]), st.characters()), max_size=10)
+
+
+@st.composite
+def _st_literals(draw):
+    lexical = draw(_st_lexicals)
+    language = draw(st.sampled_from([None, "en", "de-CH"]))
+    if language is not None:
+        return Literal(lexical, language=language)
+    return Literal(lexical, draw(st.sampled_from([None, XSD_STRING, Iri("http://ex.org/dt")])))
+
+
+# Hypothesis strategy: quads with short IRIs, labels and escape-heavy literals.
+quad_strategy = st.builds(
+    Quad,
+    st.one_of(_st_iris, _st_bnodes),
+    _st_iris,
+    st.one_of(_st_iris, _st_bnodes, _st_literals()),
+    st.one_of(st.none(), _st_iris),
+)
 
 
 def rand_strict_delta(rng: random.Random, store_quads: set) -> Delta:
@@ -171,3 +200,78 @@ def build_gold_catalog(root: Path) -> Catalog:
 @pytest.fixture
 def gold_catalog(tmp_path) -> Catalog:
     return build_gold_catalog(tmp_path / "gold")
+
+
+# -- statement patterns against the scanner ----------------------------------
+
+_S, _P, _O, _G = "<http://ex.org/s>", "<http://ex.org/p>", "<http://ex.org/o>", "<http://ex.org/g>"
+# Tokens a statement pattern might split differently from the scanner:
+# labels running into dots or other labels, bare and broken datatype and
+# language suffixes, bad and good escapes, invalid IRIs, stray punctuation
+# and every kind of whitespace.
+FUZZ_TOKENS = [
+    _S, _P, _O, _G, "<http://ex.org/\\u0041>", "<a b>", "<", ">",
+    "_:a", "_:a.", "_:a.b", "_:a._:c", "_:", "_",
+    '"v"', '"\\q"', '"a\\"b"', '"\\u00e9\\n"', '"', "^^", "^^x", "^^<http://ex.org/dt>", "@", "@en", "@en-GB",
+    "#c", " ", "\t", "\r", "{", "}", ".", "-", ";", "x",
+]
+_FUZZ_SLOTS = (
+    [_S, "_:a", "_:a.b"],
+    [_P],
+    [_O, "_:a", "_:a.b", '"v"', '"v"@en', '"v"^^<http://ex.org/dt>', '"a\\"b"'],
+    ["", _G],
+)
+_FUZZ_SEPARATORS = ["", " ", " ", "\t", "\r", "  "]
+
+
+def fuzz_lines(seed: int, count: int):
+    """Seeded statement-like lines: half are runs of random tokens, half are
+    well-formed statements with random separators and some slots swapped
+    for random tokens."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        if rng.random() < 0.5:
+            yield "".join(rng.choice(FUZZ_TOKENS) for _ in range(rng.randint(1, 9)))
+            continue
+        parts = [rng.choice(FUZZ_TOKENS if rng.random() < 0.15 else slot) for slot in _FUZZ_SLOTS]
+        parts.append(rng.choice(FUZZ_TOKENS) if rng.random() < 0.1 else ".")
+        yield rng.choice(_FUZZ_SEPARATORS).join(parts) + rng.choice(["", "", " ", " #c", "\r", rng.choice(FUZZ_TOKENS)])
+
+
+def in_update(line: str) -> str:
+    """The text of an update whose only data block holds ``line``."""
+    return "INSERT DATA {\n  " + line + "\n}"
+
+
+def parse_outcome(parse, text: str) -> tuple:
+    """What ``parse(text)`` gives: the result, or the error's type, line,
+    column and message."""
+    try:
+        return ("parsed", parse(text))
+    except ValueError as exc:
+        return (type(exc).__name__, getattr(exc, "line", None), getattr(exc, "column", None), str(exc))
+
+
+_NEVER = re.compile(r"(?!)")
+
+
+def scanner_only(patch: pytest.MonkeyPatch):
+    """Replace both statement patterns with one that never matches, which
+    leaves every statement to the scanner."""
+    patch.setattr(rdf, "_NQUADS_STATEMENT", _NEVER)
+    patch.setattr(rdf, "_UPDATE_STATEMENT", _NEVER)
+
+
+def outcomes_on_both_paths(parse, texts) -> tuple[list, list]:
+    """``parse_outcome`` of each text as parsed, and as the scanner alone parses it."""
+    texts = list(texts)
+    statements = [parse_outcome(parse, text) for text in texts]
+    with pytest.MonkeyPatch.context() as patch:
+        scanner_only(patch)
+        scanner = [parse_outcome(parse, text) for text in texts]
+    return statements, scanner
+
+
+def divergences(texts, statements: list, scanner: list) -> list:
+    """The texts, shortened, whose two outcomes differ, with both outcomes."""
+    return [(text[:80], mine, theirs) for text, mine, theirs in zip(texts, statements, scanner) if mine != theirs]

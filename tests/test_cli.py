@@ -2,6 +2,7 @@ import hashlib
 import threading
 import urllib.parse
 import urllib.request
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import pytest
@@ -9,8 +10,10 @@ import pytest
 from conftest import DATA_DIR, build_gold_catalog
 from heritage_catalog.catalog import Catalog
 from heritage_catalog.cli import main, make_query_server, parse_bgp_text, solutions_to_csv
+from heritage_catalog.provenance import parse_timestamp
 from heritage_catalog.rdf import Iri, ParseError, parse_nquads
 from heritage_catalog.store import Store
+from heritage_catalog.vocab import GENERATED_AT
 
 BASE = "https://example.org/catalog/"
 
@@ -138,6 +141,17 @@ class TestMap:
         assert "quads=17 entities=3" in capsys.readouterr().out
 
 
+class TestSnapshotClock:
+    def test_no_snapshot_is_stamped_ahead_of_the_clock(self, gold_root):
+        # The gold ingest writes one snapshot for each of 32 entities in one
+        # batch; none may carry a time later than the clock read after it.
+        now = datetime.now(timezone.utc)
+        prov = parse_nquads((gold_root / "prov.nq").read_text(encoding="utf-8"))
+        generated = [parse_timestamp(q.object.lexical) for q in prov if q.predicate == GENERATED_AT]
+        assert len(generated) == 32
+        assert max(generated) <= now + timedelta(seconds=1)
+
+
 class TestProv:
     def test_log_of_fresh_entity(self, gold_root, capsys):
         assert run("--catalog", str(gold_root), "prov", "log", BASE + "cho/25") == 0
@@ -166,7 +180,7 @@ class TestProv:
         entity = Iri(BASE + "cho/25")
         extra = Quad(entity, Iri(BASE + "note"), Literal("later edit"), Iri(entity.value + "/record"))
         catalog.tracker.record_modification(
-            entity, Delta(inserts={extra}), catalog.config.agent_iri(), time=catalog.next_time()
+            entity, Delta(inserts={extra}), catalog.config.agent_iri(), time=catalog.next_time(entity)
         )
         catalog.save()
         chain = catalog.tracker.chain(entity)

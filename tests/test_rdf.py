@@ -1,10 +1,21 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import rand_dataset
+from conftest import (
+    divergences,
+    fuzz_lines,
+    in_update,
+    outcomes_on_both_paths,
+    parse_outcome,
+    quad_strategy,
+    rand_dataset,
+    scanner_only,
+)
+from heritage_catalog import rdf
 from heritage_catalog.rdf import (
     BlankNode,
     InvalidIri,
@@ -19,7 +30,20 @@ from heritage_catalog.rdf import (
     serialize_nquads,
     serialize_term,
 )
-from heritage_catalog.store import Delta, serialize_update
+from heritage_catalog.store import Delta, parse_update, serialize_update
+
+
+def _reference_iri_fault(value: str):
+    """Iri's acceptance as three separate checks, or None when it accepts."""
+    if value.startswith(":"):
+        return f"empty scheme in {value!r}"
+    if not re.match(r"[A-Za-z][A-Za-z0-9+.\-]*:", value):
+        return f"relative reference (no scheme) in {value!r}"
+    forbidden = re.search(r'[\x00-\x20<>"{}|^`\\\x7f]', value)
+    if forbidden:
+        what = "space" if forbidden.group() == " " else f"character {forbidden.group()!r}"
+        return f"{what} not allowed in IRI {value!r}"
+    return None
 
 
 class TestMakeIri:
@@ -44,6 +68,22 @@ class TestMakeIri:
 
     def test_urn_scheme_ok(self):
         assert Iri("urn:uuid:1234").value == "urn:uuid:1234"
+
+    _CHARS = st.sampled_from(list("aZ1+.-:/#_é <>\"{}|^`\\\x00\x1f\x7f"))
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.one_of(
+        st.text(_CHARS, max_size=10),
+        st.builds("{}:{}".format, st.sampled_from(["http", "a", "urn", "x+1.-"]), st.text(_CHARS, max_size=8)),
+    ))
+    def test_accepts_and_rejects_as_the_separate_checks(self, value):
+        fault = _reference_iri_fault(value)
+        if fault is None:
+            assert Iri(value).value == value
+        else:
+            with pytest.raises(InvalidIri) as err:
+                Iri(value)
+            assert str(err.value) == fault
 
 
 class TestTerms:
@@ -203,6 +243,52 @@ class TestErrorPositions:
             parse_nquads(f'<http://ex.org/a\\U00110000> {P} "v" .')
 
 
+class TestStatementPattern:
+    """A statement read with one pattern match gives what the scanner alone
+    gives: the same quads, or the same error type, line, column and message."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sets(quad_strategy, max_size=8))
+    def test_canonical_quads_read_alike(self, quads):
+        text = serialize_nquads(quads)
+        texts = [text, *text.splitlines()]
+        statements, scanner = outcomes_on_both_paths(parse_nquads, texts)
+        assert statements == scanner
+        assert statements[0] == ("parsed", quads)
+
+    def test_fuzzed_lines_read_alike(self):
+        lines = list(fuzz_lines(seed=20_241, count=50_000))
+        statements, scanner = outcomes_on_both_paths(parse_nquads, lines)
+        assert not divergences(lines, statements, scanner)
+        parsed = sum(outcome[0] == "parsed" for outcome in statements)
+        assert 0.1 * len(lines) < parsed < 0.9 * len(lines)  # the fuzz reaches both outcomes
+
+    @pytest.mark.parametrize("line", [
+        pytest.param(f'{S} {P} "' + '\\"\\\\' * 50_000, id="unterminated-200k-literal"),
+        pytest.param(f'{S} {P} "' + '\\"\\\\' * 50_000 + '" .', id="200k-literal"),
+        pytest.param(f"_:{'a.' * 50_000} {P} {S} .", id="100k-label-subject"),
+        pytest.param(f"{S} {P} _:{'a.' * 50_000} .", id="100k-label-object"),
+        pytest.param(f"{S} {P} _:{'a.' * 50_000}", id="100k-label-then-end"),
+        pytest.param(f"{S} {P} _:{'a.' * 50_000}_:c .", id="100k-label-into-label"),
+        pytest.param(f"{S}{' ' * 100_000}{P}{' ' * 100_000}{S} .", id="100k-spaces"),
+        pytest.param(f"{S}{' ' * 100_000}{P}{' ' * 100_000}{S}{' ' * 100_000}x", id="100k-spaces-then-junk"),
+    ])
+    def test_pathological_lines_read_alike(self, line):
+        # Each is read in time linear in its length: catastrophic
+        # backtracking in a statement pattern would hang here.
+        for parse, text in ((parse_nquads, line), (parse_update, in_update(line))):
+            statements, scanner = outcomes_on_both_paths(parse, [text])
+            assert statements == scanner
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(st.sampled_from(["\\", "n", "t", '"', "'", "u", "U", "0", "1", "e", "9", "q", "é", "\n"]), max_size=16))
+    def test_literal_escapes_decode_as_the_escape_callback_does(self, body):
+        def reference(text):
+            return rdf._unescape(rdf._UCHAR_OR_ECHAR, text)
+
+        assert parse_outcome(rdf._unescape_literal, body) == parse_outcome(reference, body)
+
+
 class TestSerialize:
     def test_empty_dataset(self):
         assert serialize_nquads(set()) == ""
@@ -311,39 +397,14 @@ def _reference_update(delta: Delta) -> str:
     return "\n;\n".join(blocks) + "\n" if blocks else ""
 
 
-_iris = st.text(
-    st.characters(min_codepoint=0x21, blacklist_characters='<>"{}|^`\\\x7f'), max_size=4
-).map(lambda tail: Iri("http://ex.org/" + tail))
-_bnodes = st.from_regex(r"\A[A-Za-z0-9_]{1,3}\Z").map(BlankNode)
-_lexicals = st.text(st.one_of(st.sampled_from(["\\", '"', "\n", "\r", "a", "\U0001F600"]), st.characters()), max_size=10)
-
-
-@st.composite
-def _literals(draw):
-    lexical = draw(_lexicals)
-    language = draw(st.sampled_from([None, "en", "de-CH"]))
-    if language is not None:
-        return Literal(lexical, language=language)
-    return Literal(lexical, draw(st.sampled_from([None, XSD_STRING, Iri("http://ex.org/dt")])))
-
-
-_quads = st.builds(
-    Quad,
-    st.one_of(_iris, _bnodes),
-    _iris,
-    st.one_of(_iris, _bnodes, _literals()),
-    st.one_of(st.none(), _iris),
-)
-
-
 class TestSerializerEquivalence:
     @settings(max_examples=150, deadline=None)
-    @given(st.sets(_quads, max_size=10))
+    @given(st.sets(quad_strategy, max_size=10))
     def test_nquads_match_reference(self, quads):
         assert serialize_nquads(quads) == _reference_nquads(quads)
 
     @settings(max_examples=150, deadline=None)
-    @given(st.sets(_quads, max_size=6), st.sets(_quads, max_size=6))
+    @given(st.sets(quad_strategy, max_size=6), st.sets(quad_strategy, max_size=6))
     def test_update_matches_reference(self, deletes, inserts):
         delta = Delta(deletes=deletes, inserts=inserts - deletes)
         assert serialize_update(delta) == _reference_update(delta)
@@ -355,7 +416,7 @@ class TestSerializerEquivalence:
 
 class TestHashContract:
     @settings(max_examples=100, deadline=None)
-    @given(_quads)
+    @given(quad_strategy)
     def test_rebuilt_quads_are_equal_and_hash_equal(self, quad):
         def rebuilt(term):
             if isinstance(term, Iri):
@@ -390,21 +451,41 @@ class TestIriMemo:
         f"{S} <http://ex.org/q> {S} .",
         f'<http://ex.org/t> {P} "3"^^<http://ex.org/dt> .',
     ])
+    # The same IRIs in an update.  The scanner reads the graph IRI in each
+    # block header; the statement pattern reads it again in a statement.
+    UPDATE = "\n".join([
+        "DELETE DATA { GRAPH <http://ex.org/g> {",
+        f'  {S} {P} "1" .',
+        "} }",
+        ";",
+        "INSERT DATA { GRAPH <http://ex.org/g> {",
+        f'  {S} {P} "2"^^<http://ex.org/dt> .',
+        f"  <http://ex.org/g> <http://ex.org/q> {S} .",
+        f'  <http://ex.org/t> {P} "3"^^<http://ex.org/dt> .',
+        "} }",
+    ])
     DISTINCT = ["http://ex.org/dt", "http://ex.org/g", "http://ex.org/p", "http://ex.org/q", "http://ex.org/s", "http://ex.org/t"]
+
+    @staticmethod
+    def _iri_ids(quads) -> set:
+        return {id(term) for q in quads for term in (q.subject, q.predicate, q.object, q.graph) if isinstance(term, Iri)}
 
     def test_repeated_iri_is_one_object_within_a_parse(self):
         subjects = {id(q.subject) for q in parse_nquads(self.TEXT) if q.subject == Iri("http://ex.org/s")}
         assert len(subjects) == 1
+        delta = parse_update(self.UPDATE)
+        graph = Iri("http://ex.org/g")
+        assert len({id(q.graph) for q in delta.deletes | delta.inserts} | {id(q.subject) for q in delta.inserts if q.subject == graph}) == 1
 
     def test_parses_share_no_iri(self):
         first, second = parse_nquads(self.TEXT), parse_nquads(self.TEXT)
         assert first == second
-        ids = {id(term) for q in first for term in (q.subject, q.predicate, q.object, q.graph) if isinstance(term, Iri)}
-        assert not any(
-            id(term) in ids for q in second for term in (q.subject, q.predicate, q.object, q.graph) if isinstance(term, Iri)
-        )
+        assert not self._iri_ids(first) & self._iri_ids(second)
+        first, second = parse_update(self.UPDATE), parse_update(self.UPDATE)
+        assert first == second
+        assert not self._iri_ids(first.deletes | first.inserts) & self._iri_ids(second.deletes | second.inserts)
 
-    def test_each_distinct_iri_is_validated_once_per_parse(self, monkeypatch):
+    def _assert_each_distinct_iri_is_validated_once_per_parse(self, monkeypatch):
         built = []
         validate = Iri.__post_init__
 
@@ -413,10 +494,26 @@ class TestIriMemo:
             validate(self)
 
         monkeypatch.setattr(Iri, "__post_init__", counting)
-        parse_nquads(self.TEXT)
-        assert sorted(built) == self.DISTINCT
-        parse_nquads(self.TEXT)
-        assert sorted(built) == sorted(self.DISTINCT * 2)
+        for parse, text in ((parse_nquads, self.TEXT), (parse_update, self.UPDATE)):
+            built.clear()
+            parse(text)
+            assert sorted(built) == self.DISTINCT
+            parse(text)
+            assert sorted(built) == sorted(self.DISTINCT * 2)
+
+    def test_each_distinct_iri_is_validated_once_per_parse(self, monkeypatch):
+        self._assert_each_distinct_iri_is_validated_once_per_parse(monkeypatch)
+
+    @pytest.mark.parametrize("path", ["scanner", "mixed"])
+    def test_the_memo_serves_both_paths(self, monkeypatch, path):
+        if path == "scanner":
+            scanner_only(monkeypatch)
+        else:
+            # Statements whose subject is <http://ex.org/s> take the pattern, the others the scanner.
+            for name in ("_NQUADS_STATEMENT", "_UPDATE_STATEMENT"):
+                pattern = getattr(rdf, name)
+                monkeypatch.setattr(rdf, name, re.compile(r"(?=<http://ex\.org/s>)" + pattern.pattern, pattern.flags))
+        self._assert_each_distinct_iri_is_validated_once_per_parse(monkeypatch)
 
     def test_repeated_invalid_iri_reports_its_first_line(self):
         bad = "<http://ex.org/a b>"
@@ -424,4 +521,8 @@ class TestIriMemo:
         with pytest.raises(ParseError) as err:
             parse_nquads("\n".join(lines))
         assert (err.value.line, err.value.column) == (2, 37)
+        assert err.value.message == "space not allowed in IRI 'http://ex.org/a b'"
+        with pytest.raises(ParseError) as err:
+            parse_update(in_update("\n  ".join(lines)))
+        assert (err.value.line, err.value.column) == (3, 39)
         assert err.value.message == "space not allowed in IRI 'http://ex.org/a b'"

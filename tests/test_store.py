@@ -7,7 +7,12 @@ from hypothesis import strategies as st
 from conftest import (
     brute_force_bgp,
     brute_force_match,
+    divergences,
     forward_replay,
+    fuzz_lines,
+    in_update,
+    outcomes_on_both_paths,
+    quad_strategy,
     rand_dataset,
     rand_iri,
     rand_pattern,
@@ -305,6 +310,32 @@ class TestErrorPositions:
         patterns, variables = parse_bgp_text("\xa0?s ?p _:b.\u2003")
         assert variables == ["s", "p"]
         assert patterns == [QuadPattern(Variable("s"), Variable("p"), BlankNode("b"), ANY)]
+
+
+class TestUpdateStatementPattern:
+    """Data-block statements read with one pattern match give what the
+    scanner alone gives: the same delta, or the same error."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sets(quad_strategy, max_size=6), st.sets(quad_strategy, max_size=6))
+    def test_canonical_updates_read_alike(self, deletes, inserts):
+        delta = Delta(deletes=deletes, inserts=inserts - deletes)
+        statements, scanner = outcomes_on_both_paths(parse_update, [serialize_update(delta)])
+        assert statements == scanner == [("parsed", delta)]
+
+    def test_fuzzed_lines_read_alike(self):
+        texts = [in_update(line) for line in fuzz_lines(seed=20_242, count=50_000)]
+        statements, scanner = outcomes_on_both_paths(parse_update, texts)
+        assert not divergences(texts, statements, scanner)
+        parsed = sum(outcome[0] == "parsed" for outcome in statements)
+        assert 0.05 * len(texts) < parsed < 0.9 * len(texts)  # the fuzz reaches both outcomes
+
+    def test_label_running_into_a_label_is_not_split(self):
+        # The label is 'a._' as far as the scanner reads it; a statement
+        # pattern that shortened it to 'a' would find two statements here.
+        text = in_update(f"{S} {P} _:a._:c {P} {S} .")
+        statements, scanner = outcomes_on_both_paths(parse_update, [text])
+        assert statements == scanner == [("ParseError", 2, 44, "line 2, column 44: expected '.', found ':'")]
 
 
 class TestSerializeUpdate:
