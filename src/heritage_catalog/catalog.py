@@ -328,7 +328,7 @@ class Catalog:
                 elif shape == "agent_list":
                     for part in cell.split(";"):
                         if part.strip():
-                            quads.add(Quad(entity, predicate, workflow.agent_iri(self.config.base_iri, part), graph))
+                            quads.add(Quad(entity, predicate, workflow.minted_iri(self.config.base_iri, "agent", part), graph))
             except InvalidIri as exc:
                 raise BibliographicError(row_no, f"column {column!r}: {exc}") from None
         return entity, quads
@@ -351,17 +351,6 @@ class Catalog:
         suffix = record.cho.value.rsplit("/", 1)[-1]
         return Iri(self.config.base_iri + f"activity/{suffix}/{record.kind.value}/{occurrence}")
 
-    _OWNED_ACTIVITY = frozenset({
-        vocab.RDF_TYPE, vocab.PHASE, vocab.CONCERNS, vocab.UNIT, vocab.AGENT, vocab.TECHNIQUE,
-        vocab.TOOL, vocab.START_DATE, vocab.END_DATE, vocab.INPUT, vocab.OUTPUT,
-        vocab.SCENE_ID, vocab.UPLOAD_TARGET,
-    })
-    _OWNED_ASSET = frozenset({
-        vocab.RDF_TYPE, vocab.DERIVATIVE_OF, vocab.VERSION_KIND, vocab.FILE_FORMAT,
-        vocab.SIZE_BYTES, vocab.POLYGON_COUNT, vocab.TEXTURE_WIDTH, vocab.TEXTURE_HEIGHT,
-        vocab.CHECKSUM,
-    })
-
     def register_phase(self, record: PhaseRecord, asset=None, upload=None, source: Iri | None = None, occurrence: int | None = None) -> str:
         """Register one workflow phase (plus its output asset and upload, if any).
 
@@ -370,13 +359,13 @@ class Catalog:
         minted; ingest passes indexes so re-running a table updates the
         same activities instead of multiplying them.
         """
-        workflow.check_phase_order(self.phases_for(record.cho), record)
+        existing = self.phases_for(record.cho)
+        workflow.check_phase_order(existing, record)
         if occurrence is None:
-            existing = sum(1 for p in self.phases_for(record.cho) if p.kind == record.kind)
-            occurrence = existing + 1
+            occurrence = 1 + sum(1 for p in existing if p.kind == record.kind)
         activity = self._activity_iri(record, occurrence)
 
-        dcho = Iri(self.config.base_iri + "dcho/" + record.cho.value.rsplit("/", 1)[-1])
+        dcho = workflow.object_iri(self.config.base_iri, "dcho", record.cho)
         if asset is not None or upload is not None:
             skeleton = {
                 Quad(dcho, vocab.RDF_TYPE, vocab.DIGITAL_OBJECT, record_graph(dcho)),
@@ -385,12 +374,13 @@ class Catalog:
             }
             self.ensure_entity(dcho, skeleton, source)
 
-        desired = workflow.phase_quads(record, activity, record_graph(activity), upload)
-        outcome = self._apply_entity_state(activity, desired, self._OWNED_ACTIVITY, source)
+        values = vars(record) | (vars(upload) if upload is not None else {})
+        desired = workflow.record_quads(workflow.ACTIVITY_RECORD, activity, record_graph(activity), values)
+        outcome = self._apply_entity_state(activity, desired, workflow.ACTIVITY_RECORD.owned, source)
 
         if asset is not None:
-            asset_state = workflow.asset_quads(asset, record_graph(asset.id))
-            asset_outcome = self._apply_entity_state(asset.id, asset_state, self._OWNED_ASSET, source)
+            asset_state = workflow.record_quads(workflow.ASSET_RECORD, asset.id, record_graph(asset.id), vars(asset))
+            asset_outcome = self._apply_entity_state(asset.id, asset_state, workflow.ASSET_RECORD.owned, source)
             if outcome == "unchanged" and asset_outcome != "unchanged":
                 outcome = asset_outcome
         return outcome
@@ -479,20 +469,15 @@ class Catalog:
         found |= {(s, "dcho") for s in self.store.subjects(vocab.RDF_TYPE, vocab.DIGITAL_OBJECT)}
         return sorted(found, key=lambda pair: pair[0].value)
 
-    def technique_for(self, cho: Iri) -> str | None:
-        techniques = sorted({p.technique for p in self.phases_for(cho) if p.technique})
-        return techniques[0] if techniques else None
-
-    def technique_for_dcho(self, dcho: Iri) -> str | None:
-        suffix = dcho.value.rsplit("/", 1)[-1]
-        return self.technique_for(Iri(self.config.base_iri + "cho/" + suffix))
-
     def validate_assets(self) -> list[Violation]:
+        """Each asset checked against its object's acquisition technique."""
         profile = self.config.constraint_profile()
-        violations = []
-        for asset in self.assets:
-            violations.extend(workflow.validate_asset(asset, profile, self.technique_for_dcho(asset.dcho)))
-        return violations
+        assets = self.assets
+        techniques = {}
+        for dcho in {asset.dcho for asset in assets}:
+            phases = self.phases_for(workflow.object_iri(self.config.base_iri, "cho", dcho))
+            techniques[dcho] = min((p.technique for p in phases if p.technique), default=None)
+        return [v for asset in assets for v in workflow.validate_asset(asset, profile, techniques[asset.dcho])]
 
     def storage_report(self):
         return workflow.storage_report(self.assets)

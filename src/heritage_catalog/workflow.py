@@ -4,6 +4,9 @@ Covers the eight-step acquisition and digitisation process (the metadata
 and provenance creation steps share a rank and may run in either order),
 the per-derivative asset inventory with the numeric limits enforced on
 scanned models, storage accounting and the offline deposit bundle.
+
+The field tables ``ACTIVITY_RECORD`` and ``ASSET_RECORD`` are the single
+declaration of how activities and asset versions are stored as quads.
 """
 
 from __future__ import annotations
@@ -11,13 +14,16 @@ from __future__ import annotations
 import enum
 import hashlib
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields as dataclass_fields
 from datetime import date, datetime, timezone
+from functools import cached_property
 from pathlib import Path
+from typing import Callable
 
 from . import vocab
 from .mapping import Table, percent_encode
 from .rdf import Iri, Literal, Quad, serialize_nquads, serialize_term
+from .store import ordered_terms
 
 
 class PhaseKind(enum.Enum):
@@ -46,20 +52,13 @@ _RANKS = {
     PhaseKind.UPLOAD: 7,
 }
 
-# Rendering order; the two rank-6 phases are mutually unordered but need a
-# stable place in reports.
-PHASE_ORDER = (
-    PhaseKind.ACQUISITION,
-    PhaseKind.PROCESSING,
-    PhaseKind.MODELLING,
-    PhaseKind.OPTIMISATION,
-    PhaseKind.EXPORT,
-    PhaseKind.METADATA_CREATION,
-    PhaseKind.PROVENANCE_CREATION,
-    PhaseKind.UPLOAD,
-)
+# Rendering order is declaration order; the two rank-6 phases are mutually
+# unordered but need a stable place in reports.
+PHASE_ORDER = tuple(PhaseKind)
 
 ASSET_KINDS = ("raw_material", "processed_raw", "high_poly", "optimised", "documentation")
+
+DEFAULT_TARGET = "ATON"  # publication framework of uploads that name none
 
 ABSENT = "absent"
 IN_PROGRESS = "in_progress"
@@ -333,19 +332,11 @@ def _split_cell(cell: str) -> list[str]:
     return [part.strip() for part in cell.split(";") if part.strip()]
 
 
-def agent_iri(base_iri: str, text: str) -> Iri:
-    """Agents may be given as full IRIs or as names minted under the base IRI."""
+def minted_iri(base_iri: str, kind: str, text: str) -> Iri:
+    """Agents and assets may be given as full IRIs or as names minted under
+    the base IRI's ``kind`` path."""
     text = text.strip()
-    if "://" in text:
-        return Iri(text)
-    return Iri(base_iri + "agent/" + percent_encode(text))
-
-
-def asset_iri(base_iri: str, token: str) -> Iri:
-    token = token.strip()
-    if "://" in token:
-        return Iri(token)
-    return Iri(base_iri + "asset/" + percent_encode(token))
+    return Iri(text if "://" in text else base_iri + kind + "/" + percent_encode(text))
 
 
 @dataclass
@@ -374,7 +365,7 @@ def parse_process_table(table: Table, base_iri: str) -> list[ProcessRow]:
             kind = PhaseKind(row["phase"].strip())
         except ValueError:
             raise UnknownPhase(row_no, row["phase"]) from None
-        agents = tuple(agent_iri(base_iri, a) for a in _split_cell(row["agents"]))
+        agents = tuple(minted_iri(base_iri, "agent", a) for a in _split_cell(row["agents"]))
         if not agents:
             raise ValidationError(row_no, "at least one agent is required")
         start = _parse_date(row_no, row["start"])
@@ -385,8 +376,8 @@ def parse_process_table(table: Table, base_iri: str) -> list[ProcessRow]:
         technique = row["technique"].strip()
         cho = Iri(base_iri + "cho/" + percent_encode(obj))
         dcho = Iri(base_iri + "dcho/" + percent_encode(obj))
-        inputs = tuple(asset_iri(base_iri, t) for t in _split_cell(row.get("inputs", "")))
-        outputs = tuple(asset_iri(base_iri, t) for t in _split_cell(row.get("outputs", "")))
+        inputs = tuple(minted_iri(base_iri, "asset", t) for t in _split_cell(row.get("inputs", "")))
+        outputs = tuple(minted_iri(base_iri, "asset", t) for t in _split_cell(row.get("outputs", "")))
         try:
             record = PhaseRecord(
                 cho=cho,
@@ -413,8 +404,8 @@ def parse_process_table(table: Table, base_iri: str) -> list[ProcessRow]:
                     dcho=dcho,
                     kind=row["output_kind"].strip(),
                     format=row.get("output_format", "").strip(),
-                    size_bytes=_int_cell(row_no, row, "output_size_bytes"),
-                    polygon_count=_opt_int_cell(row_no, row, "output_polygons"),
+                    size_bytes=_int_cell(row_no, row, "output_size_bytes") or 0,
+                    polygon_count=_int_cell(row_no, row, "output_polygons"),
                     texture_width=_texture_side(row_no, row, 0),
                     texture_height=_texture_side(row_no, row, 1),
                     checksum=row.get("output_checksum", "").strip(),
@@ -429,7 +420,7 @@ def parse_process_table(table: Table, base_iri: str) -> list[ProcessRow]:
                 raise ValidationError(row_no, "scene_id is only valid on upload rows")
             moment = datetime.combine(end or start, datetime.min.time(), tzinfo=timezone.utc)
             try:
-                upload = UploadRecord(dcho=dcho, scene_id=scene, target=row.get("target", "").strip() or "ATON", time=moment)
+                upload = UploadRecord(dcho=dcho, scene_id=scene, target=row.get("target", "").strip() or DEFAULT_TARGET, time=moment)
             except ValueError as exc:
                 raise ValidationError(row_no, str(exc)) from None
 
@@ -437,17 +428,7 @@ def parse_process_table(table: Table, base_iri: str) -> list[ProcessRow]:
     return rows
 
 
-def _int_cell(row_no: int, row: dict, column: str) -> int:
-    cell = row.get(column, "").strip()
-    if not cell:
-        return 0
-    try:
-        return int(cell)
-    except ValueError:
-        raise ValidationError(row_no, f"{column} must be an integer, got {cell!r}") from None
-
-
-def _opt_int_cell(row_no: int, row: dict, column: str) -> int | None:
+def _int_cell(row_no: int, row: dict, column: str) -> int | None:
     cell = row.get(column, "").strip()
     if not cell:
         return None
@@ -470,58 +451,144 @@ def _texture_side(row_no: int, row: dict, index: int) -> int | None:
         raise ValidationError(row_no, f"output_texture must look like 4096x4096, got {cell!r}") from None
 
 
-def _date_literal(value: date) -> Literal:
-    return Literal(value.isoformat(), datatype=vocab.XSD_DATE)
+@dataclass(frozen=True)
+class Codec:
+    """How a field value becomes an RDF term and back.  Objects that are not
+    instances of ``kind`` are not values of the field; ``decode`` raises
+    ValueError on a malformed value, or returns None to read it as absent.
+    """
+
+    kind: type
+    encode: Callable
+    decode: Callable
 
 
-def _int_literal(value: int) -> Literal:
-    return Literal(str(value), datatype=vocab.XSD_INTEGER)
+def _int_or_none(term: Literal) -> int | None:
+    try:
+        return int(term.lexical)
+    except ValueError:
+        return None
 
 
-def phase_quads(record: PhaseRecord, activity: Iri, graph: Iri, upload: UploadRecord | None = None) -> set[Quad]:
-    quads = {
-        Quad(activity, vocab.RDF_TYPE, vocab.ACTIVITY, graph),
-        Quad(activity, vocab.PHASE, Literal(record.kind.value), graph),
-        Quad(activity, vocab.CONCERNS, record.cho, graph),
-        Quad(activity, vocab.START_DATE, _date_literal(record.start), graph),
-    }
-    if record.unit:
-        quads.add(Quad(activity, vocab.UNIT, Literal(record.unit), graph))
-    if record.end is not None:
-        quads.add(Quad(activity, vocab.END_DATE, _date_literal(record.end), graph))
-    if record.technique:
-        quads.add(Quad(activity, vocab.TECHNIQUE, Literal(record.technique), graph))
-    for agent in record.agents:
-        quads.add(Quad(activity, vocab.AGENT, agent, graph))
-    for tool in record.tools:
-        quads.add(Quad(activity, vocab.TOOL, Literal(tool), graph))
-    for ref in record.inputs:
-        quads.add(Quad(activity, vocab.INPUT, ref, graph))
-    for ref in record.outputs:
-        quads.add(Quad(activity, vocab.OUTPUT, ref, graph))
-    if upload is not None:
-        quads.add(Quad(activity, vocab.SCENE_ID, Literal(upload.scene_id), graph))
-        quads.add(Quad(activity, vocab.UPLOAD_TARGET, Literal(upload.target), graph))
+IRI = Codec(Iri, lambda value: value, lambda term: term)
+STRING = Codec(Literal, Literal, lambda term: term.lexical)
+INTEGER = Codec(Literal, lambda value: Literal(str(value), datatype=vocab.XSD_INTEGER), _int_or_none)
+DATE = Codec(Literal, lambda value: Literal(value.isoformat(), datatype=vocab.XSD_DATE), lambda term: date.fromisoformat(term.lexical))
+PHASE_KIND = Codec(Literal, lambda kind: Literal(kind.value), lambda term: PhaseKind(term.lexical))
+
+ONE, OPTIONAL, MANY = "one", "optional", "many"
+
+
+@dataclass(frozen=True)
+class Field:
+    """One record attribute stored under one predicate.  An OPTIONAL field at
+    its ``absent`` value writes nothing and reads back as ``absent``; a MANY
+    field holds a tuple, one quad per element."""
+
+    attr: str
+    predicate: Iri
+    codec: Codec
+    cardinality: str = ONE
+    absent: object = None
+
+
+@dataclass(frozen=True)
+class RecordTable:
+    rdf_class: Iri
+    fields: tuple[Field, ...]
+
+    @cached_property
+    def owned(self) -> frozenset:
+        """The type predicate and every field predicate: what a re-ingest of
+        the record may delete."""
+        return frozenset({vocab.RDF_TYPE, *(field.predicate for field in self.fields)})
+
+
+# A digitisation activity: the phase record, plus the upload's own fields.
+ACTIVITY_RECORD = RecordTable(vocab.ACTIVITY, (
+    Field("kind", vocab.PHASE, PHASE_KIND),
+    Field("cho", vocab.CONCERNS, IRI),
+    Field("unit", vocab.UNIT, STRING, OPTIONAL, ""),
+    Field("agents", vocab.AGENT, IRI, MANY),
+    Field("technique", vocab.TECHNIQUE, STRING, OPTIONAL, ""),
+    Field("tools", vocab.TOOL, STRING, MANY),
+    Field("start", vocab.START_DATE, DATE),
+    Field("end", vocab.END_DATE, DATE, OPTIONAL),
+    Field("inputs", vocab.INPUT, IRI, MANY),
+    Field("outputs", vocab.OUTPUT, IRI, MANY),
+    Field("scene_id", vocab.SCENE_ID, STRING, OPTIONAL),
+    Field("target", vocab.UPLOAD_TARGET, STRING, OPTIONAL),
+))
+
+# An asset version; its subject is the asset's id.
+ASSET_RECORD = RecordTable(vocab.ASSET_VERSION, (
+    Field("dcho", vocab.DERIVATIVE_OF, IRI),
+    Field("kind", vocab.VERSION_KIND, STRING),
+    Field("format", vocab.FILE_FORMAT, STRING),
+    Field("size_bytes", vocab.SIZE_BYTES, INTEGER),
+    Field("polygon_count", vocab.POLYGON_COUNT, INTEGER, OPTIONAL),
+    Field("texture_width", vocab.TEXTURE_WIDTH, INTEGER, OPTIONAL),
+    Field("texture_height", vocab.TEXTURE_HEIGHT, INTEGER, OPTIONAL),
+    Field("checksum", vocab.CHECKSUM, STRING, OPTIONAL, ""),
+))
+
+
+def record_quads(table: RecordTable, subject: Iri, graph: Iri, values: dict) -> set[Quad]:
+    """The type quad plus the quads of every field value in ``values``
+    (attribute -> value); a missing attribute counts as absent."""
+    quads = {Quad(subject, vocab.RDF_TYPE, table.rdf_class, graph)}
+    for field in table.fields:
+        value = values.get(field.attr, field.absent)
+        if field.cardinality != MANY:
+            value = () if value == field.absent else (value,)
+        quads.update(Quad(subject, field.predicate, field.codec.encode(item), graph) for item in value)
     return quads
 
 
-def asset_quads(asset: AssetVersion, graph: Iri) -> set[Quad]:
-    quads = {
-        Quad(asset.id, vocab.RDF_TYPE, vocab.ASSET_VERSION, graph),
-        Quad(asset.id, vocab.DERIVATIVE_OF, asset.dcho, graph),
-        Quad(asset.id, vocab.VERSION_KIND, Literal(asset.kind), graph),
-        Quad(asset.id, vocab.FILE_FORMAT, Literal(asset.format), graph),
-        Quad(asset.id, vocab.SIZE_BYTES, _int_literal(asset.size_bytes), graph),
-    }
-    if asset.polygon_count is not None:
-        quads.add(Quad(asset.id, vocab.POLYGON_COUNT, _int_literal(asset.polygon_count), graph))
-    if asset.texture_width is not None:
-        quads.add(Quad(asset.id, vocab.TEXTURE_WIDTH, _int_literal(asset.texture_width), graph))
-    if asset.texture_height is not None:
-        quads.add(Quad(asset.id, vocab.TEXTURE_HEIGHT, _int_literal(asset.texture_height), graph))
-    if asset.checksum:
-        quads.add(Quad(asset.id, vocab.CHECKSUM, Literal(asset.checksum), graph))
-    return quads
+def record_values(table: RecordTable, store, subject) -> dict | None:
+    """The field values (attribute -> value) the subject's quads hold, read in
+    one pass; None if the subject is not typed as the table's class, a ONE
+    field has no value or a value is malformed.  A field with several values
+    reads its first in :func:`ordered_terms` order."""
+    objects: dict[Iri, list] = {}
+    for quad in store.subject_quads(subject):
+        objects.setdefault(quad.predicate, []).append(quad.object)
+    if table.rdf_class not in objects.get(vocab.RDF_TYPE, ()):
+        return None
+    values = {}
+    try:
+        for field in table.fields:
+            terms = ordered_terms(objects.get(field.predicate, ()), field.codec.kind)
+            if field.cardinality == MANY:
+                values[field.attr] = tuple(map(field.codec.decode, terms))
+                continue
+            value = field.codec.decode(terms[0]) if terms else None
+            if value is None:
+                if field.cardinality == ONE:
+                    return None
+                value = field.absent
+            values[field.attr] = value
+    except ValueError:
+        return None
+    return values
+
+
+def _construct(record_type, values: dict | None):
+    """The record built from the values of its own attributes; None if there
+    are none or they break the record's invariants."""
+    if values is None:
+        return None
+    try:
+        return record_type(**{spec.name: values[spec.name] for spec in dataclass_fields(record_type)})
+    except ValueError:
+        return None
+
+
+def object_iri(base_iri: str, kind: str, other: Iri) -> Iri:
+    """The ``kind`` ("cho" or "dcho") object sharing ``other``'s object id,
+    its last path segment, minted under the base IRI: the one way a physical
+    object and its digital counterpart name each other."""
+    return Iri(base_iri + kind + "/" + other.value.rsplit("/", 1)[-1])
 
 
 def build_records(build, store, subjects, *args) -> list:
@@ -534,29 +601,10 @@ def build_records(build, store, subjects, *args) -> list:
 def asset_record(store, subject) -> AssetVersion | None:
     """The asset version the subject describes; None if it is not typed as
     one or is malformed."""
-    if vocab.ASSET_VERSION not in store.objects(subject, vocab.RDF_TYPE):
-        return None
-    dchos = store.objects(subject, vocab.DERIVATIVE_OF, Iri)
-    kinds = store.objects(subject, vocab.VERSION_KIND, Literal)
-    formats = store.objects(subject, vocab.FILE_FORMAT, Literal)
-    sizes = store.objects(subject, vocab.SIZE_BYTES, Literal)
-    if not (dchos and kinds and formats and sizes):
-        return None
-    checksums = store.objects(subject, vocab.CHECKSUM, Literal)
-    try:
-        return AssetVersion(
-            id=subject,
-            dcho=dchos[0],
-            kind=kinds[0].lexical,
-            format=formats[0].lexical,
-            size_bytes=int(sizes[0].lexical),
-            polygon_count=_first_int(store.objects(subject, vocab.POLYGON_COUNT, Literal)),
-            texture_width=_first_int(store.objects(subject, vocab.TEXTURE_WIDTH, Literal)),
-            texture_height=_first_int(store.objects(subject, vocab.TEXTURE_HEIGHT, Literal)),
-            checksum=checksums[0].lexical if checksums else "",
-        )
-    except ValueError:
-        return None
+    values = record_values(ASSET_RECORD, store, subject)
+    if values is not None:
+        values["id"] = subject
+    return _construct(AssetVersion, values)
 
 
 def assets_from_store(store) -> list[AssetVersion]:
@@ -564,43 +612,10 @@ def assets_from_store(store) -> list[AssetVersion]:
     return build_records(asset_record, store, store.subjects(vocab.RDF_TYPE, vocab.ASSET_VERSION))
 
 
-def _first_int(literals) -> int | None:
-    if not literals:
-        return None
-    try:
-        return int(literals[0].lexical)
-    except ValueError:
-        return None
-
-
 def phase_record(store, subject) -> PhaseRecord | None:
     """The phase an activity records; None if the subject is not an activity
-    or is malformed.  Agent and tool order is not preserved."""
-    if vocab.ACTIVITY not in store.objects(subject, vocab.RDF_TYPE):
-        return None
-    phases = store.objects(subject, vocab.PHASE, Literal)
-    chos = store.objects(subject, vocab.CONCERNS, Iri)
-    starts = store.objects(subject, vocab.START_DATE, Literal)
-    if not (phases and chos and starts):
-        return None
-    ends = store.objects(subject, vocab.END_DATE, Literal)
-    units = store.objects(subject, vocab.UNIT, Literal)
-    techniques = store.objects(subject, vocab.TECHNIQUE, Literal)
-    try:
-        return PhaseRecord(
-            cho=chos[0],
-            kind=PhaseKind(phases[0].lexical),
-            unit=units[0].lexical if units else "",
-            agents=tuple(store.objects(subject, vocab.AGENT, Iri)),
-            technique=techniques[0].lexical if techniques else "",
-            tools=tuple(tool.lexical for tool in store.objects(subject, vocab.TOOL, Literal)),
-            start=date.fromisoformat(starts[0].lexical),
-            end=date.fromisoformat(ends[0].lexical) if ends else None,
-            inputs=tuple(store.objects(subject, vocab.INPUT, Iri)),
-            outputs=tuple(store.objects(subject, vocab.OUTPUT, Iri)),
-        )
-    except ValueError:
-        return None
+    or is malformed.  Agent, tool, input and output order is not preserved."""
+    return _construct(PhaseRecord, record_values(ACTIVITY_RECORD, store, subject))
 
 
 def phases_from_store(store) -> list[PhaseRecord]:
@@ -610,22 +625,15 @@ def phases_from_store(store) -> list[PhaseRecord]:
 
 def upload_record(store, subject, base_iri: str) -> UploadRecord | None:
     """The upload an activity records through its scene id; None if there is
-    none or it is malformed.  The upload time is the phase's end date, else
-    its start date; an activity with neither is malformed."""
-    scenes = store.objects(subject, vocab.SCENE_ID, Literal)
-    chos = store.objects(subject, vocab.CONCERNS, Iri)
-    days = store.objects(subject, vocab.END_DATE, Literal) or store.objects(subject, vocab.START_DATE, Literal)
-    if not (scenes and chos and days):
+    none or the activity is malformed.  It goes to the digital counterpart
+    of the activity's object, at the phase's end date, else its start date."""
+    values = record_values(ACTIVITY_RECORD, store, subject)
+    if values is None or values["scene_id"] is None:
         return None
-    cho_prefix = base_iri + "cho/"
-    if chos[0].value.startswith(cho_prefix):
-        dcho = Iri(base_iri + "dcho/" + chos[0].value[len(cho_prefix):])
-    else:
-        dcho = Iri(chos[0].value.replace("/cho/", "/dcho/", 1))
-    targets = store.objects(subject, vocab.UPLOAD_TARGET, Literal)
+    moment = datetime.combine(values["end"] or values["start"], datetime.min.time(), tzinfo=timezone.utc)
+    target = DEFAULT_TARGET if values["target"] is None else values["target"]
     try:
-        moment = datetime.combine(date.fromisoformat(days[0].lexical), datetime.min.time(), tzinfo=timezone.utc)
-        return UploadRecord(dcho=dcho, scene_id=scenes[0].lexical, target=targets[0].lexical if targets else "ATON", time=moment)
+        return UploadRecord(dcho=object_iri(base_iri, "dcho", values["cho"]), scene_id=values["scene_id"], target=target, time=moment)
     except ValueError:
         return None
 
