@@ -10,8 +10,10 @@ A catalog lives in one directory::
     bundles/     deposit bundle output
 
 Every entity's descriptive quads live in its own metadata record graph
-(entity IRI + "/record"); every state change goes through the provenance
-tracker, so the stores stay reconstructable from the snapshot chains.
+(entity IRI + "/record").  Each write of an entity is recorded as one
+snapshot through the provenance tracker: its creation when the entity has
+no chain yet, otherwise a modification.  So the data store stays
+reconstructable from the snapshot chains.
 """
 
 from __future__ import annotations
@@ -190,6 +192,12 @@ def record_graph(entity: Iri) -> Iri:
     return Iri(entity.value + "/record")
 
 
+def source_iri(path) -> Iri:
+    """The primary source of what was read from an input file: the file's
+    name, percent-encoded, as a ``file:///`` IRI."""
+    return Iri("file:///" + percent_encode(Path(path).name))
+
+
 class Catalog:
     """One catalog directory plus its in-memory stores.
 
@@ -260,29 +268,32 @@ class Catalog:
 
     # -- entity state updates ----------------------------------------------
 
+    def _record(self, entity: Iri, delta: Delta, source: Iri | None) -> str:
+        """Record one write of the entity as one snapshot: its creation when
+        the entity has no chain yet, otherwise a modification.  Every
+        catalog write goes through here."""
+        agent, time = self.config.agent_iri(), self.next_time(entity)
+        if self.tracker.has_chain(entity):
+            self.tracker.record_modification(entity, delta, agent, source=source, time=time)
+            return "modified"
+        self.tracker.record_creation(entity, delta.inserts, agent, source=source, time=time)
+        return "created"
+
     def _apply_entity_state(self, entity: Iri, desired: set[Quad], owned_predicates, source: Iri | None) -> str:
         """Reconcile the entity's quads with the desired set.
 
         Only quads whose predicate the caller owns are eligible for
         deletion; statements added by other routes (mappings, manual
-        edits) survive a re-ingest.
+        edits) survive a re-ingest.  An entity without a chain is created,
+        even with an empty desired set.
         """
-        agent = self.config.agent_iri()
-        if not self.tracker.has_chain(entity):
-            self.tracker.record_creation(entity, desired, agent, source=source, time=self.next_time(entity))
-            return "created"
-        current = self.tracker.current_quads(entity)
+        known = self.tracker.has_chain(entity)
+        current = self.tracker.current_quads(entity) if known else set()
         owned = {q for q in current if q.predicate in owned_predicates}
-        deletes = owned - desired
-        inserts = desired - current
-        if not deletes and not inserts:
+        delta = Delta(deletes=owned - desired, inserts=desired - current)
+        if known and delta.is_empty():
             return "unchanged"
-        self.tracker.record_modification(entity, Delta(deletes=deletes, inserts=inserts), agent, source=source, time=self.next_time(entity))
-        return "modified"
-
-    def ensure_entity(self, entity: Iri, skeleton: set[Quad], source: Iri | None):
-        if not self.tracker.has_chain(entity):
-            self.tracker.record_creation(entity, skeleton, self.config.agent_iri(), source=source, time=self.next_time(entity))
+        return self._record(entity, delta, source)
 
     # -- bibliographic ingest ------------------------------------------------
 
@@ -357,8 +368,12 @@ class Catalog:
         Enforces the rank ordering against the phases already in the
         catalog.  Without an explicit occurrence index a new activity is
         minted; ingest passes indexes so re-running a table updates the
-        same activities instead of multiplying them.
+        same activities instead of multiplying them.  The object must be
+        minted under the base IRI, since its activities and digital
+        counterpart are named by its last path segment.
         """
+        if record.cho != workflow.object_iri(self.config.base_iri, "cho", record.cho):
+            raise NoSuchObject(f"{record.cho} is not an object IRI under {self.config.base_iri}cho/")
         existing = self.phases_for(record.cho)
         workflow.check_phase_order(existing, record)
         if occurrence is None:
@@ -366,13 +381,13 @@ class Catalog:
         activity = self._activity_iri(record, occurrence)
 
         dcho = workflow.object_iri(self.config.base_iri, "dcho", record.cho)
-        if asset is not None or upload is not None:
+        if (asset is not None or upload is not None) and not self.tracker.has_chain(dcho):
             skeleton = {
                 Quad(dcho, vocab.RDF_TYPE, vocab.DIGITAL_OBJECT, record_graph(dcho)),
                 Quad(dcho, vocab.DCT_IDENTIFIER, Literal(dcho.value), record_graph(dcho)),
                 Quad(dcho, vocab.COUNTERPART_OF, record.cho, record_graph(dcho)),
             }
-            self.ensure_entity(dcho, skeleton, source)
+            self._record(dcho, Delta(inserts=skeleton), source)
 
         values = vars(record) | (vars(upload) if upload is not None else {})
         desired = workflow.record_quads(workflow.ACTIVITY_RECORD, activity, record_graph(activity), values)
@@ -402,11 +417,11 @@ class Catalog:
         """Copy the CSV under tables/ and ingest it; returns (table name, stats)."""
         path = Path(path)
         table = load_table(path)
+        source = source_iri(path)
         stored = self.table_path(table.name)
         stored.parent.mkdir(exist_ok=True)
         if path.resolve() != stored.resolve():
             shutil.copyfile(path, stored)
-        source = Iri("file:///" + percent_encode(path.name))
         if kind == "bibliographic":
             return table.name, self.ingest_bibliographic(table, source)
         if kind == "process":
@@ -415,7 +430,7 @@ class Catalog:
 
     # -- mapping execution ------------------------------------------------------
 
-    def apply_mapping(self, document: MappingDocument, tables, source: Iri) -> tuple[int, int]:
+    def apply_mapping(self, document: MappingDocument, tables: list[Table], source: Iri) -> tuple[int, int]:
         """Insert mapping output with per-entity provenance.
 
         Returns (new quad count, entities that gained a snapshot).  Already
@@ -428,15 +443,11 @@ class Catalog:
             by_subject.setdefault(quad.subject, set()).add(quad)
         new_quads = 0
         entities = 0
-        agent = self.config.agent_iri()
         for subject in sorted(by_subject, key=lambda s: s.value):
             novel = {q for q in by_subject[subject] if q not in self.store}
             if not novel:
                 continue
-            if self.tracker.has_chain(subject):
-                self.tracker.record_modification(subject, Delta(inserts=novel), agent, source=source, time=self.next_time(subject))
-            else:
-                self.tracker.record_creation(subject, novel, agent, source=source, time=self.next_time(subject))
+            self._record(subject, Delta(inserts=novel), source)
             new_quads += len(novel)
             entities += 1
         return new_quads, entities

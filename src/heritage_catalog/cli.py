@@ -18,7 +18,7 @@ from pathlib import Path
 from urllib.parse import parse_qs, urlparse
 
 from . import fair, provenance, workflow
-from .catalog import BibliographicError, Catalog, CatalogExists, ConfigError, NotACatalog
+from .catalog import BibliographicError, Catalog, CatalogExists, ConfigError, NotACatalog, source_iri
 from .mapping import (
     DuplicateMapping,
     InvalidExpandedIri,
@@ -217,11 +217,11 @@ def cmd_map(args) -> int:
     if not table_path.is_file():
         return _fail(EXIT_INPUT, f"no table named {args.table!r} under {catalog.root / 'tables'}")
     table = load_table(table_path, args.table)
-    mapping_name = Path(args.mapping).name
-    stored = catalog.root / "mappings" / mapping_name
-    if Path(args.mapping).resolve() != stored.resolve():
-        stored.write_bytes(Path(args.mapping).read_bytes())
-    source = Iri("file:///" + mapping_name)
+    mapping = Path(args.mapping)
+    source = source_iri(mapping)
+    stored = catalog.root / "mappings" / mapping.name
+    if mapping.resolve() != stored.resolve():
+        stored.write_bytes(mapping.read_bytes())
     quads, entities = catalog.apply_mapping(document, [table], source)
     catalog.save()
     print(f"quads={quads} entities={entities}")

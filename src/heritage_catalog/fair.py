@@ -94,31 +94,19 @@ def _quads_evidence(quads, cap: int = 3) -> str:
     return " ".join(shown)
 
 
-class _AuditContext:
-    def __init__(self, catalog: Catalog, profile, authority_domains, quality_threshold, required_fields, open_schemes):
-        self.catalog = catalog
-        self.store = catalog.store
-        self.tracker = catalog.tracker
-        self.profile = profile or catalog.config.constraint_profile()
-        self.authority_domains = tuple(authority_domains or catalog.config.authority_domains)
-        self.quality_threshold = quality_threshold if quality_threshold is not None else catalog.config.quality_threshold
-        self.required_fields = tuple(required_fields or catalog.config.required_fields)
-        self.open_schemes = tuple(open_schemes or catalog.config.open_schemes)
-
-
-def _presence(ctx, subject, predicate, absent_note) -> tuple[str, str]:
-    quads = ctx.store.subject_quads(subject, predicate)
+def _presence(catalog, subject, predicate, absent_note) -> tuple[str, str]:
+    quads = catalog.store.subject_quads(subject, predicate)
     if quads:
         return PASS, _quads_evidence(quads)
     return FAIL, absent_note
 
 
-def _iri_quads(ctx, subject, predicate) -> list[Quad]:
-    return [q for q in ctx.store.subject_quads(subject, predicate) if isinstance(q.object, Iri)]
+def _iri_quads(catalog, subject, predicate) -> list[Quad]:
+    return [q for q in catalog.store.subject_quads(subject, predicate) if isinstance(q.object, Iri)]
 
 
-def _iri_presence(ctx, subject, predicate, absent_note) -> tuple[str, str]:
-    quads = _iri_quads(ctx, subject, predicate)
+def _iri_presence(catalog, subject, predicate, absent_note) -> tuple[str, str]:
+    quads = _iri_quads(catalog, subject, predicate)
     if quads:
         return PASS, _quads_evidence(quads)
     return FAIL, absent_note
@@ -132,8 +120,8 @@ def _authority_host(iri: Iri, domains) -> bool:
     return any(host == d or host.endswith("." + d) for d in domains)
 
 
-def _eval_object_check(check_id: str, entity: Iri, ctx: _AuditContext) -> tuple[str, str]:
-    digital = vocab.DIGITAL_OBJECT in ctx.store.objects(entity, vocab.RDF_TYPE)
+def _eval_object_check(check_id: str, entity: Iri, catalog: Catalog) -> tuple[str, str]:
+    digital = vocab.DIGITAL_OBJECT in catalog.store.objects(entity, vocab.RDF_TYPE)
     # Storage, protocol, versions, backups, formats and timestamps are
     # digital-object rows of the checklist; a purely physical object is
     # out of their scope.
@@ -143,83 +131,83 @@ def _eval_object_check(check_id: str, entity: Iri, ctx: _AuditContext) -> tuple[
     if check_id == "OBJ-F1":
         return PASS, f"identifier <{entity.value}> is an IRI"
     if check_id == "OBJ-F2":
-        quads = [q for q in ctx.store.subject_quads(entity) if q.predicate != vocab.RDF_TYPE]
+        quads = [q for q in catalog.store.subject_quads(entity) if q.predicate != vocab.RDF_TYPE]
         if quads:
             return PASS, _quads_evidence(quads)
         return FAIL, "no descriptive statements"
     if check_id == "OBJ-A1":
-        return _presence(ctx, entity, vocab.STORAGE_LOCATION, "no storage location statement")
+        return _presence(catalog, entity, vocab.STORAGE_LOCATION, "no storage location statement")
     if check_id == "OBJ-A2":
-        quads = _iri_quads(ctx, entity, vocab.ACCESS_URL)
-        good = [q for q in quads if q.object.value.split(":", 1)[0].lower() in ctx.open_schemes]
+        quads = _iri_quads(catalog, entity, vocab.ACCESS_URL)
+        good = [q for q in quads if q.object.value.split(":", 1)[0].lower() in catalog.config.open_schemes]
         if good:
             return PASS, _quads_evidence(good)
         if quads:
             return FAIL, _quads_evidence(quads) + " (scheme not in open-scheme list)"
         return FAIL, "no access IRI statement"
     if check_id == "OBJ-A3":
-        assets = ctx.catalog.assets_for(entity)
+        assets = catalog.assets_for(entity)
         if assets:
             return PASS, f"{len(assets)} asset version(s): " + ", ".join(a.id.value for a in assets[:3])
         return FAIL, "no asset versions recorded"
     if check_id == "OBJ-A4":
-        return _presence(ctx, entity, vocab.BACKUP_LOCATION, "no backup location statement")
+        return _presence(catalog, entity, vocab.BACKUP_LOCATION, "no backup location statement")
     if check_id == "OBJ-I1":
-        assets = ctx.catalog.assets_for(entity)
+        assets = catalog.assets_for(entity)
         if not assets:
             return NOT_APPLICABLE, "no asset versions recorded"
-        acceptable = ctx.profile.acceptable_formats()
+        acceptable = catalog.config.constraint_profile().acceptable_formats()
         bad = [a for a in assets if a.format not in acceptable]
         if bad:
             return FAIL, "unacceptable format(s): " + ", ".join(f"{a.id.value}={a.format}" for a in bad)
         return PASS, "formats " + ", ".join(sorted({a.format for a in assets})) + " all acceptable"
     if check_id == "OBJ-R1":
-        start = ctx.store.subject_quads(entity, vocab.INTERVAL_START)
-        end = ctx.store.subject_quads(entity, vocab.INTERVAL_END)
+        start = catalog.store.subject_quads(entity, vocab.INTERVAL_START)
+        end = catalog.store.subject_quads(entity, vocab.INTERVAL_END)
         if start and end:
             return PASS, _quads_evidence(start | end)
         return FAIL, "no timestamp interval (start and end) recorded"
     if check_id == "OBJ-R2":
-        return _iri_presence(ctx, entity, vocab.DCT_LICENSE, "no licence IRI statement")
+        return _iri_presence(catalog, entity, vocab.DCT_LICENSE, "no licence IRI statement")
     raise KeyError(check_id)
 
 
-def _eval_metadata_check(check_id: str, entity: Iri, ctx: _AuditContext) -> tuple[str, str]:
+def _eval_metadata_check(check_id: str, entity: Iri, catalog: Catalog) -> tuple[str, str]:
     if check_id == "MET-F1":
         stated = [
-            q for q in ctx.store.subject_quads(entity, vocab.DCT_IDENTIFIER)
+            q for q in catalog.store.subject_quads(entity, vocab.DCT_IDENTIFIER)
             if (isinstance(q.object, Literal) and q.object.lexical == entity.value) or q.object == entity
         ]
         if stated:
             return PASS, _quads_evidence(stated)
         return FAIL, "metadata do not state the object's own identifier"
     if check_id == "MET-F2":
-        return _presence(ctx, entity, vocab.REGISTERED_IN, "no repository registration statement")
+        return _presence(catalog, entity, vocab.REGISTERED_IN, "no repository registration statement")
     if check_id == "MET-A1":
-        return _presence(ctx, entity, vocab.DCT_ACCESS_RIGHTS, "no access-rights statement")
+        return _presence(catalog, entity, vocab.DCT_ACCESS_RIGHTS, "no access-rights statement")
     if check_id == "MET-I1":
-        return _presence(ctx, entity, vocab.DCT_CONFORMS_TO, "no metadata-schema declaration")
+        return _presence(catalog, entity, vocab.DCT_CONFORMS_TO, "no metadata-schema declaration")
     if check_id == "MET-I2":
-        quads = [q for q in ctx.store.subject_quads(entity, vocab.DCT_FORMAT) if isinstance(q.object, Literal)]
+        quads = [q for q in catalog.store.subject_quads(entity, vocab.DCT_FORMAT) if isinstance(q.object, Literal)]
         distinct = {q.object.lexical for q in quads}
         if len(distinct) >= 2:
             return PASS, _quads_evidence(quads)
         return FAIL, f"{len(distinct)} serialization format(s) listed, need 2"
     if check_id == "MET-I3":
         links = [
-            q for q in ctx.store.subject_quads(entity)
-            if isinstance(q.object, Iri) and _authority_host(q.object, ctx.authority_domains)
+            q for q in catalog.store.subject_quads(entity)
+            if isinstance(q.object, Iri) and _authority_host(q.object, catalog.config.authority_domains)
         ]
         if links:
             return PASS, _quads_evidence(links)
         return FAIL, "no link into the configured authority domains"
     if check_id == "MET-R1":
-        return _presence(ctx, entity, vocab.DCT_RIGHTS_HOLDER, "no rights-holder statement")
+        return _presence(catalog, entity, vocab.DCT_RIGHTS_HOLDER, "no rights-holder statement")
     if check_id == "MET-R2":
-        return _presence(ctx, entity, vocab.DCT_LICENSE, "no licence statement")
+        return _presence(catalog, entity, vocab.DCT_LICENSE, "no licence statement")
     if check_id == "MET-R3":
-        institution = ctx.store.subject_quads(entity, vocab.HOLDING_INSTITUTION)
-        producers = ctx.store.subject_quads(entity, vocab.PRODUCED_BY)
+        institution = catalog.store.subject_quads(entity, vocab.HOLDING_INSTITUTION)
+        producers = catalog.store.subject_quads(entity, vocab.PRODUCED_BY)
         if institution and producers:
             return PASS, _quads_evidence(institution | producers)
         missing = []
@@ -231,31 +219,31 @@ def _eval_metadata_check(check_id: str, entity: Iri, ctx: _AuditContext) -> tupl
     raise KeyError(check_id)
 
 
-def _eval_record_check(check_id: str, entity: Iri, graph: Iri, ctx: _AuditContext) -> tuple[str, str]:
+def _eval_record_check(check_id: str, entity: Iri, graph: Iri, catalog: Catalog) -> tuple[str, str]:
     if check_id == "REC-F1":
         return PASS, f"record graph <{graph.value}>"
     if check_id == "REC-A1":
-        count = len(ctx.store.graph_quads(graph))
+        count = len(catalog.store.graph_quads(graph))
         return PASS, f"native record with {count} statement(s)"
     if check_id == "REC-A2":
-        solutions = ctx.store.bgp_query([QuadPattern(Variable("s"), Variable("p"), Variable("o"), graph)])
+        solutions = catalog.store.bgp_query([QuadPattern(Variable("s"), Variable("p"), Variable("o"), graph)])
         if solutions:
             return PASS, f"{len(solutions)} statement(s) retrievable via pattern query"
         return FAIL, "record graph not retrievable through the query interface"
     if check_id == "REC-I1":
-        present = {q.predicate.value for q in ctx.store.graph_quads(graph) if q.subject == entity}
-        required = ctx.required_fields
+        present = {q.predicate.value for q in catalog.store.graph_quads(graph) if q.subject == entity}
+        required = catalog.config.required_fields
         covered = [f for f in required if f in present]
         coverage = len(covered) / len(required) if required else 1.0
-        note = f"coverage {coverage:.2f} (threshold {ctx.quality_threshold:.2f})"
-        if coverage >= ctx.quality_threshold:
+        note = f"coverage {coverage:.2f} (threshold {catalog.config.quality_threshold:.2f})"
+        if coverage >= catalog.config.quality_threshold:
             return PASS, note
         missing = sorted(set(required) - set(covered))
         return FAIL, note + "; missing " + ", ".join(missing)
     if check_id == "REC-R1":
-        if not ctx.tracker.has_chain(entity):
+        if not catalog.tracker.has_chain(entity):
             return FAIL, "no snapshot chain for the record's entity"
-        latest = ctx.tracker.chain(entity)[-1]
+        latest = catalog.tracker.chain(entity)[-1]
         missing = []
         if not latest.attributed_to:
             missing.append("agent")
@@ -268,47 +256,40 @@ def _eval_record_check(check_id: str, entity: Iri, graph: Iri, ctx: _AuditContex
             f"by {latest.attributed_to[0].value} from {latest.primary_source.value}"
         )
     if check_id == "REC-R2":
-        if not ctx.tracker.has_chain(entity):
+        if not catalog.tracker.has_chain(entity):
             return FAIL, "no snapshot chain for the record's entity"
-        latest = ctx.tracker.chain(entity)[-1]
+        latest = catalog.tracker.chain(entity)[-1]
         if latest.attributed_to:
             return PASS, f"attributed to {', '.join(a.value for a in latest.attributed_to)}"
         return FAIL, "latest snapshot has no attribution"
     if check_id == "REC-R3":
-        return _iri_presence(ctx, entity, vocab.RECORD_LICENCE, "no record licence IRI statement")
+        return _iri_presence(catalog, entity, vocab.RECORD_LICENCE, "no record licence IRI statement")
     raise KeyError(check_id)
 
 
-def run_audit(
-    catalog: Catalog,
-    profile=None,
-    authority_domains=None,
-    quality_threshold=None,
-    required_fields=None,
-    open_schemes=None,
-) -> FairReport:
+def run_audit(catalog: Catalog) -> FairReport:
     """Evaluate every registry check against every applicable subject.
 
     Object- and metadata-level checks run per catalogued object; record-
-    level checks run per object metadata record graph.  Results come out
+    level checks run per object metadata record graph.  Thresholds, domains
+    and schemes come from the catalog's configuration.  Results come out
     sorted by (subject, check id), so equal catalogs render identically.
     """
-    ctx = _AuditContext(catalog, profile, authority_domains, quality_threshold, required_fields, open_schemes)
     results = []
     graphs = set(catalog.store.named_graphs())
     for entity, _ in catalog.objects():
         for check in _REGISTRY:
             if check.level == "object":
-                outcome, evidence = _eval_object_check(check.id, entity, ctx)
+                outcome, evidence = _eval_object_check(check.id, entity, catalog)
                 results.append(CheckResult(check.id, entity, outcome, evidence))
             elif check.level == "object_metadata":
-                outcome, evidence = _eval_metadata_check(check.id, entity, ctx)
+                outcome, evidence = _eval_metadata_check(check.id, entity, catalog)
                 results.append(CheckResult(check.id, entity, outcome, evidence))
         graph = record_graph(entity)
         if graph in graphs:
             for check in _REGISTRY:
                 if check.level == "metadata_record":
-                    outcome, evidence = _eval_record_check(check.id, entity, graph, ctx)
+                    outcome, evidence = _eval_record_check(check.id, entity, graph, catalog)
                     results.append(CheckResult(check.id, graph, outcome, evidence))
     results.sort(key=lambda r: (r.subject.value, r.check_id))
     summary = {(level, facet): {PASS: 0, FAIL: 0, NOT_APPLICABLE: 0} for level in LEVELS for facet in FACETS}

@@ -488,17 +488,14 @@ def _realize_object(spec: ObjectSpec, row: dict, map_name: str, row_index: int):
     return Literal(text, datatype=spec.datatype, language=spec.language)
 
 
-def execute_mapping(document: MappingDocument, tables) -> set[Quad]:
+def execute_mapping(document: MappingDocument, tables: list[Table]) -> set[Quad]:
     """Run every triple map over its table, collecting the emitted quads.
 
     One quad per (row, pair) unless the subject or object expansion skips;
     duplicates collapse under set semantics, so re-running a mapping or
     unioning row-disjoint tables is harmless.
     """
-    if isinstance(tables, dict):
-        lookup = dict(tables)
-    else:
-        lookup = {t.name: t for t in tables}
+    lookup = {t.name: t for t in tables}
     quads: set[Quad] = set()
     for tm in document.triple_maps:
         table = lookup.get(tm.source)

@@ -14,7 +14,7 @@ from datetime import datetime, timezone
 
 from . import vocab
 from .rdf import Iri, Literal, ParseError, Quad
-from .store import Delta, PreconditionViolation, Store, ordered_terms, parse_update, serialize_update
+from .store import Delta, Store, ordered_terms, parse_update, serialize_update
 
 CREATION = "creation"
 MODIFICATION = "modification"
@@ -98,18 +98,6 @@ class Snapshot:
     derived_from: Iri | None
     update_query: Delta
     kind: str
-    description: str
-
-
-def _describe(kind: str, entity: Iri, primary_source: Iri | None) -> str:
-    if kind == CREATION:
-        return f"creation of {entity.value}"
-    if kind == MODIFICATION:
-        return f"modification of {entity.value}"
-    if kind == MERGE:
-        absorbed = primary_source.value if primary_source else "another entity"
-        return f"merge of {absorbed} into {entity.value}"
-    return f"deletion of {entity.value}"
 
 
 def _check_subjects(entity: Iri, quads):
@@ -170,21 +158,28 @@ class ProvenanceTracker:
                 f"{iso_timestamp(time)} is not after {iso_timestamp(chain[-1].generated_at)}"
             )
 
-    def _append(self, entity, chain, delta, agents, source, time, kind) -> Snapshot:
-        prev = chain[-1]
-        chain[-1] = replace(prev, invalidated_at=time)
+    def _append(self, entity, delta, agents, source, time, kind) -> Snapshot:
+        """Apply the delta to the store and append its snapshot to the
+        entity's chain (a creation starts the chain).  Every record changes
+        the store and the chains here, and only after all of its checks."""
+        _check_subjects(entity, delta.deletes | delta.inserts)
+        agents = _normalize_agents(agents)
+        time = utc_second(time or datetime.now(timezone.utc))
+        self.store.apply_delta(delta, strict=True)
+        chain = self._chains.setdefault(entity, [])
+        if chain:
+            chain[-1] = replace(chain[-1], invalidated_at=time)
         snap = Snapshot(
-            iri=snapshot_iri(entity, prev.index + 1),
+            iri=snapshot_iri(entity, len(chain) + 1),
             entity=entity,
-            index=prev.index + 1,
+            index=len(chain) + 1,
             generated_at=time,
             invalidated_at=time if kind == DELETION else None,
             attributed_to=agents,
             primary_source=source,
-            derived_from=prev.iri,
+            derived_from=chain[-1].iri if chain else None,
             update_query=delta,
             kind=kind,
-            description=_describe(kind, entity, source),
         )
         chain.append(snap)
         return snap
@@ -193,40 +188,13 @@ class ProvenanceTracker:
         """Start a chain: the creation snapshot carries the initial inserts."""
         if entity in self._chains:
             raise AlreadyExists(f"{entity} already has a snapshot chain")
-        initial = frozenset(initial)
-        _check_subjects(entity, initial)
-        agents = _normalize_agents(agents)
-        time = utc_second(time or datetime.now(timezone.utc))
-        delta = Delta(inserts=initial)
-        self.store.apply_delta(delta, strict=True)
-        snap = Snapshot(
-            iri=snapshot_iri(entity, 1),
-            entity=entity,
-            index=1,
-            generated_at=time,
-            invalidated_at=None,
-            attributed_to=agents,
-            primary_source=source,
-            derived_from=None,
-            update_query=delta,
-            kind=CREATION,
-            description=_describe(CREATION, entity, source),
-        )
-        self._chains[entity] = [snap]
-        return snap
+        return self._append(entity, Delta(inserts=initial), agents, source, time, CREATION)
 
     def record_modification(self, entity: Iri, delta: Delta, agents, source: Iri | None = None, time: datetime | None = None) -> Snapshot:
         chain = self._require_live(entity)
         time = utc_second(time or datetime.now(timezone.utc))
         self._check_time(chain, time)
-        _check_subjects(entity, delta.deletes | delta.inserts)
-        current = self.current_quads(entity)
-        missing = delta.deletes - current
-        present = delta.inserts & current
-        if missing or present:
-            raise PreconditionViolation(missing, present)
-        self.store.apply_delta(delta, strict=True)
-        return self._append(entity, chain, delta, _normalize_agents(agents), source, time, MODIFICATION)
+        return self._append(entity, delta, agents, source, time, MODIFICATION)
 
     def record_merge(self, survivor: Iri, absorbed: Iri, agents, source: Iri | None = None, time: datetime | None = None) -> tuple[Snapshot, Snapshot]:
         """Fold the absorbed entity into the survivor.
@@ -249,22 +217,15 @@ class ProvenanceTracker:
         rewritten = {Quad(survivor, q.predicate, q.object, q.graph) for q in absorbed_quads}
         novel = frozenset(rewritten - self.current_quads(survivor))
 
-        merge_delta = Delta(inserts=novel)
-        self.store.apply_delta(merge_delta, strict=True)
-        merge_snap = self._append(survivor, survivor_chain, merge_delta, agents, absorbed, time, MERGE)
-
-        deletion_delta = Delta(deletes=absorbed_quads)
-        self.store.apply_delta(deletion_delta, strict=True)
-        deletion_snap = self._append(absorbed, absorbed_chain, deletion_delta, agents, source, time, DELETION)
+        merge_snap = self._append(survivor, Delta(inserts=novel), agents, absorbed, time, MERGE)
+        deletion_snap = self._append(absorbed, Delta(deletes=absorbed_quads), agents, source, time, DELETION)
         return merge_snap, deletion_snap
 
     def record_deletion(self, entity: Iri, agents, source: Iri | None = None, time: datetime | None = None) -> Snapshot:
         chain = self._require_live(entity)
         time = utc_second(time or datetime.now(timezone.utc))
         self._check_time(chain, time)
-        delta = Delta(deletes=frozenset(self.current_quads(entity)))
-        self.store.apply_delta(delta, strict=True)
-        return self._append(entity, chain, delta, _normalize_agents(agents), source, time, DELETION)
+        return self._append(entity, Delta(deletes=self.current_quads(entity)), agents, source, time, DELETION)
 
     def snapshot_at(self, entity: Iri, time: datetime) -> Snapshot | None:
         """Latest snapshot generated at or before the given time, if any."""
@@ -392,7 +353,6 @@ def _parse_chain(entity: Iri, graph: dict) -> list:
                 kind = DELETION
             else:
                 kind = MODIFICATION
-        source = sources[0] if sources else None
         snapshots.append(
             Snapshot(
                 iri=subject,
@@ -401,11 +361,10 @@ def _parse_chain(entity: Iri, graph: dict) -> list:
                 generated_at=generated_at,
                 invalidated_at=invalidated_at,
                 attributed_to=agents,
-                primary_source=source,
+                primary_source=sources[0] if sources else None,
                 derived_from=derived[0] if derived else None,
                 update_query=parse_update(updates[0].lexical),
                 kind=kind,
-                description=_describe(kind, entity, source),
             )
         )
     snapshots.sort(key=lambda s: s.index)

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import threading
 import urllib.parse
@@ -10,7 +11,7 @@ import pytest
 from conftest import DATA_DIR, build_gold_catalog
 from heritage_catalog.catalog import Catalog
 from heritage_catalog.cli import main, make_query_server, parse_bgp_text, solutions_to_csv
-from heritage_catalog.provenance import parse_timestamp
+from heritage_catalog.provenance import ProvenanceTracker, parse_timestamp
 from heritage_catalog.rdf import Iri, ParseError, parse_nquads
 from heritage_catalog.store import Store
 from heritage_catalog.vocab import GENERATED_AT
@@ -139,6 +140,19 @@ class TestMap:
         capsys.readouterr()
         assert run("--catalog", str(root), "map", str(DATA_DIR / "golden_mapping.yml"), "golden_source") == 0
         assert "quads=17 entities=3" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("name, source", [
+        ("golden_mapping.yml", "file:///golden_mapping.yml"),
+        ("my map.yml", "file:///my%20map.yml"),
+        ("carta_è.yml", "file:///carta_%C3%A8.yml"),
+    ])
+    def test_mapping_file_name_is_percent_encoded_in_its_source(self, tmp_path, name, source):
+        root = self._prepared(tmp_path)
+        mapping = tmp_path / name
+        mapping.write_bytes((DATA_DIR / "golden_mapping.yml").read_bytes())
+        assert run("--catalog", str(root), "map", str(mapping), "golden_source") == 0
+        assert (root / "mappings" / name).read_bytes() == mapping.read_bytes()
+        assert f"<{source}>" in (root / "prov.nq").read_text(encoding="utf-8")
 
 
 class TestSnapshotClock:
@@ -381,6 +395,35 @@ class TestCorruptProvenance:
 
 
 class TestCatalogFiles:
+    def test_data_store_is_the_fold_of_every_chain(self, tmp_path, capsys):
+        # Every write command, then a revised re-ingest that both deletes and
+        # inserts; the chains in prov.nq alone must rebuild data.nq.
+        root = tmp_path / "cat"
+        run("init", str(root))
+        revised = tmp_path / "revised" / "gold_bibliographic.csv"
+        revised.parent.mkdir()
+        with open(DATA_DIR / "gold_bibliographic.csv", newline="", encoding="utf-8") as handle:
+            rows = list(csv.DictReader(handle))
+        rows[0].update(title="Anfora a figure nere (restaurata)", formats="", same_as="")
+        with open(revised, "w", newline="", encoding="utf-8") as handle:
+            writer = csv.DictWriter(handle, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
+        catalog = ("--catalog", str(root))
+        assert run(*catalog, "ingest", str(DATA_DIR / "gold_bibliographic.csv"), "--kind", "bibliographic") == 0
+        assert run(*catalog, "ingest", str(DATA_DIR / "gold_process.csv"), "--kind", "process") == 0
+        assert run(*catalog, "map", str(DATA_DIR / "gold_enrich_mapping.yml"), "gold_bibliographic") == 0
+        assert run(*catalog, "ingest", str(revised), "--kind", "bibliographic") == 0
+        assert capsys.readouterr().out.splitlines()[-1].endswith("modified=1 unchanged=3")
+
+        tracker = ProvenanceTracker.from_quads(Store(), parse_nquads((root / "prov.nq").read_text(encoding="utf-8")))
+        folded = Store()
+        for entity in tracker.entities():
+            for snap in tracker.chain(entity):
+                folded.apply_delta(snap.update_query, strict=True)
+        assert any(snap.update_query.deletes for e in tracker.entities() for snap in tracker.chain(e))
+        assert folded.quads() == parse_nquads((root / "data.nq").read_text(encoding="utf-8"))
+
     def test_store_files_stay_canonical_after_commands(self, gold_root):
         for name in ("data.nq", "prov.nq"):
             text = (gold_root / name).read_text(encoding="utf-8")

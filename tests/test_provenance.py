@@ -159,6 +159,179 @@ class TestDeletion:
         assert tracker.restore_state(E, ts(100)) == set()
 
 
+# -- rejected records ----------------------------------------------------------
+#
+# Each fault breaks one input of a record call.  With two faults the call
+# raises the error of the fault its method checks first, and a rejected call
+# leaves the store and every chain as they were.  The messages and the check
+# orders were captured from the tracker before its records shared one append,
+# with one change: an empty agent list is now rejected before the store
+# changes.  A modification used to apply its delta first, so its precondition
+# faults came before that one, and the delta stayed in the store.
+
+NEW, LIVE, OTHER, DEAD = (Iri(f"http://ex.org/obj/{name}") for name in ("new", "live", "other", "dead"))
+CALL_TIME = ts(10)
+
+
+def _record_scenario() -> ProvenanceTracker:
+    tracker = fresh()
+    for entity in (LIVE, OTHER, DEAD):
+        tracker.record_creation(entity, {eq("t", "A", entity)}, AGENT, time=ts(0))
+    tracker.record_deletion(DEAD, AGENT, time=ts(1))
+    return tracker
+
+
+def _grow_delta(kwargs, deletes=(), inserts=()):
+    delta = kwargs["delta"]
+    kwargs["delta"] = Delta(deletes=delta.deletes | set(deletes), inserts=delta.inserts | set(inserts))
+
+
+def _stale(entity):
+    """The entity's chain moves past the call's time."""
+    return lambda tracker, kwargs: tracker.record_modification(entity, Delta(inserts={eq("late", "x", entity)}), AGENT, time=ts(20))
+
+
+_NO_AGENT = ("agents", lambda tracker, kwargs: kwargs.update(agents=()))
+_NAIVE_TIME = ("time", lambda tracker, kwargs: kwargs.update(time=CALL_TIME.replace(tzinfo=None)))
+
+# method -> (valid keyword arguments, {fault: (the input it breaks, how)});
+# faults that break the same input are never combined.
+RECORD_FAULTS = {
+    "record_creation": (
+        lambda: dict(entity=NEW, initial={eq("t", "N", NEW)}, agents=AGENT, time=CALL_TIME),
+        {
+            "exists": ("entity", lambda tracker, kwargs: tracker.record_creation(NEW, {eq("t", "X", NEW)}, AGENT, time=ts(0))),
+            "foreign": ("initial", lambda tracker, kwargs: kwargs.update(initial=kwargs["initial"] | {eq("t", "A", OTHER)})),
+            "no_agent": _NO_AGENT,
+            "naive_time": _NAIVE_TIME,
+            "present": ("store", lambda tracker, kwargs: tracker.store.insert_quads({eq("t", "N", NEW)})),
+        },
+    ),
+    "record_modification": (
+        lambda: dict(entity=LIVE, delta=Delta(deletes={eq("t", "A", LIVE)}, inserts={eq("t", "B", LIVE)}), agents=AGENT, time=CALL_TIME),
+        {
+            "unknown": ("entity", lambda tracker, kwargs: kwargs.update(entity=NEW)),
+            "deleted": ("entity", lambda tracker, kwargs: kwargs.update(entity=DEAD)),
+            "naive_time": _NAIVE_TIME,
+            "stale_time": ("time", lambda tracker, kwargs: kwargs.update(time=ts(0))),
+            "foreign": ("inserts", lambda tracker, kwargs: _grow_delta(kwargs, inserts={eq("t", "B", OTHER)})),
+            "missing_delete": ("deletes", lambda tracker, kwargs: _grow_delta(kwargs, deletes={eq("t", "Z", LIVE)})),
+            "present_insert": ("store", lambda tracker, kwargs: (
+                tracker.store.insert_quads({eq("t", "P", LIVE)}), _grow_delta(kwargs, inserts={eq("t", "P", LIVE)}))),
+            "no_agent": _NO_AGENT,
+        },
+    ),
+    "record_merge": (
+        lambda: dict(survivor=LIVE, absorbed=OTHER, agents=AGENT, time=CALL_TIME),
+        {
+            "survivor_unknown": ("survivor", lambda tracker, kwargs: kwargs.update(survivor=NEW)),
+            "survivor_deleted": ("survivor", lambda tracker, kwargs: kwargs.update(survivor=DEAD)),
+            "absorbed_unknown": ("absorbed", lambda tracker, kwargs: kwargs.update(absorbed=NEW)),
+            "absorbed_deleted": ("absorbed", lambda tracker, kwargs: kwargs.update(absorbed=DEAD)),
+            "self_merge": ("absorbed", lambda tracker, kwargs: kwargs.update(absorbed=LIVE)),
+            "no_agent": _NO_AGENT,
+            "naive_time": _NAIVE_TIME,
+            "survivor_stale": ("survivor chain", _stale(LIVE)),
+            "absorbed_stale": ("absorbed chain", _stale(OTHER)),
+        },
+    ),
+    "record_deletion": (
+        lambda: dict(entity=LIVE, agents=AGENT, time=CALL_TIME),
+        {
+            "unknown": ("entity", lambda tracker, kwargs: kwargs.update(entity=NEW)),
+            "deleted": ("entity", lambda tracker, kwargs: kwargs.update(entity=DEAD)),
+            "naive_time": _NAIVE_TIME,
+            "stale_time": ("time", lambda tracker, kwargs: kwargs.update(time=ts(0))),
+            "no_agent": _NO_AGENT,
+        },
+    ),
+}
+
+_LATE = iso_timestamp(ts(20))
+_AWARE = (ValueError, "timestamps must be timezone-aware")
+_NO_AGENT_ERROR = (ValueError, "at least one agent is required")
+
+# method -> (type, message) per fault, in the order the method checks them
+RECORD_ERRORS = {
+    "record_creation": {
+        "exists": (AlreadyExists, "http://ex.org/obj/new already has a snapshot chain"),
+        "foreign": (ForeignSubject, "quad subject http://ex.org/obj/other is not http://ex.org/obj/new"),
+        "no_agent": _NO_AGENT_ERROR,
+        "naive_time": _AWARE,
+        "present": (PreconditionViolation, "1 insert(s) already present"),
+    },
+    "record_modification": {
+        "unknown": (NoSuchEntity, "no snapshot chain for http://ex.org/obj/new"),
+        "deleted": (EntityDeleted, f"http://ex.org/obj/dead was deleted at {iso_timestamp(ts(1))}"),
+        "naive_time": _AWARE,
+        "stale_time": (NonMonotonicTime, f"{iso_timestamp(ts(0))} is not after {iso_timestamp(ts(0))}"),
+        "foreign": (ForeignSubject, "quad subject http://ex.org/obj/other is not http://ex.org/obj/live"),
+        "no_agent": _NO_AGENT_ERROR,
+        "missing_delete": (PreconditionViolation, "1 delete(s) not present"),
+        "present_insert": (PreconditionViolation, "1 insert(s) already present"),
+    },
+    "record_merge": {
+        "survivor_unknown": (NoSuchEntity, "no snapshot chain for http://ex.org/obj/new"),
+        "survivor_deleted": (EntityDeleted, f"http://ex.org/obj/dead was deleted at {iso_timestamp(ts(1))}"),
+        "absorbed_unknown": (NoSuchEntity, "no snapshot chain for http://ex.org/obj/new"),
+        "absorbed_deleted": (EntityDeleted, f"http://ex.org/obj/dead was deleted at {iso_timestamp(ts(1))}"),
+        "self_merge": (SelfMerge, "cannot merge http://ex.org/obj/live into itself"),
+        "no_agent": _NO_AGENT_ERROR,
+        "naive_time": _AWARE,
+        "survivor_stale": (NonMonotonicTime, f"{iso_timestamp(CALL_TIME)} is not after {_LATE}"),
+        "absorbed_stale": (NonMonotonicTime, f"{iso_timestamp(CALL_TIME)} is not after {_LATE}"),
+    },
+    "record_deletion": {
+        "unknown": (NoSuchEntity, "no snapshot chain for http://ex.org/obj/new"),
+        "deleted": (EntityDeleted, f"http://ex.org/obj/dead was deleted at {iso_timestamp(ts(1))}"),
+        "naive_time": _AWARE,
+        "stale_time": (NonMonotonicTime, f"{iso_timestamp(ts(0))} is not after {iso_timestamp(ts(0))}"),
+        "no_agent": _NO_AGENT_ERROR,
+    },
+}
+
+
+def _fault_cases():
+    for method, (_, faults) in RECORD_FAULTS.items():
+        names = list(faults)
+        for i, first in enumerate(names):
+            yield method, (first,)
+            for second in names[i + 1:]:
+                if faults[first][0] != faults[second][0]:
+                    yield method, (first, second)
+
+
+def expected_rejection(method: str, chosen) -> tuple:
+    if set(chosen) == {"missing_delete", "present_insert"}:
+        return PreconditionViolation, "1 delete(s) not present; 1 insert(s) already present"
+    order = list(RECORD_ERRORS[method])
+    return RECORD_ERRORS[method][min(chosen, key=order.index)]
+
+
+def attempt_faulty_record(method: str, chosen):
+    """Run the record call with the chosen faults; returns the error raised
+    and whether the store and every chain were left as they were."""
+    make_kwargs, faults = RECORD_FAULTS[method]
+    tracker = _record_scenario()
+    kwargs = make_kwargs()
+    for name in chosen:
+        faults[name][1](tracker, kwargs)
+    state = lambda: (tracker.store.quads(), {e: tracker.chain(e) for e in tracker.entities()})
+    before = state()
+    try:
+        getattr(tracker, method)(**kwargs)
+    except Exception as exc:
+        return (type(exc), str(exc)), state() == before
+    return None, state() == before
+
+
+@pytest.mark.parametrize("method, chosen", list(_fault_cases()), ids=lambda v: "+".join(v) if isinstance(v, tuple) else v)
+def test_rejected_record_error_and_state(method, chosen):
+    error, unchanged = attempt_faulty_record(method, chosen)
+    assert error == expected_rejection(method, chosen)
+    assert unchanged
+
+
 class TestSnapshotAt:
     def _tracker(self):
         tracker = fresh()

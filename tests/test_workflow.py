@@ -18,6 +18,7 @@ from heritage_catalog.workflow import (
     MissingColumn,
     MissingLicence,
     NoAssets,
+    NoSuchObject,
     OutOfOrder,
     PhaseKind,
     PhaseRecord,
@@ -373,6 +374,27 @@ class TestCatalogRegistration:
         )
         assert gold_catalog.register_phase(record) == "created"
         assert gold_catalog.workflow_status(record.cho)[PhaseKind.ACQUISITION] == "in_progress"
+
+    def test_object_outside_the_base_iri_is_rejected_before_any_write(self, gold_catalog):
+        # Activities are named by the object's last path segment, so this
+        # object would otherwise overwrite cho/25's acquisition activity.
+        record = PhaseRecord(
+            cho=Iri("https://other.org/cho/25"),
+            kind=PhaseKind.ACQUISITION,
+            unit="Lab",
+            agents=(Iri(BASE + "agent/a"),),
+            technique="SLS",
+            tools=("Scanner",),
+            start=date(2023, 3, 1),
+            end=None,
+        )
+        tracker = gold_catalog.tracker
+        state = lambda: (gold_catalog.store.quads(), {e: tracker.chain(e) for e in tracker.entities()})
+        before = state()
+        with pytest.raises(NoSuchObject):
+            gold_catalog.register_phase(record)
+        assert state() == before
+        assert len(gold_catalog.phases_for(Iri(BASE + "cho/25"))) == 8
 
     def test_uploads_view(self, gold_catalog):
         assert {u.scene_id for u in gold_catalog.uploads} == {"SCN25A", "SCN26B"}
