@@ -234,9 +234,12 @@ class Catalog:
         if not (root / "catalog.cfg").is_file():
             raise NotACatalog(f"{root} does not look like a catalog (no catalog.cfg)")
         config = Config.from_text((root / "catalog.cfg").read_text(encoding="utf-8"))
-        store = Store.load(root / "data.nq")
-        prov_quads = rdf.parse_nquads((root / "prov.nq").read_text(encoding="utf-8"))
-        tracker = ProvenanceTracker.from_quads(store, prov_quads)
+        # One IRI memo for every parse of this open: data.nq, prov.nq and
+        # each snapshot's update query, so each distinct IRI is built once.
+        iris: dict[str, Iri] = {}
+        store = Store.load(root / "data.nq", iris)
+        prov_rows = rdf.read_statements((root / "prov.nq").read_text(encoding="utf-8"), iris)
+        tracker = ProvenanceTracker.from_quads(store, prov_rows, iris)
         return cls(root, config, store, tracker)
 
     def save(self):
@@ -414,19 +417,22 @@ class Catalog:
         return stats
 
     def ingest_table_file(self, path, kind: str) -> tuple[str, IngestStats]:
-        """Copy the CSV under tables/ and ingest it; returns (table name, stats)."""
+        """Ingest the CSV and, once that succeeded, copy it under tables/;
+        returns (table name, stats).  A failed ingest leaves tables/ as it was."""
         path = Path(path)
         table = load_table(path)
         source = source_iri(path)
+        if kind == "bibliographic":
+            stats = self.ingest_bibliographic(table, source)
+        elif kind == "process":
+            stats = self.ingest_process(table, source)
+        else:
+            raise ValueError(f"unknown table kind {kind!r}")
         stored = self.table_path(table.name)
         stored.parent.mkdir(exist_ok=True)
         if path.resolve() != stored.resolve():
             shutil.copyfile(path, stored)
-        if kind == "bibliographic":
-            return table.name, self.ingest_bibliographic(table, source)
-        if kind == "process":
-            return table.name, self.ingest_process(table, source)
-        raise ValueError(f"unknown table kind {kind!r}")
+        return table.name, stats
 
     # -- mapping execution ------------------------------------------------------
 

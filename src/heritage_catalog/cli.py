@@ -218,11 +218,11 @@ def cmd_map(args) -> int:
         return _fail(EXIT_INPUT, f"no table named {args.table!r} under {catalog.root / 'tables'}")
     table = load_table(table_path, args.table)
     mapping = Path(args.mapping)
-    source = source_iri(mapping)
+    quads, entities = catalog.apply_mapping(document, [table], source_iri(mapping))
+    # Stored only once the mapping applied, so a failed map leaves mappings/ as it was.
     stored = catalog.root / "mappings" / mapping.name
     if mapping.resolve() != stored.resolve():
         stored.write_bytes(mapping.read_bytes())
-    quads, entities = catalog.apply_mapping(document, [table], source)
     catalog.save()
     print(f"quads={quads} entities={entities}")
     return EXIT_OK

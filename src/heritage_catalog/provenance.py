@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 
 from . import vocab
-from .rdf import Iri, Literal, ParseError, Quad
+from .rdf import Iri, Literal, ParseError, Quad, memo_iri
 from .store import Delta, Store, ordered_terms, parse_update, serialize_update
 
 CREATION = "creation"
@@ -300,21 +300,39 @@ class ProvenanceTracker:
         return quads
 
     @classmethod
-    def from_quads(cls, store: Store, prov_quads) -> "ProvenanceTracker":
-        """Rebuild chains from a persisted provenance graph set, grouping the
-        quads once by graph, subject and predicate."""
+    def from_quads(cls, store: Store, rows, iris: dict[str, Iri] | None = None) -> "ProvenanceTracker":
+        """Rebuild chains from a persisted provenance graph set, given as
+        ``(subject, predicate, object, graph)`` rows (a :class:`Quad` is
+        one), grouping them once by graph, subject and predicate.
+
+        Every IRI the rebuild builds, in the update queries and the entity
+        names, goes through ``iris`` when given, otherwise through one memo
+        of this rebuild.
+        """
+        if iris is None:
+            iris = {}
         tracker = cls(store)
         by_graph: dict[Iri, dict] = {}
-        for q in prov_quads:
-            if q.graph is not None and q.graph.value.endswith("/prov"):
-                by_graph.setdefault(q.graph, {}).setdefault(q.subject, {}).setdefault(q.predicate, []).append(q.object)
+        for subject, predicate, obj, graph in rows:
+            if graph is not None and graph.value.endswith("/prov"):
+                by_graph.setdefault(graph, {}).setdefault(subject, {}).setdefault(predicate, []).append(obj)
         for graph in sorted(by_graph, key=lambda g: g.value):
-            entity = Iri(graph.value[: -len("/prov")])
-            tracker._chains[entity] = _parse_chain(entity, by_graph[graph])
+            entity = memo_iri(graph.value[: -len("/prov")], iris)
+            tracker._chains[entity] = _parse_chain(entity, by_graph[graph], iris)
         return tracker
 
 
-def _parse_chain(entity: Iri, graph: dict) -> list:
+def _values(properties: dict, predicate: Iri, kind) -> list:
+    """The values of one snapshot property that are instances of ``kind``,
+    as :func:`ordered_terms` lists them; a single value needs no set and no
+    sort, and is taken as it is."""
+    values = properties.get(predicate, ())
+    if len(values) == 1:
+        return values if isinstance(values[0], kind) else []
+    return ordered_terms(values, kind)
+
+
+def _parse_chain(entity: Iri, graph: dict, iris: dict[str, Iri]) -> list:
     """One entity's chain from its graph, grouped as subject -> predicate ->
     objects.  Where a property has several values the lowest in
     :func:`ordered_terms` order is read, as :meth:`Store.objects` lists them."""
@@ -329,22 +347,22 @@ def _parse_chain(entity: Iri, graph: dict) -> list:
         except ValueError:
             raise CorruptProvenance(f"non-numeric snapshot index in {subject}") from None
         properties = graph[subject]
-        generated = ordered_terms(properties.get(vocab.GENERATED_AT, ()), Literal)
+        generated = _values(properties, vocab.GENERATED_AT, Literal)
         if not generated:
             raise CorruptProvenance(f"{subject} has no generation timestamp")
-        invalidated = ordered_terms(properties.get(vocab.INVALIDATED_AT, ()), Literal)
-        updates = ordered_terms(properties.get(vocab.HAS_UPDATE_QUERY, ()), Literal)
+        invalidated = _values(properties, vocab.INVALIDATED_AT, Literal)
+        updates = _values(properties, vocab.HAS_UPDATE_QUERY, Literal)
         if not updates:
             raise CorruptProvenance(f"{subject} has no update query")
-        agents = tuple(ordered_terms(properties.get(vocab.ATTRIBUTED_TO, ()), Iri))
+        agents = tuple(_values(properties, vocab.ATTRIBUTED_TO, Iri))
         if not agents:
             raise CorruptProvenance(f"{subject} has no attribution")
-        sources = ordered_terms(properties.get(vocab.PRIMARY_SOURCE, ()), Iri)
-        derived = ordered_terms(properties.get(vocab.DERIVED_FROM, ()), Iri)
+        sources = _values(properties, vocab.PRIMARY_SOURCE, Iri)
+        derived = _values(properties, vocab.DERIVED_FROM, Iri)
         generated_at = parse_timestamp(generated[0].lexical)
         # An empty invalidation literal reads as no invalidation.
         invalidated_at = parse_timestamp(invalidated[0].lexical) if invalidated and invalidated[0].lexical else None
-        kinds = ordered_terms(properties.get(vocab.CHANGE_KIND, ()), Literal)
+        kinds = _values(properties, vocab.CHANGE_KIND, Literal)
         kind = kinds[0].lexical if kinds else None
         if kind not in CHANGE_KINDS:
             if index == 1:
@@ -363,7 +381,7 @@ def _parse_chain(entity: Iri, graph: dict) -> list:
                 attributed_to=agents,
                 primary_source=sources[0] if sources else None,
                 derived_from=derived[0] if derived else None,
-                update_query=parse_update(updates[0].lexical),
+                update_query=parse_update(updates[0].lexical, iris),
                 kind=kind,
             )
         )

@@ -6,17 +6,20 @@ serialization are pure functions; serialization is canonical (sorted,
 deterministic escaping, trailing newline), which makes byte comparison a
 valid equality test for datasets.
 
-The N-Quads and update parsers read each statement with one match of a
-statement pattern, composed from the same token patterns the scanner
-uses.  A statement the pattern does not take, or whose terms fail to
-build, goes to :class:`TermScanner`, which reads it token by token and
-either parses it or raises its syntax error with line and column.  The
-scanner alone parses query patterns.
+The N-Quads and update parsers read each statement, and an update reads
+each block header, with one match of a pattern composed from the same
+token patterns the scanner uses.  What a pattern does not take, or whose
+terms fail to build, goes to :class:`TermScanner`, which reads it token
+by token and either parses it or raises its syntax error with line and
+column.  The scanner alone parses query patterns.
 
 Term work is done once: a parse builds and validates each distinct IRI
-token once, through a memo that lives only as long as that parse; a
-quad's hash is computed when it is built; serialization renders each term
-once per quad and sorts the rendered rows.
+token once, through a memo that lives for that parse, or for one
+``Catalog.open`` when open passes the same memo to every parse it makes;
+a quad's hash is computed when it is built; serialization renders each
+term once per quad and sorts the rendered rows.  :func:`read_statements`
+yields each statement as a tuple of its four terms, for a reader that
+keeps no :class:`Quad`.
 """
 
 from __future__ import annotations
@@ -155,6 +158,10 @@ class Quad:
     def __hash__(self):
         return self._hash
 
+    def __iter__(self):
+        """The four terms, so that a quad reads as a statement row."""
+        return iter((self.subject, self.predicate, self.object, self.graph))
+
 
 def _escape_literal(text: str) -> str:
     # Backslash first, so the backslashes added after it stay single.
@@ -213,8 +220,10 @@ _LITERAL_SOURCE = r'"([^"\\\n\r]*(?:\\.[^"\\\n\r]*)*)'
 _LANG_SOURCE = r"@((?:[^\W_]|-)*)"
 _DATATYPE_SOURCE = r"\^\^" + _IRI_SOURCE
 
+_LETTER = r"[^\W\d_]"  # word characters other than digits and '_'
+
 _WS = re.compile(_WS_SOURCE)
-_KEYWORD = re.compile(r"[^\W\d_]*")  # word characters other than digits and '_'
+_KEYWORD = re.compile(f"{_LETTER}*")
 _IRI_TOKEN = re.compile(_IRI_SOURCE)
 _BNODE_TOKEN = re.compile(_BNODE_SOURCE)
 # The closing quote is optional so that an unclosed literal still yields its body.
@@ -240,6 +249,17 @@ _TRIPLE = f"{_SUBJECT}{_WS_SOURCE}{_IRI_SOURCE}{_WS_SOURCE}{_OBJECT}{_WS_SOURCE}
 _NQUADS_STATEMENT = re.compile(f"{_WS_SOURCE}{_TRIPLE}(?:{_IRI_SOURCE}{_WS_SOURCE})?\\.{_WS_SOURCE}(?:#.*)?\\Z", re.S)
 # One statement inside an update's data block, with the whitespace after it.
 _UPDATE_STATEMENT = re.compile(f"{_TRIPLE}\\.{_WS_SOURCE}", re.S)
+# An update block's header, ``INSERT|DELETE DATA {`` and an optional
+# ``GRAPH <g> {``, with the whitespace after it; group 1 is the operation,
+# group 2 the graph IRI.  Only upper-case keywords are taken.  A keyword
+# must not run on into a letter, since the scanner would read that letter
+# as part of it.  The closing guard skips whitespace before it looks for a
+# letter, so that backtracking into the whitespace cannot pass a word the
+# scanner reports.
+_UPDATE_HEADER = re.compile(
+    f"(INSERT|DELETE)(?!{_LETTER}){_WS_SOURCE}DATA{_WS_SOURCE}\\{{{_WS_SOURCE}"
+    f"(?:GRAPH{_WS_SOURCE}{_IRI_SOURCE}{_WS_SOURCE}\\{{{_WS_SOURCE})?(?!{_WS_SOURCE}{_LETTER})"
+)
 
 _UCHAR = re.compile(r"\\u([0-9A-Fa-f]{4})|\\U([0-9A-Fa-f]{8})")
 _UCHAR_OR_ECHAR = re.compile(r"\\u([0-9A-Fa-f]{4})|\\U([0-9A-Fa-f]{8})|\\(.)", re.S)
@@ -278,29 +298,31 @@ def _unescape_literal(body: str) -> str:
     return "".join(parts)
 
 
-def _memo_iri(raw: str, iris: dict[str, Iri]) -> Iri:
-    """The :class:`Iri` of a raw IRI token, built once per parse."""
+def memo_iri(raw: str, iris: dict[str, Iri]) -> Iri:
+    """The :class:`Iri` of a raw IRI token, built once per memo.  An IRI's
+    own value is also a valid raw token of it, since it holds no backslash."""
     iri = iris.get(raw)
     if iri is None:
         iri = iris[raw] = Iri(_unescape(_UCHAR, raw))
     return iri
 
 
-def _matched_quad(groups: tuple, iris: dict[str, Iri], graph: Iri | None) -> Quad:
-    """The quad of a statement-pattern match, from its groups, built through
-    the same IRI memo, unescaping and term constructors as the scanner's;
-    raises :class:`InvalidIri` or :class:`InvalidTerm` as they do."""
+def _matched_terms(groups: tuple, iris: dict[str, Iri], graph: Iri | None) -> tuple:
+    """The (subject, predicate, object, graph) terms of a statement-pattern
+    match, from its groups, built through the same IRI memo, unescaping and
+    term constructors as the scanner's; raises :class:`InvalidIri` or
+    :class:`InvalidTerm` as they do."""
     subject, subject_label, predicate, iri, label, body, language, datatype = groups[:8]
     memo = iris.get
     if iri is not None:
-        obj = memo(iri) or _memo_iri(iri, iris)
+        obj = memo(iri) or memo_iri(iri, iris)
     elif label is not None:
         obj = BlankNode(label)
     else:
-        obj = Literal(_unescape_literal(body), None if datatype is None else memo(datatype) or _memo_iri(datatype, iris), language)
-    return Quad(
-        BlankNode(subject_label) if subject is None else memo(subject) or _memo_iri(subject, iris),
-        memo(predicate) or _memo_iri(predicate, iris),
+        obj = Literal(_unescape_literal(body), None if datatype is None else memo(datatype) or memo_iri(datatype, iris), language)
+    return (
+        BlankNode(subject_label) if subject is None else memo(subject) or memo_iri(subject, iris),
+        memo(predicate) or memo_iri(predicate, iris),
         obj,
         graph,
     )
@@ -321,8 +343,9 @@ class TermScanner:
     ``iris`` maps a raw IRI token to the :class:`Iri` built from it.  A
     parse passes one dict to all its scanners and drops it when done, so a
     repeated IRI is built and validated once per parse and never across
-    parses.  Only valid IRIs enter it, so an invalid one raises wherever
-    it occurs.
+    parses.  ``Catalog.open`` passes one dict to every parse it makes, so
+    there the memo lives for that open and never across opens.  Only valid
+    IRIs enter it, so an invalid one raises wherever it occurs.
     """
 
     def __init__(self, text: str, line: int = 1, iris: dict[str, Iri] | None = None):
@@ -415,17 +438,35 @@ class TermScanner:
         quads = []
         while found := _UPDATE_STATEMENT.match(self.text, self.pos):
             try:
-                quads.append(_matched_quad(found.groups(), self.iris, graph))
+                quads.append(Quad(*_matched_terms(found.groups(), self.iris, graph)))
             except (InvalidIri, InvalidTerm):
                 break
             self.pos = found.end()
         return quads
 
+    def match_block_header(self) -> tuple[str, Iri | None] | None:
+        """The operation and graph of an update block's header, read with
+        the whitespace after it in one match; ``None``, with the cursor left
+        in place, when the pattern does not take the header or its graph IRI
+        fails to build, which leaves it to the keyword and term readers."""
+        found = _UPDATE_HEADER.match(self.text, self.pos)
+        if found is None:
+            return None
+        op, raw = found.groups()
+        graph = None
+        if raw is not None:
+            try:
+                graph = self.iris.get(raw) or memo_iri(raw, self.iris)
+            except (InvalidIri, InvalidTerm):
+                return None
+        self.pos = found.end()
+        return op, graph
+
     def _read_iri(self) -> Iri:
         token = self.match(_IRI_TOKEN)
         if token is None:
             raise InvalidIri("unterminated IRI")
-        return _memo_iri(token.group(1), self.iris)
+        return memo_iri(token.group(1), self.iris)
 
     def _read_bnode(self) -> BlankNode:
         token = self.match(_BNODE_TOKEN)
@@ -451,9 +492,9 @@ class TermScanner:
         return Literal(lexical, datatype, language)
 
 
-def _scan_nquads_line(line: str, line_no: int, iris: dict[str, Iri]) -> Quad | None:
-    """One line read token by token: its quad, or ``None`` for a blank or
-    comment line; raises the :class:`ParseError` of its first syntax error."""
+def _scan_nquads_line(line: str, line_no: int, iris: dict[str, Iri]) -> tuple | None:
+    """One line read token by token: its four terms, or ``None`` for a blank
+    or comment line; raises the :class:`ParseError` of its first syntax error."""
     sc = TermScanner(line, line=line_no, iris=iris)
     sc.skip_ws()
     if sc.eof() or sc.peek() == "#":
@@ -464,20 +505,24 @@ def _scan_nquads_line(line: str, line_no: int, iris: dict[str, Iri]) -> Quad | N
     sc.skip_ws()
     if not sc.eof() and sc.peek() != "#":
         sc.error("unexpected content after statement")
-    return Quad(subject, predicate, obj, graph)
+    return subject, predicate, obj, graph
 
 
-def parse_nquads(text: str) -> set[Quad]:
-    """Parse N-Quads (or N-Triples) text into a set of quads.
+def read_statements(text: str, iris: dict[str, Iri] | None = None):
+    """Yield each statement of N-Quads (or N-Triples) text as its
+    ``(subject, predicate, object, graph)`` terms, in text order, repeats
+    included; the graph is ``None`` in the default graph.
 
     Accepts LF or CRLF line endings, blank lines and full-line ``#``
     comments.  The first syntax error raises :class:`ParseError` with its
     line and column.  A statement line is read with one match of the
     statement pattern; any other line, or one whose terms fail to build,
-    goes to the scanner, which parses it or reports its error.
+    goes to the scanner, which parses it or reports its error.  IRIs are
+    built through ``iris`` when given, otherwise through a memo of this
+    parse alone.
     """
-    quads: set[Quad] = set()
-    iris: dict[str, Iri] = {}
+    if iris is None:
+        iris = {}
     lines = text.split("\n")
     # A trailing '\r' is whitespace to the statement pattern, as it is to
     # the scanner, which is given the line without it.
@@ -486,12 +531,19 @@ def parse_nquads(text: str) -> set[Quad]:
             groups = found.groups()
             graph = groups[8]
             try:
-                quads.add(_matched_quad(groups, iris, None if graph is None else _memo_iri(graph, iris)))
-                continue
+                row = _matched_terms(groups, iris, None if graph is None else iris.get(graph) or memo_iri(graph, iris))
             except (InvalidIri, InvalidTerm):
                 pass
+            else:
+                yield row
+                continue
         line = lines[line_no - 1]
-        quad = _scan_nquads_line(line[:-1] if line.endswith("\r") else line, line_no, iris)
-        if quad is not None:
-            quads.add(quad)
-    return quads
+        row = _scan_nquads_line(line[:-1] if line.endswith("\r") else line, line_no, iris)
+        if row is not None:
+            yield row
+
+
+def parse_nquads(text: str, iris: dict[str, Iri] | None = None) -> set[Quad]:
+    """Parse N-Quads (or N-Triples) text into a set of quads, as
+    :func:`read_statements` reads it."""
+    return {Quad(*row) for row in read_statements(text, iris)}

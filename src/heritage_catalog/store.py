@@ -304,46 +304,31 @@ class Store:
             raise
 
     @classmethod
-    def load(cls, path) -> "Store":
+    def load(cls, path, iris: dict[str, Iri] | None = None) -> "Store":
+        """The store of an N-Quads file, its IRIs built through ``iris`` when given."""
         with open(path, encoding="utf-8") as handle:
-            return cls(parse_nquads(handle.read()))
+            return cls(parse_nquads(handle.read(), iris))
 
 
-def parse_update(text: str) -> Delta:
+def parse_update(text: str, iris: dict[str, Iri] | None = None) -> Delta:
     """Parse the INSERT DATA / DELETE DATA subset into a delta.
 
     Ground quads only; an optional single GRAPH wrapper per block sets the
     quad graph.  Statements are separated by ``;``.  A quad occurring in
-    both sets raises :class:`OverlapError`.  A data block's statements are
-    read with one pattern match each, and the token scanner reads the rest
-    and places every syntax error.
+    both sets raises :class:`OverlapError`.  Each block header is read with
+    one pattern match, and each of a data block's statements with one
+    more; the token scanner reads the rest and places every syntax error.
+    IRIs are built through ``iris`` when given, otherwise through a memo of
+    this parse alone.
     """
-    sc = TermScanner(text)
+    sc = TermScanner(text, iris=iris)
     deletes: set[Quad] = set()
     inserts: set[Quad] = set()
     sc.skip_ws()
     if sc.eof():
         return Delta()
     while True:
-        keyword_pos = sc.pos
-        op = sc.read_keyword().upper()
-        if op not in ("INSERT", "DELETE"):
-            sc.error(f"expected INSERT or DELETE, found {op!r}", keyword_pos)
-        sc.skip_ws()
-        if sc.read_keyword().upper() != "DATA":
-            sc.error("expected DATA", keyword_pos)
-        sc.skip_ws()
-        sc.expect("{")
-        sc.skip_ws()
-        graph = None
-        word = sc.read_keyword()
-        if word:
-            if word.upper() != "GRAPH":
-                sc.error(f"unexpected token {word!r} in data block")
-            sc.skip_ws()
-            graph = sc.read_graph_label()
-            sc.expect("{")
-            sc.skip_ws()
+        op, graph = sc.match_block_header() or _scan_block_header(sc)
         target = deletes if op == "DELETE" else inserts
         target.update(sc.match_statements(graph))
         while sc.peek() != "}":
@@ -365,6 +350,31 @@ def parse_update(text: str) -> Delta:
         if sc.eof():
             sc.error("expected a statement after ';'")
     return Delta(deletes=deletes, inserts=inserts)  # raises OverlapError itself
+
+
+def _scan_block_header(sc: TermScanner) -> tuple[str, Iri | None]:
+    """An update block's header read token by token: its operation and
+    graph, or the :class:`ParseError` of its first syntax error."""
+    keyword_pos = sc.pos
+    op = sc.read_keyword().upper()
+    if op not in ("INSERT", "DELETE"):
+        sc.error(f"expected INSERT or DELETE, found {op!r}", keyword_pos)
+    sc.skip_ws()
+    if sc.read_keyword().upper() != "DATA":
+        sc.error("expected DATA", keyword_pos)
+    sc.skip_ws()
+    sc.expect("{")
+    sc.skip_ws()
+    graph = None
+    word = sc.read_keyword()
+    if word:
+        if word.upper() != "GRAPH":
+            sc.error(f"unexpected token {word!r} in data block")
+        sc.skip_ws()
+        graph = sc.read_graph_label()
+        sc.expect("{")
+        sc.skip_ws()
+    return op, graph
 
 
 def _update_block(op: str, graph: Iri | None, quads) -> str:

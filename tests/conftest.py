@@ -256,10 +256,12 @@ _NEVER = re.compile(r"(?!)")
 
 
 def scanner_only(patch: pytest.MonkeyPatch):
-    """Replace both statement patterns with one that never matches, which
-    leaves every statement to the scanner."""
+    """Replace both statement patterns and the update block-header pattern
+    with one that never matches, which leaves every statement and header
+    to the scanner."""
     patch.setattr(rdf, "_NQUADS_STATEMENT", _NEVER)
     patch.setattr(rdf, "_UPDATE_STATEMENT", _NEVER)
+    patch.setattr(rdf, "_UPDATE_HEADER", _NEVER)
 
 
 def outcomes_on_both_paths(parse, texts) -> tuple[list, list]:

@@ -358,6 +358,7 @@ def test_cli_end_to_end(tmp_path, capsys):
                 assert response.read().decode().splitlines()[0] == "s,t"
             with pytest.raises(urllib.error.HTTPError) as err:
                 urllib.request.urlopen(f"http://127.0.0.1:{port}/query?q=%3Cbad%3E")
+            err.value.close()
             assert err.value.code == 400
         finally:
             server.shutdown()

@@ -1,0 +1,197 @@
+"""``Catalog.open`` against the reference pipeline it replaces.
+
+The reference parses ``data.nq`` into a store and ``prov.nq`` into a set of
+quads, each with a memo of its own, and rebuilds the chains from those
+quads.  ``open`` shares one IRI memo across every parse it makes and reads
+``prov.nq`` as term rows without building a quad per line; it must give
+the same store, the same chains and the same errors.
+"""
+
+import tempfile
+from collections import Counter
+from dataclasses import fields
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import quad_strategy, ts
+from heritage_catalog import vocab
+from heritage_catalog.catalog import Catalog
+from heritage_catalog.provenance import ProvenanceTracker, Snapshot, prov_graph_iri
+from heritage_catalog.rdf import RDF_LANG_STRING, XSD_STRING, Iri, Literal, Quad, parse_nquads, serialize_nquads, serialize_quad
+from heritage_catalog.store import Delta, Store
+from test_provenance import CHAIN_CORRUPTIONS, E, _three_snapshot_payload
+
+
+def reference_open(root: Path) -> tuple[Store, ProvenanceTracker]:
+    store = Store.load(root / "data.nq")
+    prov = parse_nquads((root / "prov.nq").read_text(encoding="utf-8"))
+    return store, ProvenanceTracker.from_quads(store, prov)
+
+
+def snapshot_fields(snapshot: Snapshot) -> list:
+    return [(spec.name, getattr(snapshot, spec.name)) for spec in fields(Snapshot)]
+
+
+def assert_opens_alike(root: Path):
+    store, tracker = reference_open(root)
+    opened = Catalog.open(root)
+    assert opened.store.quads() == store.quads()
+    assert opened.tracker.entities() == tracker.entities()
+    for entity in tracker.entities():
+        expected = [snapshot_fields(s) for s in tracker.chain(entity)]
+        assert [snapshot_fields(s) for s in opened.tracker.chain(entity)] == expected
+    assert opened.tracker.export_all_graphs() == tracker.export_all_graphs()
+
+
+def utf8_encodable(quad: Quad) -> bool:
+    """Whether the quad can be written to a UTF-8 file: a literal holding a
+    lone surrogate cannot, so no catalog file can hold it."""
+    try:
+        serialize_quad(quad).encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
+def open_outcome(open_, root: Path) -> tuple:
+    try:
+        open_(root)
+    except ValueError as exc:
+        return (type(exc).__name__, getattr(exc, "line", None), getattr(exc, "column", None), str(exc))
+    return ("opened",)
+
+
+class TestOpenEquivalence:
+    ENTITIES = [Iri(f"http://ex.org/e/{i}") for i in range(3)]
+    AGENTS = [Iri("http://ex.org/agent/a"), Iri("http://ex.org/agent/b")]
+    # One step of a history: its kind, the entity and the other entity (a
+    # merge's absorbed one, a creation's source), quads for the entity, and
+    # how many of its current quads a modification deletes.
+    OPS = st.tuples(
+        st.sampled_from(["creation", "modification", "merge", "deletion"]),
+        st.integers(0, 2),
+        st.integers(0, 2),
+        st.lists(quad_strategy.filter(utf8_encodable), max_size=4),
+        st.integers(0, 3),
+    )
+
+    def test_gold_catalog(self, gold_catalog):
+        assert_opens_alike(gold_catalog.root)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(OPS, max_size=12))
+    def test_random_histories(self, ops):
+        with tempfile.TemporaryDirectory() as tmp:
+            catalog = Catalog.create(Path(tmp) / "cat")
+            tracker = catalog.tracker
+            for step, (kind, first, second, drawn, dropped) in enumerate(ops):
+                entity, other = self.ENTITIES[first], self.ENTITIES[second]
+                quads = {Quad(entity, q.predicate, q.object, q.graph) for q in drawn}
+                agent, time = self.AGENTS[step % 2], ts(step)
+                if kind == "creation":
+                    if not tracker.has_chain(entity):
+                        tracker.record_creation(entity, quads, agent, source=other, time=time)
+                elif not tracker.is_live(entity):
+                    continue
+                elif kind == "modification":
+                    current = sorted(tracker.current_quads(entity), key=repr)
+                    delta = Delta(deletes=current[:dropped], inserts=quads - set(current))
+                    tracker.record_modification(entity, delta, agent, time=time)
+                elif kind == "merge":
+                    if tracker.is_live(other) and other != entity:
+                        tracker.record_merge(entity, other, agent, time=time)
+                else:
+                    tracker.record_deletion(entity, agent, time=time)
+            catalog.save()
+            assert_opens_alike(catalog.root)
+
+
+# Syntax errors in prov.nq: a broken line, an invalid IRI, and an update
+# query whose data block holds a stray word, which replaces the first
+# snapshot's own.
+_FIRST = f"<{E.value}/prov/se/1>"
+_GRAPH = f"<{prov_graph_iri(E).value}>"
+_UPDATE = f"<{vocab.HAS_UPDATE_QUERY.value}>"
+BROKEN_LINES = [
+    pytest.param(f'{_FIRST} <http://ex.org/p> "v" x {_GRAPH} .', id="syntax-error"),
+    pytest.param(f"{_FIRST} <http://ex.org/p> <http://ex.org/a b> {_GRAPH} .", id="invalid-iri"),
+    pytest.param(f'{_FIRST} {_UPDATE} "INSERT DATA {{ oops" {_GRAPH} .', id="bad-update-query"),
+]
+
+
+class TestOpenErrors:
+    """A corrupt ``prov.nq`` fails ``open`` with the reference's error type,
+    message, line and column."""
+
+    @staticmethod
+    def _catalog_with(tmp_path: Path, prov_text: str) -> Path:
+        root = tmp_path / "cat"
+        Catalog.create(root)
+        (root / "prov.nq").write_text(prov_text, encoding="utf-8")
+        return root
+
+    @pytest.mark.parametrize("corrupt, message", CHAIN_CORRUPTIONS)
+    def test_corrupt_chain(self, tmp_path, corrupt, message):
+        root = self._catalog_with(tmp_path, serialize_nquads(corrupt(_three_snapshot_payload())))
+        outcome = open_outcome(Catalog.open, root)
+        assert outcome == open_outcome(reference_open, root)
+        assert outcome == ("CorruptProvenance", None, None, message)
+
+    @pytest.mark.parametrize("line", BROKEN_LINES)
+    def test_broken_line(self, tmp_path, line):
+        lines = serialize_nquads(_three_snapshot_payload()).splitlines(keepends=True)
+        lines = [x for x in lines if not (_UPDATE in line and x.startswith(f"{_FIRST} {_UPDATE} "))]
+        lines.insert(3, line + "\n")
+        root = self._catalog_with(tmp_path, "".join(lines))
+        outcome = open_outcome(Catalog.open, root)
+        assert outcome == open_outcome(reference_open, root)
+        assert outcome[0] == "ParseError" and outcome[1] is not None
+
+
+def iris_in(quads) -> list[str]:
+    """The value of every IRI term a parse of these quads builds: every IRI
+    position and every datatype written out in the text."""
+    values = []
+    for q in quads:
+        for term in (q.subject, q.predicate, q.object, q.graph):
+            if isinstance(term, Iri):
+                values.append(term.value)
+            elif isinstance(term, Literal) and term.datatype not in (XSD_STRING, RDF_LANG_STRING):
+                values.append(term.datatype.value)
+    return values
+
+
+class TestOpenIriMemo:
+    def test_each_distinct_iri_is_built_once_per_open(self, gold_catalog, monkeypatch):
+        root = gold_catalog.root
+        store, tracker = reference_open(root)
+        updates = [q for e in tracker.entities() for s in tracker.chain(e) for q in s.update_query.deletes | s.update_query.inserts]
+        prov = parse_nquads((root / "prov.nq").read_text(encoding="utf-8"))
+        distinct = set(iris_in(store.quads())) | set(iris_in(prov)) | set(iris_in(updates))
+        built = []
+        validate = Iri.__post_init__
+
+        def counting(self):
+            built.append(self.value)
+            validate(self)
+
+        monkeypatch.setattr(Iri, "__post_init__", counting)
+        opened = Catalog.open(root)
+        # The configuration's two IRIs are built when catalog.cfg is read.
+        config = [opened.config.base_iri, opened.config.agent]
+        assert Counter(built) == Counter(distinct) + Counter(config)
+
+    def test_opens_share_no_iri(self, gold_catalog):
+        def iri_ids(catalog) -> set:
+            quads = list(catalog.store.quads())
+            for entity in catalog.tracker.entities():
+                for snap in catalog.tracker.chain(entity):
+                    quads += [*snap.update_query.deletes, *snap.update_query.inserts]
+            return {id(term) for q in quads for term in (q.subject, q.predicate, q.object, q.graph) if isinstance(term, Iri)}
+
+        first, second = Catalog.open(gold_catalog.root), Catalog.open(gold_catalog.root)
+        assert first.store.quads() == second.store.quads()
+        assert not iri_ids(first) & iri_ids(second)

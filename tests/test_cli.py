@@ -92,6 +92,22 @@ class TestIngest:
         assert chains_after[BASE + "cho/1"] == chains_before[BASE + "cho/1"] == 1
         assert chains_after[BASE + "cho/2"] == 2
 
+    def test_failed_ingest_leaves_the_catalog_unchanged(self, tmp_path, capsys):
+        root = tmp_path / "cat"
+        run("init", str(root))
+        table = DATA_DIR / "gold_bibliographic.csv"
+        assert run("--catalog", str(root), "ingest", str(table), "--kind", "bibliographic") == 0
+        # The same table name, with the id cell of its second row emptied.
+        header, first, second, *rest = table.read_text(encoding="utf-8").splitlines(keepends=True)
+        broken = tmp_path / "revised" / table.name
+        broken.parent.mkdir()
+        broken.write_text("".join([header, first, "," + second.split(",", 1)[1], *rest]), encoding="utf-8")
+        before = catalog_digests(root)
+        capsys.readouterr()
+        assert run("--catalog", str(root), "ingest", str(broken), "--kind", "bibliographic") == 3
+        assert "row 2: empty id cell" in capsys.readouterr().err
+        assert catalog_digests(root) == before
+
     def test_unchanged_reingest_is_noop(self, gold_root):
         catalog = Catalog.open(gold_root)
         before = {e.value: len(catalog.tracker.chain(e)) for e in catalog.tracker.entities()}
@@ -130,6 +146,20 @@ class TestMap:
     def test_unknown_table_exits_3(self, tmp_path):
         root = self._prepared(tmp_path)
         assert run("--catalog", str(root), "map", str(DATA_DIR / "golden_mapping.yml"), "nope") == 3
+
+    def test_failed_map_leaves_the_catalog_unchanged(self, tmp_path, capsys):
+        root = self._prepared(tmp_path)
+        mapping = DATA_DIR / "golden_mapping.yml"
+        assert run("--catalog", str(root), "map", str(mapping), "golden_source") == 0
+        # The same mapping name; its subject template now expands to no IRI.
+        broken = tmp_path / "revised" / mapping.name
+        broken.parent.mkdir()
+        broken.write_text(mapping.read_text(encoding="utf-8").replace("s: ex:cho/$(id)", "s: $(title)"), encoding="utf-8")
+        before = catalog_digests(root)
+        capsys.readouterr()
+        assert run("--catalog", str(root), "map", str(broken), "golden_source") == 3
+        assert "is not a valid IRI" in capsys.readouterr().err
+        assert catalog_digests(root) == before
 
     def test_fresh_catalog_map_matches_golden_exactly(self, tmp_path, capsys):
         root = tmp_path / "cat"
@@ -316,6 +346,7 @@ class TestHttpEndpoint:
         q = urllib.parse.quote("<one>")
         with pytest.raises(urllib.error.HTTPError) as err:
             urllib.request.urlopen(f"{server}/query?q={q}")
+        err.value.close()
         assert err.value.code == 400
 
     def test_zero_solutions_empty_body(self, server):

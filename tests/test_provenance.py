@@ -529,6 +529,9 @@ CHAIN_CORRUPTIONS = [
     pytest.param(_typed(Iri("http://ex.org/stray")), "unexpected snapshot identifier http://ex.org/stray", id="unexpected-identifier"),
     pytest.param(_typed(Iri(f"{E.value}/prov/se/two")), f"non-numeric snapshot index in {E.value}/prov/se/two", id="non-numeric-index"),
     pytest.param(_without(se(2), vocab.GENERATED_AT), f"{se(2)} has no generation timestamp", id="no-generation-time"),
+    pytest.param(
+        _replaced(se(2), vocab.GENERATED_AT, Iri("http://ex.org/time")), f"{se(2)} has no generation timestamp", id="iri-generation-time"
+    ),
     pytest.param(_without(se(1), vocab.HAS_UPDATE_QUERY), f"{se(1)} has no update query", id="no-update-query"),
     pytest.param(_without(se(3), vocab.ATTRIBUTED_TO), f"{se(3)} has no attribution", id="no-attribution"),
     pytest.param(_without(se(2)), f"snapshot indexes for {E} are not contiguous", id="non-contiguous"),

@@ -451,8 +451,8 @@ class TestIriMemo:
         f"{S} <http://ex.org/q> {S} .",
         f'<http://ex.org/t> {P} "3"^^<http://ex.org/dt> .',
     ])
-    # The same IRIs in an update.  The scanner reads the graph IRI in each
-    # block header; the statement pattern reads it again in a statement.
+    # The same IRIs in an update.  Each block header reads the graph IRI;
+    # a statement reads it again.
     UPDATE = "\n".join([
         "DELETE DATA { GRAPH <http://ex.org/g> {",
         f'  {S} {P} "1" .',

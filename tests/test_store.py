@@ -338,6 +338,82 @@ class TestUpdateStatementPattern:
         assert statements == scanner == [("ParseError", 2, 44, "line 2, column 44: expected '.', found ':'")]
 
 
+# Tokens of a block header and what may follow it: keywords in every case
+# and run into each other or into a letter, a digit or '_'; braces; good,
+# escaped and invalid graph labels; and every kind of whitespace.
+_HEADER_TOKENS = [
+    "INSERT", "DELETE", "insert", "Delete", "INSERTDATA", "INSERTé", "DATA", "data", "DATAX", "DATA1",
+    "GRAPH", "graph", "GRAPHX", "GRAPH_", "{", "}", ";", "oops", "x", "é", "1", "_", "_x", "_:b",
+    "<http://ex.org/g>", "<http://ex.org/\\u0067>", "<a b>", "<http://ex.org/\\u0020>", "<http://ex.org/\\U00110000>",
+    "<http://ex.org/g", '"g"', " ", "  ", "\t", "\n", "\r\n",
+]
+_STATEMENT = f'{S} {P} "v" .'
+
+
+def fuzz_updates(seed: int, count: int):
+    """Seeded update texts: half are runs of header tokens, half are
+    well-formed one- or two-block updates with some tokens swapped for
+    random ones and random whitespace between them; some blocks hold a
+    ``fuzz_lines`` statement."""
+    rng = random.Random(seed)
+    bodies = fuzz_lines(seed, 2 * count)  # at most two blocks a text
+
+    def pick(usual: str) -> str:
+        return rng.choice(_HEADER_TOKENS) if rng.random() < 0.15 else usual
+
+    def ws() -> str:
+        return rng.choice(["", " ", " ", "\t", "\n", "\r\n", "  "])
+
+    def block() -> str:
+        graph = rng.random() < 0.5
+        parts = [pick(rng.choice(["INSERT", "DELETE"])), ws() or " ", pick("DATA"), ws(), pick("{"), ws()]
+        if graph:
+            parts += [pick("GRAPH"), ws() or " ", pick("<http://ex.org/g>"), ws(), pick("{"), ws()]
+        body = rng.choice([pick(_STATEMENT), pick(_STATEMENT), next(bodies), ""])
+        parts += [body, ws(), pick("}")]
+        if graph:
+            parts += [ws(), pick("}")]
+        return "".join(parts)
+
+    for _ in range(count):
+        if rng.random() < 0.5:
+            yield "".join(rng.choice(_HEADER_TOKENS + [_STATEMENT]) for _ in range(rng.randint(1, 12)))
+        else:
+            yield block() + (ws() + ";" + ws() + block() if rng.random() < 0.3 else "") + ws()
+
+
+class TestUpdateHeaderPattern:
+    """Block headers read with one pattern match give what the scanner alone
+    gives: the same delta, or the same error type, line, column and message.
+    ``TestUpdateStatementPattern`` compares canonical updates the same way."""
+
+    @pytest.mark.parametrize("text", [
+        pytest.param("INSERT DATA { oops }", id="word-after-brace"),
+        pytest.param("INSERT DATA {\t\r\n oops }", id="word-after-whitespace"),
+        pytest.param(f"INSERT DATA {{ _:b {P} {S} . }}", id="label-after-brace"),
+        pytest.param("INSERT DATA { 1 }", id="digit-after-brace"),
+        pytest.param("INSERT DATA { _x }", id="underscore-after-brace"),
+        pytest.param("INSERTDATA { }", id="keywords-run-together"),
+        pytest.param("INSERT DATAX { }", id="data-runs-on"),
+        pytest.param("INSERT DATA { GRAPHX <http://ex.org/g> { } }", id="graph-runs-on"),
+        pytest.param("insert data { graph <http://ex.org/g> { } }", id="lower-case"),
+        pytest.param("INSERT DATA { GRAPH <a b> { } }", id="invalid-graph-iri"),
+        pytest.param("INSERT DATA { GRAPH <http://ex.org/\\u0020> { } }", id="graph-escape-to-space"),
+        pytest.param("INSERT DATA { GRAPH <http://ex.org/g> { oops } }", id="word-in-graph-block"),
+        pytest.param(f"DELETE DATA {{ }} ;\r\nINSERT\tDATA\r\n{{\r\nGRAPH\t<http://ex.org/g>{{{S} {P} {S} .}}}}", id="crlf-and-tabs"),
+    ])
+    def test_header_cases_read_alike(self, text):
+        statements, scanner = outcomes_on_both_paths(parse_update, [text])
+        assert statements == scanner
+
+    def test_fuzzed_updates_read_alike(self):
+        texts = list(fuzz_updates(seed=20_243, count=30_000))
+        statements, scanner = outcomes_on_both_paths(parse_update, texts)
+        assert not divergences(texts, statements, scanner)
+        parsed = sum(outcome[0] == "parsed" for outcome in statements)
+        assert 0.05 * len(texts) < parsed < 0.9 * len(texts)  # the fuzz reaches both outcomes
+
+
 class TestSerializeUpdate:
     def test_empty_delta(self):
         assert serialize_update(Delta()) == ""
