@@ -155,28 +155,45 @@ class IngestStats:
         setattr(self, outcome, getattr(self, outcome) + 1)
 
 
-# Bibliographic CSV columns mapped onto vocabulary terms.  Cells holding
-# several values separate them with semicolons.
+def _literal(text: str, base_iri: str) -> Literal:
+    return Literal(text)
+
+
+def _iri(text: str, base_iri: str) -> Iri:
+    return Iri(text)
+
+
+def _date(text: str, base_iri: str) -> Literal:
+    return Literal(text, datatype=vocab.XSD_DATE)
+
+
+def _agent(text: str, base_iri: str) -> Iri:
+    return workflow.minted_iri(base_iri, "agent", text)
+
+
+# Bibliographic CSV columns: each one's predicate, the converter of its
+# text to a term, ``(text, base IRI) -> term``, and whether a cell holds
+# several values, separated by semicolons.
 _BIB_COLUMNS = {
-    "title": (vocab.DCT_TITLE, "literal"),
-    "type": (vocab.DCT_TYPE, "literal"),
-    "description": (vocab.DCT_DESCRIPTION, "literal"),
-    "creator": (vocab.DCT_CREATOR, "literal"),
-    "licence": (vocab.DCT_LICENSE, "iri"),
-    "record_licence": (vocab.RECORD_LICENCE, "iri"),
-    "rights_holder": (vocab.DCT_RIGHTS_HOLDER, "literal"),
-    "holding_institution": (vocab.HOLDING_INSTITUTION, "literal"),
-    "produced_by": (vocab.PRODUCED_BY, "agent_list"),
-    "access_rights": (vocab.DCT_ACCESS_RIGHTS, "literal"),
-    "access_url": (vocab.ACCESS_URL, "iri"),
-    "storage": (vocab.STORAGE_LOCATION, "literal"),
-    "backup": (vocab.BACKUP_LOCATION, "literal"),
-    "registered_in": (vocab.REGISTERED_IN, "iri"),
-    "schema": (vocab.DCT_CONFORMS_TO, "iri"),
-    "formats": (vocab.DCT_FORMAT, "literal_list"),
-    "same_as": (vocab.SAME_AS, "iri_list"),
-    "start": (vocab.INTERVAL_START, "date"),
-    "end": (vocab.INTERVAL_END, "date"),
+    "title": (vocab.DCT_TITLE, _literal, False),
+    "type": (vocab.DCT_TYPE, _literal, False),
+    "description": (vocab.DCT_DESCRIPTION, _literal, False),
+    "creator": (vocab.DCT_CREATOR, _literal, False),
+    "licence": (vocab.DCT_LICENSE, _iri, False),
+    "record_licence": (vocab.RECORD_LICENCE, _iri, False),
+    "rights_holder": (vocab.DCT_RIGHTS_HOLDER, _literal, False),
+    "holding_institution": (vocab.HOLDING_INSTITUTION, _literal, False),
+    "produced_by": (vocab.PRODUCED_BY, _agent, True),
+    "access_rights": (vocab.DCT_ACCESS_RIGHTS, _literal, False),
+    "access_url": (vocab.ACCESS_URL, _iri, False),
+    "storage": (vocab.STORAGE_LOCATION, _literal, False),
+    "backup": (vocab.BACKUP_LOCATION, _literal, False),
+    "registered_in": (vocab.REGISTERED_IN, _iri, False),
+    "schema": (vocab.DCT_CONFORMS_TO, _iri, False),
+    "formats": (vocab.DCT_FORMAT, _literal, True),
+    "same_as": (vocab.SAME_AS, _iri, True),
+    "start": (vocab.INTERVAL_START, _date, False),
+    "end": (vocab.INTERVAL_END, _date, False),
 }
 
 _BIB_REQUIRED = ("id", "title")
@@ -243,9 +260,12 @@ class Catalog:
         return cls(root, config, store, tracker)
 
     def save(self):
+        """Replace prov.nq, then data.nq.  Every literal of the store is also
+        in some chain's update query, so one that cannot be written fails on
+        prov.nq, before either file is replaced; a crash between the two
+        leaves data.nq behind the chains, never ahead of them."""
+        Store(self.tracker.export_all_graphs()).save(self.root / "prov.nq")
         self.store.save(self.root / "data.nq")
-        prov = Store(self.tracker.export_all_graphs())
-        prov.save(self.root / "prov.nq")
 
     def table_path(self, name: str) -> Path:
         return self.root / "tables" / f"{name}.csv"
@@ -320,29 +340,13 @@ class Catalog:
             if kind != "dcho":
                 raise BibliographicError(row_no, "only dcho rows may name a counterpart")
             quads.add(Quad(entity, vocab.COUNTERPART_OF, Iri(base + "cho/" + percent_encode(counterpart)), graph))
-        for column, (predicate, shape) in _BIB_COLUMNS.items():
+        for column, (predicate, convert, several) in _BIB_COLUMNS.items():
             cell = row.get(column, "").strip()
             if not cell:
                 continue
             try:
-                if shape == "literal":
-                    quads.add(Quad(entity, predicate, Literal(cell), graph))
-                elif shape == "iri":
-                    quads.add(Quad(entity, predicate, Iri(cell), graph))
-                elif shape == "date":
-                    quads.add(Quad(entity, predicate, Literal(cell, datatype=vocab.XSD_DATE), graph))
-                elif shape == "literal_list":
-                    for part in cell.split(";"):
-                        if part.strip():
-                            quads.add(Quad(entity, predicate, Literal(part.strip()), graph))
-                elif shape == "iri_list":
-                    for part in cell.split(";"):
-                        if part.strip():
-                            quads.add(Quad(entity, predicate, Iri(part.strip()), graph))
-                elif shape == "agent_list":
-                    for part in cell.split(";"):
-                        if part.strip():
-                            quads.add(Quad(entity, predicate, workflow.minted_iri(self.config.base_iri, "agent", part), graph))
+                for part in workflow.split_cell(cell) if several else (cell,):
+                    quads.add(Quad(entity, predicate, convert(part, base), graph))
             except InvalidIri as exc:
                 raise BibliographicError(row_no, f"column {column!r}: {exc}") from None
         return entity, quads
@@ -351,7 +355,7 @@ class Catalog:
         for column in _BIB_REQUIRED:
             if column not in table.header:
                 raise MissingColumn(column)
-        owned = {predicate for predicate, _ in _BIB_COLUMNS.values()}
+        owned = {predicate for predicate, _, _ in _BIB_COLUMNS.values()}
         owned |= {vocab.RDF_TYPE, vocab.DCT_IDENTIFIER, vocab.COUNTERPART_OF}
         stats = IngestStats()
         for row_no, row in enumerate(table.row_maps(), start=1):

@@ -398,4 +398,14 @@ def _parse_chain(entity: Iri, graph: dict, iris: dict[str, Iri]) -> list:
     for snap in snapshots[:-1]:
         if snap.kind == DELETION:
             raise CorruptProvenance(f"{entity} has a deletion snapshot before the end of the chain")
+    # Each snapshot is invalidated when the next is generated; the last is
+    # invalidated only by its own deletion, at its generation time.
+    for earlier, later in zip(snapshots, snapshots[1:]):
+        if earlier.invalidated_at != later.generated_at:
+            raise CorruptProvenance(f"{earlier.iri} is not invalidated when {later.iri} is generated")
+    for last in snapshots[-1:]:
+        if last.kind == DELETION and last.invalidated_at != last.generated_at:
+            raise CorruptProvenance(f"deletion {last.iri} is not invalidated when it is generated")
+        if last.kind != DELETION and last.invalidated_at is not None:
+            raise CorruptProvenance(f"{last.iri} is invalidated but is the last snapshot and not a deletion")
     return snapshots

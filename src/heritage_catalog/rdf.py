@@ -277,6 +277,8 @@ def _decode_escape(match: re.Match) -> str:
     code = int(digits, 16)
     if code > 0x10FFFF:
         raise InvalidTerm("escape out of unicode range")
+    if 0xD800 <= code <= 0xDFFF:  # no UTF-8 encoding: the catalog could not save it
+        raise InvalidTerm("escape of a surrogate code point")
     return chr(code)
 
 

@@ -21,7 +21,6 @@ from .rdf import (
     canonical_rows,
     parse_nquads,
     serialize_nquads,
-    serialize_quad,
     serialize_term,
 )
 
@@ -233,18 +232,9 @@ class Store:
         return binding
 
     def match(self, pattern: QuadPattern) -> list[dict]:
-        """All bindings unifying the pattern, one per matching quad.
-
-        Deterministic: sorted by the canonical serialization of the bound
-        terms, then of the matched quad.
-        """
-        hits = []
-        for q in self._candidates(pattern):
-            b = self._unify(pattern, q)
-            if b is not None:
-                hits.append((b, q))
-        hits.sort(key=lambda bq: (tuple(serialize_term(bq[0][k]) for k in sorted(bq[0])), serialize_quad(bq[1])))
-        return [b for b, _ in hits]
+        """All bindings unifying the pattern, one per matching quad, in no
+        particular order; :meth:`bgp_query` sorts the solutions once."""
+        return [b for q in self._candidates(pattern) if (b := self._unify(pattern, q)) is not None]
 
     @staticmethod
     def _substitute(pattern: QuadPattern, solution: dict) -> QuadPattern:
@@ -259,7 +249,8 @@ class Store:
         """Natural join of the patterns on shared variable names.
 
         Nested-loop evaluation with index lookups; solution multiplicity
-        follows the matching quad combinations.
+        follows the matching quad combinations.  Every solution binds the same
+        variables, so one sort by their terms orders them all.
         """
         patterns = list(patterns)
         if not patterns:

@@ -328,7 +328,8 @@ def _parse_date(row_no: int, cell: str) -> date:
         raise BadDate(row_no, cell) from None
 
 
-def _split_cell(cell: str) -> list[str]:
+def split_cell(cell: str) -> list[str]:
+    """The semicolon-separated values of a cell, stripped, blank ones dropped."""
     return [part.strip() for part in cell.split(";") if part.strip()]
 
 
@@ -365,7 +366,7 @@ def parse_process_table(table: Table, base_iri: str) -> list[ProcessRow]:
             kind = PhaseKind(row["phase"].strip())
         except ValueError:
             raise UnknownPhase(row_no, row["phase"]) from None
-        agents = tuple(minted_iri(base_iri, "agent", a) for a in _split_cell(row["agents"]))
+        agents = tuple(minted_iri(base_iri, "agent", a) for a in split_cell(row["agents"]))
         if not agents:
             raise ValidationError(row_no, "at least one agent is required")
         start = _parse_date(row_no, row["start"])
@@ -376,8 +377,8 @@ def parse_process_table(table: Table, base_iri: str) -> list[ProcessRow]:
         technique = row["technique"].strip()
         cho = Iri(base_iri + "cho/" + percent_encode(obj))
         dcho = Iri(base_iri + "dcho/" + percent_encode(obj))
-        inputs = tuple(minted_iri(base_iri, "asset", t) for t in _split_cell(row.get("inputs", "")))
-        outputs = tuple(minted_iri(base_iri, "asset", t) for t in _split_cell(row.get("outputs", "")))
+        inputs = tuple(minted_iri(base_iri, "asset", t) for t in split_cell(row.get("inputs", "")))
+        outputs = tuple(minted_iri(base_iri, "asset", t) for t in split_cell(row.get("outputs", "")))
         try:
             record = PhaseRecord(
                 cho=cho,
@@ -385,7 +386,7 @@ def parse_process_table(table: Table, base_iri: str) -> list[ProcessRow]:
                 unit=row["unit"].strip(),
                 agents=agents,
                 technique=technique,
-                tools=tuple(_split_cell(row["tools"])),
+                tools=tuple(split_cell(row["tools"])),
                 start=start,
                 end=end,
                 inputs=inputs,

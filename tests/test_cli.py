@@ -8,12 +8,13 @@ from pathlib import Path
 
 import pytest
 
-from conftest import DATA_DIR, build_gold_catalog
-from heritage_catalog.catalog import Catalog
+from conftest import DATA_DIR, build_gold_catalog, ts
+from heritage_catalog import vocab
+from heritage_catalog.catalog import Catalog, record_graph
 from heritage_catalog.cli import main, make_query_server, parse_bgp_text, solutions_to_csv
 from heritage_catalog.provenance import ProvenanceTracker, parse_timestamp
-from heritage_catalog.rdf import Iri, ParseError, parse_nquads
-from heritage_catalog.store import Store
+from heritage_catalog.rdf import Iri, Literal, ParseError, Quad, parse_nquads
+from heritage_catalog.store import Delta, Store
 from heritage_catalog.vocab import GENERATED_AT
 
 BASE = "https://example.org/catalog/"
@@ -454,6 +455,25 @@ class TestCatalogFiles:
                 folded.apply_delta(snap.update_query, strict=True)
         assert any(snap.update_query.deletes for e in tracker.entities() for snap in tracker.chain(e))
         assert folded.quads() == parse_nquads((root / "data.nq").read_text(encoding="utf-8"))
+
+    def test_unwritable_literal_leaves_both_files_unchanged(self, gold_root):
+        # A lone surrogate has no UTF-8 encoding.  Replaced, it lives only in
+        # a chain, so only prov.nq holds it; prov.nq is written first, and
+        # the save fails before either file is replaced.
+        catalog = Catalog.open(gold_root)
+        before = {name: (gold_root / name).read_bytes() for name in ("data.nq", "prov.nq")}
+        entity = Iri(BASE + "cho/lone")
+
+        def title(text):
+            return Quad(entity, vocab.DCT_TITLE, Literal(text), record_graph(entity))
+
+        agent = catalog.config.agent_iri()
+        catalog.tracker.record_creation(entity, {title("a\ud800")}, agent, time=ts(0))
+        catalog.tracker.record_modification(entity, Delta(deletes={title("a\ud800")}, inserts={title("a")}), agent, time=ts(1))
+        with pytest.raises(UnicodeEncodeError):
+            catalog.save()
+        assert {name: (gold_root / name).read_bytes() for name in before} == before
+        assert not list(gold_root.glob(".store-*"))
 
     def test_store_files_stay_canonical_after_commands(self, gold_root):
         for name in ("data.nq", "prov.nq"):

@@ -523,8 +523,23 @@ def _typed(subject: Iri):
     return corrupt
 
 
+def _stamp(seconds: int) -> Literal:
+    return Literal(iso_timestamp(ts(seconds)), datatype=vocab.XSD_DATETIME)
+
+
+def _deletion_invalidated_at(invalidated):
+    """The last snapshot marked as a deletion, with this invalidation time."""
+    def corrupt(quads):
+        deletion = _replaced(se(3), vocab.CHANGE_KIND, Literal(DELETION))(quads)
+        return _replaced(se(3), vocab.INVALIDATED_AT, invalidated)(deletion)
+
+    return corrupt
+
+
 # One corruption of a persisted chain per check of the chain rebuild, with
-# the message it raises.
+# the message it raises.  In the intact payload se(1), se(2) and se(3) are
+# generated at ts(0), ts(5) and ts(10), and se(1) and se(2) are invalidated
+# when the next one is generated.
 CHAIN_CORRUPTIONS = [
     pytest.param(_typed(Iri("http://ex.org/stray")), "unexpected snapshot identifier http://ex.org/stray", id="unexpected-identifier"),
     pytest.param(_typed(Iri(f"{E.value}/prov/se/two")), f"non-numeric snapshot index in {E.value}/prov/se/two", id="non-numeric-index"),
@@ -547,6 +562,28 @@ CHAIN_CORRUPTIONS = [
         f"{E} has a deletion snapshot before the end of the chain",
         id="deletion-before-end",
     ),
+    pytest.param(
+        _replaced(se(1), vocab.INVALIDATED_AT, _stamp(4)), f"{se(1)} is not invalidated when {se(2)} is generated",
+        id="invalidated-before-next-generation",
+    ),
+    pytest.param(
+        _without(se(2), vocab.INVALIDATED_AT), f"{se(2)} is not invalidated when {se(3)} is generated", id="never-invalidated-mid-chain"
+    ),
+    pytest.param(
+        _replaced(se(1), vocab.INVALIDATED_AT, Literal("")), f"{se(1)} is not invalidated when {se(2)} is generated",
+        id="empty-invalidation-mid-chain",
+    ),
+    pytest.param(
+        _replaced(se(3), vocab.INVALIDATED_AT, _stamp(12)), f"{se(3)} is invalidated but is the last snapshot and not a deletion",
+        id="last-invalidated-not-deletion",
+    ),
+    pytest.param(
+        _replaced(se(3), vocab.CHANGE_KIND, Literal(DELETION)), f"deletion {se(3)} is not invalidated when it is generated",
+        id="deletion-never-invalidated",
+    ),
+    pytest.param(
+        _deletion_invalidated_at(_stamp(12)), f"deletion {se(3)} is not invalidated when it is generated", id="deletion-invalidated-later"
+    ),
 ]
 
 
@@ -561,6 +598,14 @@ class TestChainRebuildChecks:
     def test_intact_payload_rebuilds(self):
         chain = ProvenanceTracker.from_quads(Store(), _three_snapshot_payload()).chain(E)
         assert [s.index for s in chain] == [1, 2, 3]
+
+    def test_empty_invalidation_of_the_last_snapshot_reads_as_none(self):
+        payload = _replaced(se(3), vocab.INVALIDATED_AT, Literal(""))(_three_snapshot_payload())
+        assert ProvenanceTracker.from_quads(Store(), payload).chain(E)[-1].invalidated_at is None
+
+    def test_deletion_invalidated_when_generated_rebuilds(self):
+        last = ProvenanceTracker.from_quads(Store(), _deletion_invalidated_at(_stamp(10))(_three_snapshot_payload())).chain(E)[-1]
+        assert (last.kind, last.invalidated_at) == (DELETION, ts(10))
 
     def test_several_values_read_lowest_first(self):
         graph = prov_graph_iri(E)

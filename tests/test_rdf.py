@@ -224,6 +224,10 @@ NQUADS_ERRORS = [
     pytest.param(f'{S} {P} "v" _:g .', 1, 41, id="bnode-graph"),
     pytest.param(f'{S} {P} "è" x .', 1, 41, id="columns-count-code-points"),
     pytest.param(f"{S} {P} _:a.b. .", 1, 44, id="bnode-dot-then-second-dot"),
+    pytest.param(f'{S} {P} "a\\uD800" .', 1, 37, id="literal-surrogate-u-escape"),
+    pytest.param(f'{S} {P} "a\\U0000DFFF" .', 1, 37, id="literal-surrogate-U-escape"),
+    pytest.param(f'<http://ex.org/a\\udc00> {P} "v" .', 1, 1, id="iri-surrogate-u-escape"),
+    pytest.param(f'{S} {P} <http://ex.org/a\\U0000D800> .', 1, 37, id="iri-surrogate-U-escape"),
 ]
 
 
@@ -241,6 +245,21 @@ class TestErrorPositions:
     def test_escape_out_of_range_message(self):
         with pytest.raises(ParseError, match="escape out of unicode range"):
             parse_nquads(f'<http://ex.org/a\\U00110000> {P} "v" .')
+
+    @pytest.mark.parametrize("escape", ["\\uD800", "\\uDFFF", "\\U0000DBFF", "\\U0000DC00"])
+    def test_surrogate_escape_message_on_both_paths(self, escape):
+        texts = [f'{S} {P} "a{escape}" .', f"<http://ex.org/{escape}> {P} {S} ."]
+        statements, scanner = outcomes_on_both_paths(parse_nquads, texts)
+        assert statements == scanner
+        assert [outcome[3] for outcome in statements] == [
+            "line 1, column 37: escape of a surrogate code point",
+            "line 1, column 1: escape of a surrogate code point",
+        ]
+
+    @pytest.mark.parametrize("escape", ["\\uD7FF", "\\uE000", "\\U0000FFFD"])
+    def test_escapes_beside_the_surrogates_decode(self, escape):
+        (q,) = parse_nquads(f'{S} {P} "{escape}" .')
+        assert q.object == Literal(chr(int(escape[2:], 16)))
 
 
 class TestStatementPattern:

@@ -1,5 +1,6 @@
-"""The activity and asset-version field tables: round trips, malformed
-statements, the predicates a re-ingest owns, and the README's property table."""
+"""The activity, asset-version and bibliographic field tables: round trips,
+malformed statements and cells, the predicates a re-ingest owns, and the
+README's property table."""
 
 import re
 from datetime import date, datetime, timezone
@@ -11,9 +12,9 @@ from hypothesis import strategies as st
 
 from conftest import DATA_DIR, gold_catalog  # noqa: F401
 from heritage_catalog import vocab, workflow
-from heritage_catalog.catalog import Catalog
-from heritage_catalog.mapping import load_table
-from heritage_catalog.rdf import Iri, Literal, Quad
+from heritage_catalog.catalog import BibliographicError, Catalog
+from heritage_catalog.mapping import Table, load_table
+from heritage_catalog.rdf import Iri, Literal, Quad, serialize_term
 from heritage_catalog.store import Store
 from heritage_catalog.workflow import ASSET_KINDS, AssetVersion, PhaseKind, PhaseRecord, UploadRecord
 
@@ -289,6 +290,59 @@ def test_every_field_predicate_is_distinct():
         predicates = [field.predicate for field in table.fields]
         assert len(set(predicates)) == len(predicates)
         assert vocab.RDF_TYPE not in predicates
+
+
+# -- bibliographic cells ---------------------------------------------------------
+
+# One row per cell converter and per list column: the column, its
+# predicate, the cell, and the objects the ingested row states (serialized,
+# in ``Store.objects`` order) or the message of the error it raises.
+BIBLIOGRAPHIC_CELLS = [
+    pytest.param("title", vocab.DCT_TITLE, '  Anfora a figure nere  ', ('"Anfora a figure nere"',), id="literal"),
+    pytest.param("title", vocab.DCT_TITLE, 'a;b', ('"a;b"',), id="literal-keeps-semicolons"),
+    pytest.param("rights_holder", vocab.DCT_RIGHTS_HOLDER, 'Museo "Civico"', ('"Museo \\"Civico\\""',), id="literal-quotes"),
+    pytest.param("licence", vocab.DCT_LICENSE, 'https://creativecommons.org/licenses/by/4.0/', ('<https://creativecommons.org/licenses/by/4.0/>',), id="iri"),
+    pytest.param("licence", vocab.DCT_LICENSE, 'http://a.org/x;http://b.org/y', ('<http://a.org/x;http://b.org/y>',), id="iri-keeps-semicolons"),
+    pytest.param("record_licence", vocab.RECORD_LICENCE, 'not an iri', "row 1: column 'record_licence': relative reference (no scheme) in 'not an iri'", id="invalid-iri"),
+    pytest.param("access_url", vocab.ACCESS_URL, 'viewer/scene', "row 1: column 'access_url': relative reference (no scheme) in 'viewer/scene'", id="relative-iri"),
+    pytest.param("start", vocab.INTERVAL_START, '2023-01-10', ('"2023-01-10"^^<http://www.w3.org/2001/XMLSchema#date>',), id="date"),
+    pytest.param("end", vocab.INTERVAL_END, '24/01/2023', ('"24/01/2023"^^<http://www.w3.org/2001/XMLSchema#date>',), id="date-kept-as-written"),
+    pytest.param("produced_by", vocab.PRODUCED_BY, 'Anna Rossi', ('<https://example.org/catalog/agent/Anna%20Rossi>',), id="agent-minted"),
+    pytest.param("produced_by", vocab.PRODUCED_BY, 'Anna Rossi; https://viaf.org/viaf/123 ;; ;Marco Bianchi;', ('<https://example.org/catalog/agent/Anna%20Rossi>', '<https://example.org/catalog/agent/Marco%20Bianchi>', '<https://viaf.org/viaf/123>'), id="agent-list-blank-parts"),
+    pytest.param("produced_by", vocab.PRODUCED_BY, 'Anna Rossi;http://bad agent', "row 1: column 'produced_by': space not allowed in IRI 'http://bad agent'", id="agent-list-invalid-iri"),
+    pytest.param("formats", vocab.DCT_FORMAT, 'model/gltf-binary; application/n-quads ;;', ('"application/n-quads"', '"model/gltf-binary"'), id="literal-list-blank-parts"),
+    pytest.param("formats", vocab.DCT_FORMAT, 'text/csv;text/csv', ('"text/csv"',), id="literal-list-repeat"),
+    pytest.param("same_as", vocab.SAME_AS, 'http://www.wikidata.org/entity/Q39614; ;https://viaf.org/viaf/1', ('<http://www.wikidata.org/entity/Q39614>', '<https://viaf.org/viaf/1>'), id="iri-list-blank-parts"),
+    pytest.param("same_as", vocab.SAME_AS, 'http://www.wikidata.org/entity/Q39614;not an iri', "row 1: column 'same_as': relative reference (no scheme) in 'not an iri'", id="iri-list-invalid-iri"),
+    pytest.param("same_as", vocab.SAME_AS, ' ; ; ', (), id="list-of-blanks"),
+    pytest.param("storage", vocab.STORAGE_LOCATION, '   ', (), id="blank-cell"),
+]
+
+
+def _ingest_bibliographic(root, rows: list[dict]) -> Catalog:
+    catalog = Catalog.create(root)
+    table = Table("bib", tuple(rows[0]), tuple(tuple(row.values()) for row in rows))
+    catalog.ingest_bibliographic(table, Iri("file:///bib.csv"))
+    return catalog
+
+
+@pytest.mark.parametrize("column, predicate, cell, expected", BIBLIOGRAPHIC_CELLS)
+def test_bibliographic_cell(tmp_path, column, predicate, cell, expected):
+    row = {"id": "1", "title": "T"} | {column: cell}
+    try:
+        catalog = _ingest_bibliographic(tmp_path / "catalog", [row])
+    except BibliographicError as exc:
+        assert str(exc) == expected
+    else:
+        objects = catalog.store.objects(Iri(BASE + "cho/1"), predicate)
+        assert tuple(serialize_term(term) for term in objects) == expected
+
+
+def test_bibliographic_error_names_its_row(tmp_path):
+    rows = [{"id": str(n), "title": "T", "licence": licence} for n, licence in enumerate(["http://ok.org/l", "bad licence"], 1)]
+    with pytest.raises(BibliographicError) as err:
+        _ingest_bibliographic(tmp_path / "catalog", rows)
+    assert str(err.value) == "row 2: column 'licence': relative reference (no scheme) in 'bad licence'"
 
 
 # -- documentation ---------------------------------------------------------------

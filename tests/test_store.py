@@ -21,7 +21,7 @@ from conftest import (
     rand_term,
 )
 from heritage_catalog.cli import parse_bgp_text
-from heritage_catalog.rdf import BlankNode, Iri, Literal, ParseError, Quad
+from heritage_catalog.rdf import BlankNode, Iri, Literal, ParseError, Quad, serialize_term
 from heritage_catalog.store import (
     ANY,
     Delta,
@@ -167,7 +167,9 @@ class TestBgp:
         quads = rand_dataset(rng, 15)
         store = Store(quads)
         pattern = QuadPattern(Variable("s"), Variable("p"), Variable("o"), ANY)
-        assert store.bgp_query([pattern]) == store.match(pattern)
+        solutions = store.bgp_query([pattern])
+        assert sorted(map(repr, solutions)) == sorted(map(repr, store.match(pattern)))
+        assert solutions == sorted(solutions, key=lambda s: [serialize_term(s[k]) for k in sorted(s)])
 
     def test_disjoint_variables_cross_product(self):
         store = Store()
@@ -267,6 +269,10 @@ UPDATE_ERRORS = [
                  id="iri-escape-out-of-range-line-5"),
     pytest.param(f'DELETE DATA {{\n}}\n;\nINSERT DATA {{\n  <http://ex.org/a\\u0020> {P} "v" .\n}}', 5, 3,
                  id="iri-escape-to-space-line-5"),
+    pytest.param(f'INSERT DATA {{\n  {S} {P} "a\\uD800" .\n}}', 2, 39, id="literal-surrogate-u-escape"),
+    pytest.param(f'INSERT DATA {{\n  {S} {P} "a\\U0000DFFF" .\n}}', 2, 39, id="literal-surrogate-U-escape"),
+    pytest.param(f'INSERT DATA {{\n  <http://ex.org/a\\udc00> {P} "v" .\n}}', 2, 3, id="iri-surrogate-u-escape"),
+    pytest.param(f'INSERT DATA {{ GRAPH <http://ex.org/\\U0000D800> {{\n  {S} {P} "v" .\n}} }}', 1, 21, id="graph-iri-surrogate-U-escape"),
 ]
 
 # The (line, column) each malformed query pattern reports; ``None`` where
@@ -329,6 +335,14 @@ class TestUpdateStatementPattern:
         assert not divergences(texts, statements, scanner)
         parsed = sum(outcome[0] == "parsed" for outcome in statements)
         assert 0.05 * len(texts) < parsed < 0.9 * len(texts)  # the fuzz reaches both outcomes
+
+    def test_surrogate_escapes_read_alike(self):
+        texts = [in_update(f'{S} {P} "a\\uD800" .'), in_update(f"<http://ex.org/\\U0000DFFF> {P} {S} .")]
+        statements, scanner = outcomes_on_both_paths(parse_update, texts)
+        assert statements == scanner == [
+            ("ParseError", 2, 39, "line 2, column 39: escape of a surrogate code point"),
+            ("ParseError", 2, 3, "line 2, column 3: escape of a surrogate code point"),
+        ]
 
     def test_label_running_into_a_label_is_not_split(self):
         # The label is 'a._' as far as the scanner reads it; a statement
