@@ -72,10 +72,10 @@ class Config:
     quality_threshold: float = 0.8
     required_fields: tuple = DEFAULT_REQUIRED_FIELDS
     endpoint_port: int = 8099
-    scanned_polygons_min: int = 500_000
-    scanned_polygons_max: int = 1_000_000
-    texture_max_px: int = 16_384
-    sls_processed_max_bytes: int = 800 * 10**6
+    scanned_polygons_min: int = ConstraintProfile.scanned_polygons_min
+    scanned_polygons_max: int = ConstraintProfile.scanned_polygons_max
+    texture_max_px: int = ConstraintProfile.texture_max_px
+    sls_processed_max_bytes: int = ConstraintProfile.sls_processed_max_bytes
 
     def __post_init__(self):
         try:
@@ -88,6 +88,10 @@ class Config:
             Iri(self.agent)
         except InvalidIri as exc:
             raise ConfigError(f"agent: {exc}") from None
+        try:
+            self.constraint_profile()
+        except ValueError as exc:
+            raise ConfigError(f"constraint limits: {exc}") from None
 
     def agent_iri(self) -> Iri:
         return Iri(self.agent)

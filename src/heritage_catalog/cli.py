@@ -262,7 +262,10 @@ def cmd_query(args) -> int:
     catalog = Catalog.open(_catalog_root(args))
     if args.serve:
         port = args.port if args.port is not None else catalog.config.endpoint_port
-        server = make_query_server(catalog, port)
+        try:
+            server = make_query_server(catalog, port)
+        except (OverflowError, OSError) as exc:
+            return _fail(EXIT_SETUP, f"cannot serve on 127.0.0.1:{port}: {exc}")
         host, actual_port = server.server_address
         print(f"serving on http://{host}:{actual_port} (GET /query?q=..., GET /health)")
         try:

@@ -169,8 +169,7 @@ def _history(catalog, entity):
 
 
 def _record_retrievable(catalog, entity):
-    graph = record_graph(entity)
-    solutions = catalog.store.bgp_query([QuadPattern(Variable("s"), Variable("p"), Variable("o"), graph)])
+    solutions = catalog.store.match(QuadPattern(Variable("s"), Variable("p"), Variable("o"), record_graph(entity)))
     if solutions:
         return PASS, f"{len(solutions)} statement(s) retrievable via pattern query"
     return FAIL, "record graph not retrievable through the query interface"

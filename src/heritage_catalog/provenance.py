@@ -322,16 +322,6 @@ class ProvenanceTracker:
         return tracker
 
 
-def _values(properties: dict, predicate: Iri, kind) -> list:
-    """The values of one snapshot property that are instances of ``kind``,
-    as :func:`ordered_terms` lists them; a single value needs no set and no
-    sort, and is taken as it is."""
-    values = properties.get(predicate, ())
-    if len(values) == 1:
-        return values if isinstance(values[0], kind) else []
-    return ordered_terms(values, kind)
-
-
 def _parse_chain(entity: Iri, graph: dict, iris: dict[str, Iri]) -> list:
     """One entity's chain from its graph, grouped as subject -> predicate ->
     objects.  Where a property has several values the lowest in
@@ -347,22 +337,22 @@ def _parse_chain(entity: Iri, graph: dict, iris: dict[str, Iri]) -> list:
         except ValueError:
             raise CorruptProvenance(f"non-numeric snapshot index in {subject}") from None
         properties = graph[subject]
-        generated = _values(properties, vocab.GENERATED_AT, Literal)
+        generated = ordered_terms(properties.get(vocab.GENERATED_AT, ()), Literal)
         if not generated:
             raise CorruptProvenance(f"{subject} has no generation timestamp")
-        invalidated = _values(properties, vocab.INVALIDATED_AT, Literal)
-        updates = _values(properties, vocab.HAS_UPDATE_QUERY, Literal)
+        invalidated = ordered_terms(properties.get(vocab.INVALIDATED_AT, ()), Literal)
+        updates = ordered_terms(properties.get(vocab.HAS_UPDATE_QUERY, ()), Literal)
         if not updates:
             raise CorruptProvenance(f"{subject} has no update query")
-        agents = tuple(_values(properties, vocab.ATTRIBUTED_TO, Iri))
+        agents = tuple(ordered_terms(properties.get(vocab.ATTRIBUTED_TO, ()), Iri))
         if not agents:
             raise CorruptProvenance(f"{subject} has no attribution")
-        sources = _values(properties, vocab.PRIMARY_SOURCE, Iri)
-        derived = _values(properties, vocab.DERIVED_FROM, Iri)
+        sources = ordered_terms(properties.get(vocab.PRIMARY_SOURCE, ()), Iri)
+        derived = ordered_terms(properties.get(vocab.DERIVED_FROM, ()), Iri)
         generated_at = parse_timestamp(generated[0].lexical)
         # An empty invalidation literal reads as no invalidation.
         invalidated_at = parse_timestamp(invalidated[0].lexical) if invalidated and invalidated[0].lexical else None
-        kinds = _values(properties, vocab.CHANGE_KIND, Literal)
+        kinds = ordered_terms(properties.get(vocab.CHANGE_KIND, ()), Literal)
         kind = kinds[0].lexical if kinds else None
         if kind not in CHANGE_KINDS:
             if index == 1:

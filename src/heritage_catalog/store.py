@@ -105,23 +105,25 @@ def _term_key(term: Term) -> tuple:
 def ordered_terms(terms, kind=Term) -> list:
     """The distinct instances of ``kind`` among ``terms``, ordered by IRI,
     lexical form or blank-node label; ties go by kind, then by a literal's
-    datatype and language."""
+    datatype and language.  A one-term list needs no set and no sort: it
+    comes back as it is, or as ``[]`` when its term is not a ``kind``."""
+    if isinstance(terms, list) and len(terms) == 1:
+        return terms if isinstance(terms[0], kind) else []
     return sorted({t for t in terms if isinstance(t, kind)}, key=_term_key)
 
 
 class Store:
-    """In-memory quad store indexed by graph, subject, subject-predicate and
-    predicate-object.
+    """In-memory quad store with three indexes: graph -> quads, subject ->
+    predicate -> quads, and (predicate, object) -> quads.
 
     :meth:`objects` and :meth:`subjects` answer single-hop lookups from the
-    last two indexes, ignoring graphs.
+    last two, ignoring graphs.
     """
 
     def __init__(self, quads=()):
         self._quads: set[Quad] = set()
         self._by_graph: dict[Iri | None, set[Quad]] = {}
-        self._by_subject: dict[Iri | BlankNode, set[Quad]] = {}
-        self._by_sp: dict[tuple, set[Quad]] = {}
+        self._by_subject: dict[Iri | BlankNode, dict[Iri, set[Quad]]] = {}
         self._by_po: dict[tuple, set[Quad]] = {}
         if quads:
             self.insert_quads(quads)
@@ -140,21 +142,22 @@ class Store:
 
     def _index_add(self, q: Quad):
         self._by_graph.setdefault(q.graph, set()).add(q)
-        self._by_subject.setdefault(q.subject, set()).add(q)
-        self._by_sp.setdefault((q.subject, q.predicate), set()).add(q)
+        self._by_subject.setdefault(q.subject, {}).setdefault(q.predicate, set()).add(q)
         self._by_po.setdefault((q.predicate, q.object), set()).add(q)
 
     def _index_remove(self, q: Quad):
+        predicates = self._by_subject[q.subject]
         for index, key in (
             (self._by_graph, q.graph),
-            (self._by_subject, q.subject),
-            (self._by_sp, (q.subject, q.predicate)),
+            (predicates, q.predicate),
             (self._by_po, (q.predicate, q.object)),
         ):
             bucket = index[key]
             bucket.discard(q)
             if not bucket:
                 del index[key]
+        if not predicates:
+            del self._by_subject[q.subject]
 
     def insert_quads(self, quads) -> int:
         """Insert quads, returning how many were not already present."""
@@ -179,16 +182,19 @@ class Store:
     def named_graphs(self) -> list[Iri]:
         return sorted((g for g in self._by_graph if g is not None), key=lambda g: g.value)
 
+    def _sp_quads(self, subject, predicate: Iri):
+        return self._by_subject.get(subject, {}).get(predicate, ())
+
     def subject_quads(self, subject, predicate: Iri | None = None) -> set[Quad]:
         """Quads with this subject, and with this predicate when one is given."""
         if predicate is None:
-            return set(self._by_subject.get(subject, ()))
-        return set(self._by_sp.get((subject, predicate), ()))
+            return set().union(*self._by_subject.get(subject, {}).values())
+        return set(self._sp_quads(subject, predicate))
 
     def objects(self, subject, predicate: Iri, kind=Term) -> list:
         """Distinct objects of (subject, predicate) in any graph that are
-        instances of ``kind``, ordered by IRI, lexical form or label."""
-        return ordered_terms((q.object for q in self._by_sp.get((subject, predicate), ())), kind)
+        instances of ``kind``, as :func:`ordered_terms` lists them."""
+        return ordered_terms([q.object for q in self._sp_quads(subject, predicate)], kind)
 
     def subjects(self, predicate: Iri, obj) -> list:
         """Distinct subjects of (predicate, obj) in any graph, ordered like :meth:`objects`."""
@@ -199,11 +205,11 @@ class Store:
 
     def _candidates(self, pattern: QuadPattern):
         if isinstance(pattern.subject, (Iri, BlankNode)) and isinstance(pattern.predicate, Iri):
-            return self._by_sp.get((pattern.subject, pattern.predicate), ())
+            return self._sp_quads(pattern.subject, pattern.predicate)
         if isinstance(pattern.predicate, Iri) and isinstance(pattern.object, (Iri, BlankNode, Literal)):
             return self._by_po.get((pattern.predicate, pattern.object), ())
         if isinstance(pattern.subject, (Iri, BlankNode)):
-            return self._by_subject.get(pattern.subject, ())
+            return self.subject_quads(pattern.subject)
         if isinstance(pattern.graph, Iri) or pattern.graph is None:
             return self._by_graph.get(pattern.graph, ())
         return self._quads

@@ -23,7 +23,6 @@ from typing import Callable
 from . import vocab
 from .mapping import Table, percent_encode
 from .rdf import Iri, Literal, Quad, serialize_nquads, serialize_term
-from .store import ordered_terms
 
 
 class PhaseKind(enum.Enum):
@@ -547,19 +546,17 @@ def record_quads(table: RecordTable, subject: Iri, graph: Iri, values: dict) -> 
 
 
 def record_values(table: RecordTable, store, subject) -> dict | None:
-    """The field values (attribute -> value) the subject's quads hold, read in
-    one pass; None if the subject is not typed as the table's class, a ONE
-    field has no value or a value is malformed.  A field with several values
-    reads its first in :func:`ordered_terms` order."""
-    objects: dict[Iri, list] = {}
-    for quad in store.subject_quads(subject):
-        objects.setdefault(quad.predicate, []).append(quad.object)
-    if table.rdf_class not in objects.get(vocab.RDF_TYPE, ()):
+    """The field values (attribute -> value) the subject's quads hold, each
+    field read through :meth:`Store.objects`; None if the subject is not
+    typed as the table's class, a ONE field has no value or a value is
+    malformed.  A field with several values reads the first that
+    :meth:`Store.objects` lists."""
+    if table.rdf_class not in store.objects(subject, vocab.RDF_TYPE):
         return None
     values = {}
     try:
         for field in table.fields:
-            terms = ordered_terms(objects.get(field.predicate, ()), field.codec.kind)
+            terms = store.objects(subject, field.predicate, field.codec.kind)
             if field.cardinality == MANY:
                 values[field.attr] = tuple(map(field.codec.decode, terms))
                 continue

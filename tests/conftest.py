@@ -89,12 +89,14 @@ def _st_literals(draw):
     return Literal(lexical, draw(st.sampled_from([None, XSD_STRING, Iri("http://ex.org/dt")])))
 
 
-# Hypothesis strategy: quads with short IRIs, labels and escape-heavy literals.
+# Hypothesis strategies: terms of every kind, and quads, with short IRIs,
+# labels and escape-heavy literals.
+term_strategy = st.one_of(_st_iris, _st_bnodes, _st_literals())
 quad_strategy = st.builds(
     Quad,
     st.one_of(_st_iris, _st_bnodes),
     _st_iris,
-    st.one_of(_st_iris, _st_bnodes, _st_literals()),
+    term_strategy,
     st.one_of(st.none(), _st_iris),
 )
 

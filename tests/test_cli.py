@@ -1,5 +1,7 @@
 import csv
 import hashlib
+import re
+import socket
 import threading
 import urllib.parse
 import urllib.request
@@ -355,6 +357,57 @@ class TestHttpEndpoint:
         with urllib.request.urlopen(f"{server}/query?q={q}") as response:
             assert response.status == 200
             assert response.read() == b""
+
+
+class TestServeSetup:
+    """A port that cannot be bound is a setup error; no server starts."""
+
+    def _serve(self, tmp_path, capsys, port: int) -> tuple[int, str]:
+        root = tmp_path / "cat"
+        assert run("init", str(root)) == 0
+        capsys.readouterr()
+        code = run("--catalog", str(root), "query", "--serve", "--port", str(port))
+        return code, capsys.readouterr().err
+
+    def test_port_in_use_exits_2(self, tmp_path, capsys):
+        with socket.socket() as held:
+            held.bind(("127.0.0.1", 0))
+            held.listen()
+            port = held.getsockname()[1]
+            code, err = self._serve(tmp_path, capsys, port)
+        assert code == 2
+        assert err.startswith(f"error: cannot serve on 127.0.0.1:{port}: ")
+
+    def test_port_out_of_range_exits_2(self, tmp_path, capsys):
+        code, err = self._serve(tmp_path, capsys, 70000)
+        assert code == 2
+        assert err.startswith("error: cannot serve on 127.0.0.1:70000: ")
+
+
+class TestConfigLimits:
+    """Constraint limits are checked when catalog.cfg is read."""
+
+    @pytest.mark.parametrize("limits", [
+        {"scanned_polygons_min": "900", "scanned_polygons_max": "10"},
+        {"scanned_polygons_min": "0"},
+        {"texture_max_px": "-1"},
+        {"sls_processed_max_bytes": "0"},
+    ])
+    @pytest.mark.parametrize("command", [("validate",), ("audit",), ("query", "?s ?p ?o")])
+    def test_bad_limits_exit_3(self, tmp_path, capsys, limits, command):
+        root = tmp_path / "cat"
+        assert run("init", str(root)) == 0
+        cfg = root / "catalog.cfg"
+        text = cfg.read_text()
+        for key, value in limits.items():
+            text = re.sub(rf"(?m)^{key}=.*$", f"{key}={value}", text)
+        cfg.write_text(text)
+        capsys.readouterr()
+        assert run("--catalog", str(root), *command) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: constraint limits: ")
+        assert len(err.splitlines()) == 1
+        assert "Traceback" not in err
 
 
 class TestReport:

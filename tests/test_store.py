@@ -19,9 +19,10 @@ from conftest import (
     rand_quad,
     rand_strict_delta,
     rand_term,
+    term_strategy,
 )
 from heritage_catalog.cli import parse_bgp_text
-from heritage_catalog.rdf import BlankNode, Iri, Literal, ParseError, Quad, serialize_term
+from heritage_catalog.rdf import BlankNode, Iri, Literal, ParseError, Quad, Term, serialize_term
 from heritage_catalog.store import (
     ANY,
     Delta,
@@ -30,6 +31,8 @@ from heritage_catalog.store import (
     QuadPattern,
     Store,
     Variable,
+    _term_key,
+    ordered_terms,
     parse_update,
     serialize_update,
 )
@@ -89,8 +92,8 @@ class TestInsertDelete:
                 store.delete_quads({rng.choice(pool)})
         rebuilt = Store(store.quads())
         assert store._by_graph == rebuilt._by_graph
+        # Equal nested dicts: no emptied predicate set or subject dict is left.
         assert store._by_subject == rebuilt._by_subject
-        assert store._by_sp == rebuilt._by_sp
         assert store._by_po == rebuilt._by_po
 
     def test_accessors_match_brute_force_after_random_ops(self):
@@ -112,9 +115,16 @@ class TestInsertDelete:
             quads = store.quads()
             replayed = Store(sorted(quads, key=repr, reverse=True))
             for s in subjects:
+                assert store.subject_quads(s) == {q for q in quads if q.subject == s}
+                for graph in (ANY, Variable("g"), graphs[1]):
+                    pattern = QuadPattern(s, Variable("p"), Variable("o"), graph)
+                    assert sorted(map(repr, store.match(pattern))) == sorted(map(repr, brute_force_match(quads, pattern)))
                 for p in predicates:
                     bucket = {q for q in quads if q.subject == s and q.predicate == p}
                     assert store.subject_quads(s, p) == bucket
+                    for graph in (ANY, Variable("g"), graphs[1]):
+                        pattern = QuadPattern(s, p, Variable("o"), graph)
+                        assert sorted(map(repr, store.match(pattern))) == sorted(map(repr, brute_force_match(quads, pattern)))
                     got = store.objects(s, p)
                     assert set(got) == {q.object for q in bucket}
                     assert len(got) == len(set(got))
@@ -131,6 +141,11 @@ class TestInsertDelete:
                     for graph in (ANY, Variable("g"), graphs[1]):
                         pattern = QuadPattern(Variable("s"), p, o, graph)
                         assert sorted(map(repr, store.match(pattern))) == sorted(map(repr, brute_force_match(quads, pattern)))
+
+
+@given(term_strategy, st.sampled_from([Term, Iri, BlankNode, Literal, (Iri, BlankNode)]))
+def test_one_term_list_follows_the_general_rule(term, kind):
+    assert ordered_terms([term], kind) == sorted({t for t in [term] if isinstance(t, kind)}, key=_term_key)
 
 
 class TestMatch:
