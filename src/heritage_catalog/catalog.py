@@ -18,6 +18,7 @@ reconstructable from the snapshot chains.
 
 from __future__ import annotations
 
+import gc
 import shutil
 from dataclasses import dataclass, fields
 from datetime import datetime, timedelta, timezone
@@ -123,7 +124,10 @@ class Config:
             if "=" not in line:
                 raise ConfigError(f"config line {line_no} is not key=value: {line!r}")
             key, _, value = line.partition("=")
-            values[key.strip()] = value.strip()
+            key = key.strip()
+            if key in values:
+                raise ConfigError(f"config line {line_no} gives key {key!r} a second time")
+            values[key] = value.strip()
         kwargs = {}
         for spec in fields(cls):
             if spec.name not in values:
@@ -258,9 +262,17 @@ class Catalog:
         # One IRI memo for every parse of this open: data.nq, prov.nq and
         # each snapshot's update query, so each distinct IRI is built once.
         iris: dict[str, Iri] = {}
-        store = Store.load(root / "data.nq", iris)
-        prov_rows = rdf.read_statements((root / "prov.nq").read_text(encoding="utf-8"), iris)
-        tracker = ProvenanceTracker.from_quads(store, prov_rows, iris)
+        # Parsing and the chain rebuild allocate many tuples and form no
+        # reference cycles, so cyclic GC would only re-scan live objects.
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            store = Store.load(root / "data.nq", iris)
+            prov_rows = rdf.read_statements((root / "prov.nq").read_text(encoding="utf-8"), iris)
+            tracker = ProvenanceTracker.from_quads(store, prov_rows, iris)
+        finally:
+            if enabled:
+                gc.enable()
         return cls(root, config, store, tracker)
 
     def save(self):

@@ -35,7 +35,9 @@ class UnknownFormat(ValueError):
 @dataclass(frozen=True)
 class Check:
     """One checklist cell with its evaluator, ``evaluate(catalog, entity) ->
-    (outcome, evidence)``; a digital-only one does not apply to physical objects."""
+    (outcome, evidence)``; a digital-only one does not apply to physical objects.
+    An asset check is called as ``evaluate(catalog, assets)`` instead, with the
+    object's asset records, which an audit builds once per digital object."""
 
     id: str
     level: str
@@ -44,6 +46,7 @@ class Check:
     anchor: str
     evaluate: Callable = field(repr=False, compare=False)
     digital_only: bool = False
+    on_assets: bool = False
 
 
 @dataclass(frozen=True)
@@ -107,15 +110,13 @@ def _open_access(catalog, entity):
     return FAIL, "no access IRI statement"
 
 
-def _versioned(catalog, entity):
-    assets = catalog.assets_for(entity)
+def _versioned(catalog, assets):
     if assets:
         return PASS, f"{len(assets)} asset version(s): " + ", ".join(a.id.value for a in assets[:3])
     return FAIL, "no asset versions recorded"
 
 
-def _acceptable_formats(catalog, entity):
-    assets = catalog.assets_for(entity)
+def _acceptable_formats(catalog, assets):
     if not assets:
         return NOT_APPLICABLE, "no asset versions recorded"
     acceptable = catalog.config.constraint_profile().acceptable_formats()
@@ -223,9 +224,10 @@ _REGISTRY = (
     Check("OBJ-A1", "object", "A", "sustainable storage location recorded", "sustainable storage (hardware, storage medium)",
           _present(vocab.STORAGE_LOCATION, "no storage location statement"), digital_only=True),
     Check("OBJ-A2", "object", "A", "access IRI uses an open protocol scheme", "open universal access protocols", _open_access, digital_only=True),
-    Check("OBJ-A3", "object", "A", "at least one asset version recorded", "version management", _versioned, digital_only=True),
+    Check("OBJ-A3", "object", "A", "at least one asset version recorded", "version management", _versioned, digital_only=True, on_assets=True),
     Check("OBJ-A4", "object", "A", "backup location recorded", "Backups", _present(vocab.BACKUP_LOCATION, "no backup location statement"), digital_only=True),
-    Check("OBJ-I1", "object", "I", "every recorded asset format is acceptable", "preferred or acceptable formats", _acceptable_formats, digital_only=True),
+    Check("OBJ-I1", "object", "I", "every recorded asset format is acceptable", "preferred or acceptable formats", _acceptable_formats,
+          digital_only=True, on_assets=True),
     Check("OBJ-R1", "object", "R", "timestamp interval recorded", "have a date-timestamp", _interval, digital_only=True),
     Check("OBJ-R2", "object", "R", "licence recorded in IRI form", "licence for reuse, which is also available in a machine readable form",
           _present(vocab.DCT_LICENSE, "no licence IRI statement", Iri)),
@@ -276,6 +278,7 @@ def run_audit(catalog: Catalog) -> FairReport:
     for entity, _ in catalog.objects():
         digital = vocab.DIGITAL_OBJECT in catalog.store.objects(entity, vocab.RDF_TYPE)
         graph = record_graph(entity)
+        assets = catalog.assets_for(entity) if digital else []
         for check in _REGISTRY:
             on_record = check.level == "metadata_record"
             if on_record and graph not in graphs:
@@ -283,7 +286,7 @@ def run_audit(catalog: Catalog) -> FairReport:
             if check.digital_only and not digital:
                 outcome, evidence = NOT_APPLICABLE, "physical object without digital files"
             else:
-                outcome, evidence = check.evaluate(catalog, entity)
+                outcome, evidence = check.evaluate(catalog, assets if check.on_assets else entity)
             results.append(CheckResult(check.id, graph if on_record else entity, outcome, evidence))
             summary[(check.level, check.facet)][outcome] += 1
     results.sort(key=lambda r: (r.subject.value, r.check_id))

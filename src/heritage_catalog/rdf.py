@@ -13,19 +13,21 @@ terms fail to build, goes to :class:`TermScanner`, which reads it token
 by token and either parses it or raises its syntax error with line and
 column.  The scanner alone parses query patterns.
 
-Term work is done once: a parse builds and validates each distinct IRI
-token once, through a memo that lives for that parse, or for one
-``Catalog.open`` when open passes the same memo to every parse it makes;
-a quad's hash is computed when it is built; serialization renders each
-term once per quad and sorts the rendered rows.  :func:`read_statements`
-yields each statement as a tuple of its four terms, for a reader that
-keeps no :class:`Quad`.
+Terms are built-in values: an :class:`Iri` or :class:`BlankNode` is a
+``str`` and a :class:`Literal` or :class:`Quad` a ``tuple``, hashed by
+that type in C and equal only to a value of its own type.  Term work is
+done once: a parse builds and validates each distinct IRI token once,
+through a memo that lives for that parse, or for one ``Catalog.open``
+when open passes the same memo to every parse it makes; serialization
+renders each term once per quad and sorts the rendered rows.
+:func:`read_statements` yields each statement as a plain tuple of its
+four terms, for a reader that keeps no :class:`Quad`.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from collections import namedtuple
 from typing import NoReturn
 
 RDF_NS = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
@@ -75,92 +77,104 @@ def _iri_fault(v: str) -> str:
     return f"{what} not allowed in IRI {v!r}"
 
 
-@dataclass(frozen=True, slots=True)
-class Iri:
+class _Text(str):
+    """A term held as its text, hashed by ``str`` and equal only to its own type."""
+
+    __slots__ = ()
+    __hash__ = str.__hash__
+
+    def __eq__(self, other):
+        return type(other) is type(self) and str.__eq__(self, other)
+
+    def __ne__(self, other):
+        return type(other) is not type(self) or str.__ne__(self, other)
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self._field}={str.__repr__(self)})"
+
+
+class Iri(_Text):
     """Absolute IRI; equality is exact codepoint equality."""
 
-    value: str
+    __slots__ = ()
+    _field = "value"
+    value = property(str.__str__)  # a plain str
 
-    def __hash__(self):
-        return hash(self.value)
-
-    def __post_init__(self):
+    def __new__(cls, value: str):
         # One match decides; the reason is worked out only for a rejection.
-        if not _ABSOLUTE_IRI.match(self.value):
-            raise InvalidIri(_iri_fault(self.value))
-
-    def __str__(self):
-        return self.value
+        if not _ABSOLUTE_IRI.match(value):
+            raise InvalidIri(_iri_fault(value))
+        return str.__new__(cls, value)
 
 
-@dataclass(frozen=True, slots=True)
-class BlankNode:
-    label: str
+class BlankNode(_Text):
+    __slots__ = ()
+    _field = "label"
+    label = property(str.__str__)  # a plain str
+    __str__ = _Text.__repr__  # a message names a blank node as one, not as bare text
 
-    def __post_init__(self):
-        if not _BNODE_RE.match(self.label):
-            raise InvalidTerm(f"invalid blank node label {self.label!r}")
+    def __new__(cls, label: str):
+        if not _BNODE_RE.match(label):
+            raise InvalidTerm(f"invalid blank node label {label!r}")
+        return str.__new__(cls, label)
+
+
+class _Row(tuple):
+    """A term or quad held as its fields, hashed by ``tuple`` and equal only to its own type."""
+
+    __slots__ = ()
+    __hash__ = tuple.__hash__
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so namedtuple's _replace checks too
+
+    def __eq__(self, other):
+        return type(other) is type(self) and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return type(other) is not type(self) or tuple.__ne__(self, other)
 
 
 XSD_STRING = Iri(XSD_NS + "string")
 RDF_LANG_STRING = Iri(RDF_NS + "langString")
 
 
-@dataclass(frozen=True, slots=True)
-class Literal:
-    """Typed or language-tagged literal.
+class Literal(_Row, namedtuple("Literal", "lexical datatype language")):
+    """Typed or language-tagged literal.  A language tag forces the language-string
+    datatype; with neither a tag nor a datatype the plain string datatype applies."""
 
-    A language tag forces the language-string datatype; with neither a
-    tag nor an explicit datatype the plain string datatype applies.
-    """
+    __slots__ = ()
 
-    lexical: str
-    datatype: Iri | None = None
-    language: str | None = None
-
-    def __post_init__(self):
-        if self.language is not None:
-            if not _LANG_RE.match(self.language):
-                raise InvalidTerm(f"invalid language tag {self.language!r}")
-            if self.datatype not in (None, RDF_LANG_STRING):
+    def __new__(cls, lexical: str, datatype: Iri | None = None, language: str | None = None):
+        if language is not None:
+            if not _LANG_RE.match(language):
+                raise InvalidTerm(f"invalid language tag {language!r}")
+            if datatype not in (None, RDF_LANG_STRING):
                 raise InvalidTerm("language-tagged literal cannot carry another datatype")
-            object.__setattr__(self, "datatype", RDF_LANG_STRING)
-        elif self.datatype is None:
-            object.__setattr__(self, "datatype", XSD_STRING)
-        elif self.datatype == RDF_LANG_STRING:
+            datatype = RDF_LANG_STRING
+        elif datatype is None:
+            datatype = XSD_STRING
+        elif datatype == RDF_LANG_STRING:
             raise InvalidTerm("language-string datatype requires a language tag")
+        return tuple.__new__(cls, (lexical, datatype, language))
 
 
 Term = Iri | BlankNode | Literal
 
 
-@dataclass(frozen=True, slots=True)
-class Quad:
-    subject: Iri | BlankNode
-    predicate: Iri
-    object: Term
-    graph: Iri | None = None
-    _hash: int = field(init=False, repr=False, compare=False)
+class Quad(_Row, namedtuple("Quad", "subject predicate object graph")):
+    """One statement, as its ``(subject, predicate, object, graph)`` row."""
 
-    def __post_init__(self):
-        if isinstance(self.subject, Literal):
-            raise InvalidTerm("literal not allowed in subject position")
-        if not isinstance(self.subject, (Iri, BlankNode)):
-            raise InvalidTerm(f"bad subject {self.subject!r}")
-        if not isinstance(self.predicate, Iri):
+    __slots__ = ()
+
+    def __new__(cls, subject: Iri | BlankNode, predicate: Iri, object: Term, graph: Iri | None = None):
+        if not isinstance(subject, (Iri, BlankNode)):
+            raise InvalidTerm("literal not allowed in subject position" if isinstance(subject, Literal) else f"bad subject {subject!r}")
+        if not isinstance(predicate, Iri):
             raise InvalidTerm("predicate must be an IRI")
-        if not isinstance(self.object, (Iri, BlankNode, Literal)):
-            raise InvalidTerm(f"bad object {self.object!r}")
-        if self.graph is not None and not isinstance(self.graph, Iri):
+        if not isinstance(object, (Iri, BlankNode, Literal)):
+            raise InvalidTerm(f"bad object {object!r}")
+        if graph is not None and not isinstance(graph, Iri):
             raise InvalidTerm("graph label must be an IRI")
-        object.__setattr__(self, "_hash", hash((self.subject, self.predicate, self.object, self.graph)))
-
-    def __hash__(self):
-        return self._hash
-
-    def __iter__(self):
-        """The four terms, so that a quad reads as a statement row."""
-        return iter((self.subject, self.predicate, self.object, self.graph))
+        return tuple.__new__(cls, (subject, predicate, object, graph))
 
 
 def _escape_literal(text: str) -> str:
@@ -184,10 +198,7 @@ def serialize_term(term: Term) -> str:
 
 
 def serialize_quad(quad: Quad) -> str:
-    parts = [serialize_term(quad.subject), serialize_term(quad.predicate), serialize_term(quad.object)]
-    if quad.graph is not None:
-        parts.append(serialize_term(quad.graph))
-    return " ".join(parts) + " ."
+    return " ".join([serialize_term(term) for term in quad if term is not None]) + " ."
 
 
 def canonical_rows(quads) -> list[tuple[str, str, str, str]]:
@@ -198,11 +209,8 @@ def canonical_rows(quads) -> list[tuple[str, str, str, str]]:
 
 
 def serialize_nquads(quads) -> str:
-    """Canonical N-Quads: one statement per line, sorted, trailing newline.
-
-    A pure function of the quad set; two equal sets serialize to identical
-    bytes regardless of insertion order.
-    """
+    """Canonical N-Quads: one statement per line, sorted, trailing newline; two
+    equal quad sets serialize to identical bytes whatever their insertion order."""
     return "".join(f"{s} {p} {o} {g} .\n" if g else f"{s} {p} {o} .\n" for g, s, p, o in canonical_rows(quads))
 
 
@@ -322,12 +330,8 @@ def _matched_terms(groups: tuple, iris: dict[str, Iri], graph: Iri | None) -> tu
         obj = BlankNode(label)
     else:
         obj = Literal(_unescape_literal(body), None if datatype is None else memo(datatype) or memo_iri(datatype, iris), language)
-    return (
-        BlankNode(subject_label) if subject is None else memo(subject) or memo_iri(subject, iris),
-        memo(predicate) or memo_iri(predicate, iris),
-        obj,
-        graph,
-    )
+    subject = BlankNode(subject_label) if subject is None else memo(subject) or memo_iri(subject, iris)
+    return subject, memo(predicate) or memo_iri(predicate, iris), obj, graph
 
 
 class TermScanner:
@@ -342,12 +346,10 @@ class TermScanner:
     scanner is what places every syntax error.  Query patterns are read
     with the token readers alone.
 
-    ``iris`` maps a raw IRI token to the :class:`Iri` built from it.  A
-    parse passes one dict to all its scanners and drops it when done, so a
-    repeated IRI is built and validated once per parse and never across
-    parses.  ``Catalog.open`` passes one dict to every parse it makes, so
-    there the memo lives for that open and never across opens.  Only valid
-    IRIs enter it, so an invalid one raises wherever it occurs.
+    ``iris`` maps a raw IRI token to the :class:`Iri` built from it.  Every
+    scanner of one parse, or of one ``Catalog.open``, shares one dict, so a
+    repeated IRI is built and validated once there and never across them.
+    Only valid IRIs enter it, so an invalid one raises wherever it occurs.
     """
 
     def __init__(self, text: str, line: int = 1, iris: dict[str, Iri] | None = None):
@@ -431,12 +433,10 @@ class TermScanner:
 
     def match_statements(self, graph: Iri | None) -> list[Quad]:
         """Read ``subject predicate object .`` statements and the whitespace
-        after each, with one statement-pattern match per statement.
-
-        Stops before the first statement that does not match, or whose terms
-        fail to build, and leaves it to the token readers, which parse it
-        or report its error.
-        """
+        after each, with one statement-pattern match per statement.  Stops
+        before the first statement that does not match, or whose terms fail
+        to build, and leaves it to the token readers, which parse it or
+        report its error."""
         quads = []
         while found := _UPDATE_STATEMENT.match(self.text, self.pos):
             try:

@@ -7,6 +7,7 @@ quads.  ``open`` shares one IRI memo across every parse it makes and reads
 the same store, the same chains and the same errors.
 """
 
+import gc
 import tempfile
 from collections import Counter
 from dataclasses import fields
@@ -20,7 +21,7 @@ from conftest import quad_strategy, ts
 from heritage_catalog import vocab
 from heritage_catalog.catalog import Catalog
 from heritage_catalog.provenance import ProvenanceTracker, Snapshot, prov_graph_iri
-from heritage_catalog.rdf import RDF_LANG_STRING, XSD_STRING, Iri, Literal, Quad, parse_nquads, serialize_nquads, serialize_quad
+from heritage_catalog.rdf import RDF_LANG_STRING, XSD_STRING, Iri, Literal, ParseError, Quad, parse_nquads, serialize_nquads, serialize_quad
 from heritage_catalog.store import Delta, Store
 from test_provenance import CHAIN_CORRUPTIONS, E, _three_snapshot_payload
 
@@ -151,6 +152,26 @@ class TestOpenErrors:
         assert outcome[0] == "ParseError" and outcome[1] is not None
 
 
+class TestOpenGc:
+    """``open`` pauses cyclic GC while it parses and leaves it as it found it."""
+
+    def test_gc_state_is_restored(self, tmp_path):
+        root = TestOpenErrors._catalog_with(tmp_path, serialize_nquads(_three_snapshot_payload()))
+        broken = TestOpenErrors._catalog_with(tmp_path / "broken", "<http://ex.org/s> <http://ex.org/p> .\n")
+        assert gc.isenabled()
+        Catalog.open(root)
+        assert gc.isenabled()
+        with pytest.raises(ParseError):
+            Catalog.open(broken)
+        assert gc.isenabled()
+        gc.disable()
+        try:
+            Catalog.open(root)
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
+
 def iris_in(quads) -> list[str]:
     """The value of every IRI term a parse of these quads builds: every IRI
     position and every datatype written out in the text."""
@@ -172,13 +193,13 @@ class TestOpenIriMemo:
         prov = parse_nquads((root / "prov.nq").read_text(encoding="utf-8"))
         distinct = set(iris_in(store.quads())) | set(iris_in(prov)) | set(iris_in(updates))
         built = []
-        validate = Iri.__post_init__
+        build = Iri.__new__
 
-        def counting(self):
-            built.append(self.value)
-            validate(self)
+        def counting(cls, value):
+            built.append(value)
+            return build(cls, value)
 
-        monkeypatch.setattr(Iri, "__post_init__", counting)
+        monkeypatch.setattr(Iri, "__new__", counting)
         opened = Catalog.open(root)
         # The configuration's two IRIs are built when catalog.cfg is read.
         config = [opened.config.base_iri, opened.config.agent]

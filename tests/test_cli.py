@@ -410,6 +410,20 @@ class TestConfigLimits:
         assert "Traceback" not in err
 
 
+class TestConfigKeys:
+    def test_key_given_twice_exits_3(self, tmp_path, capsys):
+        root = tmp_path / "cat"
+        assert run("init", str(root)) == 0
+        cfg = root / "catalog.cfg"
+        text = cfg.read_text()
+        assert "scanned_polygons_min=500000\n" in text
+        cfg.write_text(text + "scanned_polygons_min=0\n")
+        capsys.readouterr()
+        assert run("--catalog", str(root), "validate") == 3
+        line = len(text.splitlines()) + 1
+        assert capsys.readouterr().err == f"error: config line {line} gives key 'scanned_polygons_min' a second time\n"
+
+
 class TestReport:
     def test_storage_percentages(self, gold_root, capsys):
         assert run("--catalog", str(gold_root), "report", "storage") == 0

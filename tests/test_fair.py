@@ -5,7 +5,7 @@ from dataclasses import replace
 import pytest
 
 from conftest import gold_catalog, rand_iri  # noqa: F401
-from heritage_catalog import vocab
+from heritage_catalog import vocab, workflow
 from heritage_catalog.catalog import Catalog, record_graph
 from heritage_catalog.fair import (
     FAIL,
@@ -55,6 +55,20 @@ class TestGoldAudit:
         report = run_audit(gold_catalog)
         failures = [r for r in report.results if r.outcome == FAIL]
         assert failures == []
+
+    def test_asset_records_are_built_once_per_digital_object(self, gold_catalog, monkeypatch):
+        built = []
+        build = workflow.build_records
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(workflow, "build_records", counting)
+        run_audit(gold_catalog)
+        store = gold_catalog.store
+        digital = [entity for entity, _ in gold_catalog.objects() if vocab.DIGITAL_OBJECT in store.objects(entity, vocab.RDF_TYPE)]
+        assert len(built) == len(digital) == 2
 
     def test_every_check_exercised(self, gold_catalog):
         report = run_audit(gold_catalog)

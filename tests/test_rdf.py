@@ -463,6 +463,58 @@ class TestHashContract:
         assert Iri("http://ex.org/s") != "http://ex.org/s"
 
 
+_S_IRI, _P_IRI = Iri("http://ex.org/s"), Iri("http://ex.org/p")
+# Each term with the plain str or tuple that holds the same content.
+_PLAIN_TWINS = [
+    (_S_IRI, "http://ex.org/s"),
+    (BlankNode("b1"), "b1"),
+    (Literal("a"), ("a", XSD_STRING, None)),
+    (Literal("ciao", language="it"), ("ciao", RDF_LANG_STRING, "it")),
+    (Quad(_S_IRI, _P_IRI, Literal("a")), (_S_IRI, _P_IRI, Literal("a"), None)),
+]
+_TWIN_IDS = ["iri", "blank-node", "literal", "language-literal", "quad"]
+
+
+class TestValueSemantics:
+    """Terms are str and tuple values, but a term equals only a term of its own type."""
+
+    @pytest.mark.parametrize("term, plain", _PLAIN_TWINS, ids=_TWIN_IDS)
+    def test_never_equal_to_a_plain_twin(self, term, plain):
+        assert type(plain) in (str, tuple)
+        assert (str.__str__(term) if isinstance(term, str) else tuple(term)) == plain
+        assert not term == plain and not plain == term
+        assert term != plain and plain != term
+
+    @pytest.mark.parametrize("term, plain", _PLAIN_TWINS, ids=_TWIN_IDS)
+    def test_a_set_keeps_a_term_and_its_plain_twin(self, term, plain):
+        both = {term, plain}
+        assert len(both) == 2
+        assert plain not in {term} and term not in {plain}
+
+    @pytest.mark.parametrize("term, plain", _PLAIN_TWINS, ids=_TWIN_IDS)
+    def test_equal_terms_are_not_unequal(self, term, plain):
+        twin = type(term)(*(plain if isinstance(plain, tuple) else (plain,)))
+        assert twin is not term
+        assert twin == term and not twin != term and hash(twin) == hash(term)
+
+    def test_replacing_a_field_runs_the_checks(self):
+        quad = Quad(_S_IRI, _P_IRI, Literal("a"))
+        assert quad._replace(graph=_S_IRI) == Quad(_S_IRI, _P_IRI, Literal("a"), _S_IRI)
+        with pytest.raises(InvalidTerm):
+            quad._replace(graph="http://ex.org/g")
+        with pytest.raises(InvalidTerm):
+            Literal("a")._replace(language="en us")
+
+    def test_fields_are_plain_str(self):
+        assert type(Iri("http://ex.org/s").value) is str
+        assert type(BlankNode("b1").label) is str
+
+    @pytest.mark.parametrize("term, plain", _PLAIN_TWINS, ids=_TWIN_IDS)
+    def test_hashed_by_the_builtin_type_and_no_instance_dict(self, term, plain):
+        assert type(term).__hash__ is type(plain).__hash__
+        assert not hasattr(term, "__dict__")
+
+
 class TestIriMemo:
     TEXT = "\n".join([
         f'{S} {P} "1" <http://ex.org/g> .',
@@ -506,13 +558,13 @@ class TestIriMemo:
 
     def _assert_each_distinct_iri_is_validated_once_per_parse(self, monkeypatch):
         built = []
-        validate = Iri.__post_init__
+        build = Iri.__new__
 
-        def counting(self):
-            built.append(self.value)
-            validate(self)
+        def counting(cls, value):
+            built.append(value)
+            return build(cls, value)
 
-        monkeypatch.setattr(Iri, "__post_init__", counting)
+        monkeypatch.setattr(Iri, "__new__", counting)
         for parse, text in ((parse_nquads, self.TEXT), (parse_update, self.UPDATE)):
             built.clear()
             parse(text)
