@@ -21,12 +21,11 @@ from __future__ import annotations
 import gc
 import shutil
 from dataclasses import dataclass, fields
-from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 from . import rdf, vocab, workflow
 from .mapping import MappingDocument, Table, execute_mapping, load_table, percent_encode
-from .provenance import ProvenanceTracker, utc_second
+from .provenance import ProvenanceTracker
 from .rdf import InvalidIri, Iri, Literal, Quad
 from .store import Delta, Store
 from .workflow import (
@@ -230,11 +229,11 @@ class Catalog:
     never call :meth:`save`.
     """
 
-    def __init__(self, root: Path, config: Config, store: Store, tracker: ProvenanceTracker):
+    def __init__(self, root: Path, config: Config, tracker: ProvenanceTracker):
         self.root = Path(root)
         self.config = config
-        self.store = store
         self.tracker = tracker
+        self.store = tracker.store
 
     # -- directory plumbing ------------------------------------------------
 
@@ -250,8 +249,7 @@ class Catalog:
         (root / "prov.nq").write_text("", encoding="utf-8")
         config = Config()
         (root / "catalog.cfg").write_text(config.to_text(), encoding="utf-8")
-        store = Store()
-        return cls(root, config, store, ProvenanceTracker(store))
+        return cls(root, config, ProvenanceTracker(Store()))
 
     @classmethod
     def open(cls, root) -> "Catalog":
@@ -273,7 +271,7 @@ class Catalog:
         finally:
             if enabled:
                 gc.enable()
-        return cls(root, config, store, tracker)
+        return cls(root, config, tracker)
 
     def save(self):
         """Replace prov.nq, then data.nq.  Every literal of the store is also
@@ -289,33 +287,16 @@ class Catalog:
     def load_table(self, name: str) -> Table:
         return load_table(self.table_path(name), name)
 
-    # -- snapshot clock ----------------------------------------------------
-
-    def next_time(self, entity: Iri) -> datetime:
-        """The time of the entity's next snapshot: now, to the second, or one
-        second after its last snapshot when that is not yet in the past.
-
-        Times increase per entity, which is all the tracker requires, so a
-        batch of snapshots of many entities is not stamped ahead of the clock.
-        """
-        now = utc_second(datetime.now(timezone.utc))
-        if self.tracker.has_chain(entity):
-            last = self.tracker.chain(entity)[-1].generated_at
-            if now <= last:
-                return last + timedelta(seconds=1)
-        return now
-
     # -- entity state updates ----------------------------------------------
 
     def _record(self, entity: Iri, delta: Delta, source: Iri | None) -> str:
         """Record one write of the entity as one snapshot: its creation when
         the entity has no chain yet, otherwise a modification.  Every
-        catalog write goes through here."""
-        agent, time = self.config.agent_iri(), self.next_time(entity)
+        catalog write goes through here; the tracker stamps its time."""
         if self.tracker.has_chain(entity):
-            self.tracker.record_modification(entity, delta, agent, source=source, time=time)
+            self.tracker.record_modification(entity, delta, self.config.agent_iri(), source=source)
             return "modified"
-        self.tracker.record_creation(entity, delta.inserts, agent, source=source, time=time)
+        self.tracker.record_creation(entity, delta.inserts, self.config.agent_iri(), source=source)
         return "created"
 
     def _apply_entity_state(self, entity: Iri, desired: set[Quad], owned_predicates, source: Iri | None) -> str:
@@ -500,11 +481,11 @@ class Catalog:
     def uploads(self) -> list[UploadRecord]:
         return workflow.uploads_from_store(self.store, self.config.base_iri)
 
-    def objects(self) -> list[tuple[Iri, str]]:
-        """Every catalogued physical or digital object, sorted by IRI."""
-        found = {(s, "cho") for s in self.store.subjects(vocab.RDF_TYPE, vocab.PHYSICAL_OBJECT)}
-        found |= {(s, "dcho") for s in self.store.subjects(vocab.RDF_TYPE, vocab.DIGITAL_OBJECT)}
-        return sorted(found, key=lambda pair: pair[0].value)
+    def objects(self) -> list[Iri]:
+        """Every catalogued physical or digital object, once each, sorted by IRI."""
+        found = set(self.store.subjects(vocab.RDF_TYPE, vocab.PHYSICAL_OBJECT))
+        found.update(self.store.subjects(vocab.RDF_TYPE, vocab.DIGITAL_OBJECT))
+        return sorted(found, key=lambda entity: entity.value)
 
     def validate_assets(self) -> list[Violation]:
         """Each asset checked against its object's acquisition technique."""

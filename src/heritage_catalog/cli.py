@@ -39,6 +39,7 @@ from .workflow import (
     NoSuchObject,
     OutOfOrder,
     PHASE_ORDER,
+    PlaceholderClash,
     UnknownPhase,
     ValidationError,
 )
@@ -69,6 +70,7 @@ _INPUT_ERRORS = (
     ConfigError,
     MissingLicence,
     NoAssets,
+    PlaceholderClash,
     fair.UnknownFormat,
     provenance.AlreadyExists,
     provenance.EntityDeleted,
@@ -195,7 +197,7 @@ def _catalog_root(args) -> Path:
 
 def cmd_init(args) -> int:
     try:
-        Catalog.create(args.path).save()
+        Catalog.create(args.path)
     except CatalogExists as exc:
         return _fail(EXIT_SETUP, str(exc))
     print(f"initialized catalog in {args.path}")

@@ -275,7 +275,7 @@ def run_audit(catalog: Catalog) -> FairReport:
     results = []
     summary = {(level, facet): {PASS: 0, FAIL: 0, NOT_APPLICABLE: 0} for level in LEVELS for facet in FACETS}
     graphs = set(catalog.store.named_graphs())
-    for entity, _ in catalog.objects():
+    for entity in catalog.objects():
         digital = vocab.DIGITAL_OBJECT in catalog.store.objects(entity, vocab.RDF_TYPE)
         graph = record_graph(entity)
         assets = catalog.assets_for(entity) if digital else []

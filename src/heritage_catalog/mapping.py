@@ -15,13 +15,12 @@ import io
 import re
 from dataclasses import dataclass
 from datetime import datetime
+from urllib.parse import quote
 
-from .rdf import InvalidIri, Iri, Literal, ParseError, Quad, RDF_NS, Term, XSD_NS
+from .rdf import InvalidIri, InvalidTerm, Iri, Literal, ParseError, Quad, RDF_NS, Term, XSD_NS
+from .vocab import RDF_TYPE
 
 BUILTIN_PREFIXES = {"rdf": RDF_NS, "xsd": XSD_NS}
-RDF_TYPE = Iri(RDF_NS + "type")
-
-_UNRESERVED = set("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789-._~")
 _CURIE_RE = re.compile(r"^([A-Za-z][A-Za-z0-9_.\-]*):(?!//)(\S*)$")
 _LEADING_CURIE_RE = re.compile(r"^([A-Za-z][A-Za-z0-9_.\-]*):(?!//)")
 
@@ -58,13 +57,7 @@ class TableError(ValueError):
 
 def percent_encode(text: str) -> str:
     """RFC 3986 encoding: unreserved characters pass, all else becomes %HH per UTF-8 byte."""
-    out = []
-    for char in text:
-        if char in _UNRESERVED:
-            out.append(char)
-        else:
-            out.extend(f"%{byte:02X}" for byte in char.encode("utf-8"))
-    return "".join(out)
+    return quote(text, safe="")
 
 
 def _normalize_date(text: str) -> str:
@@ -168,17 +161,28 @@ def load_table(path, name: str | None = None) -> Table:
         return read_table(handle.read(), name)
 
 
-def resolve_curie(text: str, prefixes: dict) -> Iri:
+def resolve_curie(text: str, prefixes: dict, line: int | None = None) -> Iri:
     """Resolve ``prefix:local`` (or the ``a`` alias) against declared and built-in prefixes."""
     if text == "a":
         return RDF_TYPE
     if ":" not in text:
-        raise ParseError(f"{text!r} is not a CURIE (no colon)")
+        raise ParseError(f"{text!r} is not a CURIE (no colon)", line)
     label, local = text.split(":", 1)
     namespace = prefixes.get(label, BUILTIN_PREFIXES.get(label))
     if namespace is None:
         raise UnknownPrefix(label)
     return Iri(namespace + local)
+
+
+def _iri_ref(text: str, prefixes: dict, line: int) -> Iri:
+    """``<iri>``, a CURIE or ``a`` as an IRI.  A malformed one is a
+    ParseError at the line; an undeclared prefix stays UnknownPrefix."""
+    try:
+        if text.startswith("<") and text.endswith(">"):
+            return Iri(text[1:-1])
+        return resolve_curie(text, prefixes, line)
+    except InvalidIri as exc:
+        raise ParseError(str(exc), line) from None
 
 
 def _expand_leading_curie(text: str, prefixes: dict) -> str:
@@ -263,10 +267,8 @@ def _parse_object_spec(raw: str, datatype_or_lang: str | None, prefixes: dict, l
     if datatype_or_lang:
         if datatype_or_lang.startswith("@"):
             language = datatype_or_lang[1:]
-        elif datatype_or_lang.startswith("<") and datatype_or_lang.endswith(">"):
-            datatype = Iri(datatype_or_lang[1:-1])
         else:
-            datatype = resolve_curie(datatype_or_lang, prefixes)
+            datatype = _iri_ref(datatype_or_lang, prefixes, line)
 
     iri_marked = raw.endswith("~iri")
     if iri_marked:
@@ -274,10 +276,7 @@ def _parse_object_spec(raw: str, datatype_or_lang: str | None, prefixes: dict, l
     if raw.startswith("<") and raw.endswith(">"):
         if datatype_or_lang:
             raise ParseError("an IRI object cannot carry a datatype or language tag", line)
-        try:
-            return Constant(Iri(raw[1:-1]))
-        except InvalidIri as exc:
-            raise ParseError(str(exc), line) from None
+        return Constant(_iri_ref(raw, prefixes, line))
     if iri_marked:
         if datatype_or_lang:
             raise ParseError("an IRI object cannot carry a datatype or language tag", line)
@@ -285,17 +284,16 @@ def _parse_object_spec(raw: str, datatype_or_lang: str | None, prefixes: dict, l
         template = parse_template(expanded, line)
         if not template.references():
             text = "".join(template.segments)
-            if "://" not in text and _CURIE_RE.match(raw):
-                return Constant(resolve_curie(raw, prefixes))
-            try:
-                return Constant(Iri(text))
-            except InvalidIri as exc:
-                raise ParseError(str(exc), line) from None
+            return Constant(_iri_ref(raw if "://" not in text and _CURIE_RE.match(raw) else f"<{text}>", prefixes, line))
         return IriTemplate(template)
     template = parse_template(raw, line)
-    if not template.references():
-        return Constant(Literal("".join(template.segments), datatype=datatype, language=language))
-    return LiteralTemplate(template, datatype=datatype, language=language)
+    references = template.references()
+    try:
+        # A template's literals are built per row; this one checks the tag and datatype now.
+        literal = Literal("" if references else "".join(template.segments), datatype=datatype, language=language)
+    except InvalidTerm as exc:
+        raise ParseError(str(exc), line) from None
+    return LiteralTemplate(template, datatype=datatype, language=language) if references else Constant(literal)
 
 
 def _split_list_item(body: str, line: int) -> list[str]:
@@ -376,10 +374,7 @@ def parse_mapping(text: str) -> MappingDocument:
                 raise ParseError("prefix line must be 'label: namespace'", line_no)
             if label in prefixes:
                 raise ParseError(f"prefix {label!r} declared twice", line_no)
-            try:
-                Iri(namespace)
-            except InvalidIri as exc:
-                raise ParseError(str(exc), line_no) from None
+            _iri_ref(f"<{namespace}>", prefixes, line_no)
             prefixes[label] = namespace
             continue
 
@@ -449,19 +444,11 @@ def parse_mapping(text: str) -> MappingDocument:
         if not draft.pairs:
             raise ParseError(f"mapping {draft.name!r} has no po items", draft.line)
         subject = parse_template(_expand_leading_curie(draft.subject_text, prefixes), draft.subject_line)
-        graph = None
-        if draft.graph_text:
-            if draft.graph_text.startswith("<") and draft.graph_text.endswith(">"):
-                graph = Iri(draft.graph_text[1:-1])
-            else:
-                graph = resolve_curie(draft.graph_text, prefixes)
-        pairs = []
-        for pred_text, obj_text, extra, line_no in draft.pairs:
-            if pred_text.startswith("<") and pred_text.endswith(">"):
-                predicate = Iri(pred_text[1:-1])
-            else:
-                predicate = resolve_curie(pred_text, prefixes)
-            pairs.append((predicate, _parse_object_spec(obj_text, extra, prefixes, line_no)))
+        graph = _iri_ref(draft.graph_text, prefixes, draft.graph_line) if draft.graph_text else None
+        pairs = [
+            (_iri_ref(pred_text, prefixes, line_no), _parse_object_spec(obj_text, extra, prefixes, line_no))
+            for pred_text, obj_text, extra, line_no in draft.pairs
+        ]
         triple_maps.append(TripleMap(draft.name, draft.source, subject, graph, tuple(pairs)))
     return MappingDocument(prefixes=prefixes, triple_maps=tuple(triple_maps))
 

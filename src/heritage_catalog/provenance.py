@@ -9,8 +9,9 @@ chain alone is enough to reconstruct any point of the entity's history.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, replace
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 
 from . import vocab
 from .rdf import Iri, Literal, ParseError, Quad, memo_iri
@@ -106,6 +107,11 @@ def _check_subjects(entity: Iri, quads):
             raise ForeignSubject(f"quad subject {q.subject} is not {entity}")
 
 
+def _in_force(chain: list[Snapshot], time: datetime) -> int:
+    """How many of the chain's snapshots were generated at or before the time."""
+    return bisect_right(chain, utc_second(time), key=lambda snap: snap.generated_at)
+
+
 def _normalize_agents(agents) -> tuple[Iri, ...]:
     if isinstance(agents, Iri):
         agents = (agents,)
@@ -132,10 +138,14 @@ class ProvenanceTracker:
     def has_chain(self, entity: Iri) -> bool:
         return entity in self._chains
 
-    def chain(self, entity: Iri) -> tuple[Snapshot, ...]:
-        if entity not in self._chains:
+    def _chain(self, entity: Iri) -> list[Snapshot]:
+        chain = self._chains.get(entity)
+        if chain is None:
             raise NoSuchEntity(entity)
-        return tuple(self._chains[entity])
+        return chain
+
+    def chain(self, entity: Iri) -> tuple[Snapshot, ...]:
+        return tuple(self._chain(entity))
 
     def is_live(self, entity: Iri) -> bool:
         chain = self._chains.get(entity)
@@ -145,26 +155,34 @@ class ProvenanceTracker:
         return self.store.subject_quads(entity)
 
     def _require_live(self, entity: Iri) -> list[Snapshot]:
-        if entity not in self._chains:
-            raise NoSuchEntity(entity)
-        chain = self._chains[entity]
+        chain = self._chain(entity)
         if chain[-1].kind == DELETION:
             raise EntityDeleted(f"{entity} was deleted at {iso_timestamp(chain[-1].generated_at)}")
         return chain
 
-    def _check_time(self, chain: list[Snapshot], time: datetime):
-        if time <= chain[-1].generated_at:
-            raise NonMonotonicTime(
-                f"{iso_timestamp(time)} is not after {iso_timestamp(chain[-1].generated_at)}"
-            )
+    def _stamp(self, time: datetime | None, *chains: list[Snapshot]) -> datetime:
+        """The time of a record that extends the given chains: the explicit
+        time, to the second, which must come after each chain's last
+        snapshot; else the current second, or one second after the latest
+        of those snapshots when that is not yet in the past."""
+        if time is not None:
+            time = utc_second(time)
+            for chain in chains:
+                if time <= chain[-1].generated_at:
+                    raise NonMonotonicTime(f"{iso_timestamp(time)} is not after {iso_timestamp(chain[-1].generated_at)}")
+            return time
+        now = utc_second(datetime.now(timezone.utc))
+        return max([now] + [chain[-1].generated_at + timedelta(seconds=1) for chain in chains])
 
     def _append(self, entity, delta, agents, source, time, kind) -> Snapshot:
         """Apply the delta to the store and append its snapshot to the
         entity's chain (a creation starts the chain).  Every record changes
-        the store and the chains here, and only after all of its checks."""
+        the store and the chains here, and only after all of its checks.  A
+        creation is stamped here; every other record passes its stamped time."""
         _check_subjects(entity, delta.deletes | delta.inserts)
         agents = _normalize_agents(agents)
-        time = utc_second(time or datetime.now(timezone.utc))
+        if kind == CREATION:
+            time = self._stamp(time)
         self.store.apply_delta(delta, strict=True)
         chain = self._chains.setdefault(entity, [])
         if chain:
@@ -191,9 +209,7 @@ class ProvenanceTracker:
         return self._append(entity, Delta(inserts=initial), agents, source, time, CREATION)
 
     def record_modification(self, entity: Iri, delta: Delta, agents, source: Iri | None = None, time: datetime | None = None) -> Snapshot:
-        chain = self._require_live(entity)
-        time = utc_second(time or datetime.now(timezone.utc))
-        self._check_time(chain, time)
+        time = self._stamp(time, self._require_live(entity))
         return self._append(entity, delta, agents, source, time, MODIFICATION)
 
     def record_merge(self, survivor: Iri, absorbed: Iri, agents, source: Iri | None = None, time: datetime | None = None) -> tuple[Snapshot, Snapshot]:
@@ -209,9 +225,7 @@ class ProvenanceTracker:
         if survivor == absorbed:
             raise SelfMerge(f"cannot merge {survivor} into itself")
         agents = _normalize_agents(agents)
-        time = utc_second(time or datetime.now(timezone.utc))
-        self._check_time(survivor_chain, time)
-        self._check_time(absorbed_chain, time)
+        time = self._stamp(time, survivor_chain, absorbed_chain)
 
         absorbed_quads = frozenset(self.current_quads(absorbed))
         rewritten = {Quad(survivor, q.predicate, q.object, q.graph) for q in absorbed_quads}
@@ -222,24 +236,14 @@ class ProvenanceTracker:
         return merge_snap, deletion_snap
 
     def record_deletion(self, entity: Iri, agents, source: Iri | None = None, time: datetime | None = None) -> Snapshot:
-        chain = self._require_live(entity)
-        time = utc_second(time or datetime.now(timezone.utc))
-        self._check_time(chain, time)
+        time = self._stamp(time, self._require_live(entity))
         return self._append(entity, Delta(deletes=self.current_quads(entity)), agents, source, time, DELETION)
 
     def snapshot_at(self, entity: Iri, time: datetime) -> Snapshot | None:
         """Latest snapshot generated at or before the given time, if any."""
-        chain = self._chains.get(entity)
-        if not chain:
-            return None
-        time = utc_second(time)
-        hit = None
-        for snap in chain:
-            if snap.generated_at <= time:
-                hit = snap
-            else:
-                break
-        return hit
+        chain = self._chains.get(entity, [])
+        k = _in_force(chain, time)
+        return chain[k - 1] if k else None
 
     def restore_state(self, entity: Iri, time: datetime) -> set[Quad]:
         """Entity state as of the given time, by inverse-delta replay.
@@ -248,13 +252,9 @@ class ProvenanceTracker:
         one in force at that time; before creation the state is empty.
         Read-only: neither the store nor the chain changes.
         """
-        if entity not in self._chains:
-            raise NoSuchEntity(entity)
-        chain = self._chains[entity]
-        snap = self.snapshot_at(entity, time)
-        k = snap.index if snap else 0
+        chain = self._chain(entity)
         state = set(self.current_quads(entity))
-        for later in reversed(chain[k:]):
+        for later in reversed(chain[_in_force(chain, time):]):
             inv = later.update_query.invert()
             state = (state - inv.deletes) | inv.inserts
         return state
@@ -266,11 +266,9 @@ class ProvenanceTracker:
         typed literals, attributions, primary source, derivation link and
         the update query serialized as a plain literal.
         """
-        if entity not in self._chains:
-            raise NoSuchEntity(entity)
         graph = prov_graph_iri(entity)
         quads: set[Quad] = set()
-        for snap in self._chains[entity]:
+        for snap in self._chain(entity):
             quads.add(Quad(snap.iri, vocab.RDF_TYPE, vocab.PROV_ENTITY, graph))
             quads.add(Quad(snap.iri, vocab.SPECIALIZATION_OF, entity, graph))
             quads.add(Quad(snap.iri, vocab.GENERATED_AT, Literal(iso_timestamp(snap.generated_at), datatype=vocab.XSD_DATETIME), graph))

@@ -109,6 +109,10 @@ class NoAssets(ValueError):
     pass
 
 
+class PlaceholderClash(ValueError):
+    pass
+
+
 @dataclass(frozen=True)
 class PhaseRecord:
     cho: Iri
@@ -660,6 +664,13 @@ def export_bundle(catalog, dcho: Iri, out_dir) -> dict[str, tuple[str, int]]:
     licences = store.objects(dcho, vocab.DCT_LICENSE, Iri)
     if not licences:
         raise MissingLicence(f"{dcho} has no licence recorded in its metadata")
+    # Each placeholder is named after the last segment of its asset's IRI.
+    placeholders: dict[str, AssetVersion] = {}
+    for asset in assets:
+        rel = f"assets/{asset.id.value.rsplit('/', 1)[-1] or 'asset'}.txt"
+        if rel in placeholders:
+            raise PlaceholderClash(f"assets {placeholders[rel].id} and {asset.id} would both be written to {rel}")
+        placeholders[rel] = asset
 
     out = Path(out_dir)
     (out / "assets").mkdir(parents=True, exist_ok=True)
@@ -682,8 +693,7 @@ def export_bundle(catalog, dcho: Iri, out_dir) -> dict[str, tuple[str, int]]:
 
     files["provenance.nq"] = serialize_nquads(catalog.tracker.export_prov_graph(dcho)).encode("utf-8")
 
-    for asset in assets:
-        local = asset.id.value.rsplit("/", 1)[-1] or "asset"
+    for rel, asset in placeholders.items():
         body = [
             f"id={asset.id.value}",
             f"kind={asset.kind}",
@@ -695,7 +705,7 @@ def export_bundle(catalog, dcho: Iri, out_dir) -> dict[str, tuple[str, int]]:
         if asset.texture_width is not None and asset.texture_height is not None:
             body.append(f"texture={asset.texture_width}x{asset.texture_height}")
         body.append(f"checksum={asset.checksum}")
-        files[f"assets/{local}.txt"] = ("\n".join(body) + "\n").encode("utf-8")
+        files[rel] = ("\n".join(body) + "\n").encode("utf-8")
 
     manifest: dict[str, tuple[str, int]] = {}
     for rel in sorted(files):

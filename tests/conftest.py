@@ -10,7 +10,7 @@ import pytest
 from hypothesis import strategies as st
 
 from heritage_catalog import rdf
-from heritage_catalog.catalog import Catalog
+from heritage_catalog.catalog import Catalog, record_graph
 from heritage_catalog.mapping import load_table
 from heritage_catalog.rdf import XSD_STRING, BlankNode, Iri, Literal, Quad
 from heritage_catalog.store import ANY, Delta, QuadPattern, Variable
@@ -202,6 +202,16 @@ def build_gold_catalog(root: Path) -> Catalog:
 @pytest.fixture
 def gold_catalog(tmp_path) -> Catalog:
     return build_gold_catalog(tmp_path / "gold")
+
+
+def add_twin_asset(catalog: Catalog, dcho: Iri) -> Iri:
+    """Record a copy of the object's first asset under a full IRI on another
+    host whose last segment is the same, so both name one placeholder."""
+    asset = sorted(catalog.assets_for(dcho), key=lambda a: a.id.value)[0].id
+    twin = Iri("http://elsewhere.example/y/" + asset.value.rsplit("/", 1)[-1])
+    quads = {Quad(twin, q.predicate, q.object, record_graph(twin)) for q in catalog.store.subject_quads(asset)}
+    catalog.tracker.record_creation(twin, quads, catalog.config.agent_iri())
+    return twin
 
 
 # -- statement patterns against the scanner ----------------------------------

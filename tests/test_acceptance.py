@@ -270,7 +270,7 @@ def test_fair_audit(tmp_path):
         catalog.store.insert_quads(doomed)
         baseline = {(r.check_id, r.subject.value): r.outcome for r in run_audit(catalog).results}
         rng = random.Random(909)
-        subjects = [entity for entity, _ in catalog.objects()]
+        subjects = catalog.objects()
         descriptive = [
             vocab.DCT_TITLE, vocab.DCT_DESCRIPTION, vocab.DCT_CREATOR, vocab.DCT_FORMAT,
             vocab.SAME_AS, vocab.STORAGE_LOCATION, vocab.BACKUP_LOCATION, vocab.PRODUCED_BY,

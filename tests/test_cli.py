@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import DATA_DIR, build_gold_catalog, ts
+from conftest import DATA_DIR, add_twin_asset, build_gold_catalog, ts
 from heritage_catalog import vocab
 from heritage_catalog.catalog import Catalog, record_graph
 from heritage_catalog.cli import main, make_query_server, parse_bgp_text, solutions_to_csv
@@ -226,9 +226,7 @@ class TestProv:
         catalog = Catalog.open(gold_root)
         entity = Iri(BASE + "cho/25")
         extra = Quad(entity, Iri(BASE + "note"), Literal("later edit"), Iri(entity.value + "/record"))
-        catalog.tracker.record_modification(
-            entity, Delta(inserts={extra}), catalog.config.agent_iri(), time=catalog.next_time(entity)
-        )
+        catalog.tracker.record_modification(entity, Delta(inserts={extra}), catalog.config.agent_iri())
         catalog.save()
         chain = catalog.tracker.chain(entity)
         assert len(chain) == 2
@@ -450,6 +448,16 @@ class TestReport:
             data = (out_dir / path).read_bytes()
             assert hashlib.sha256(data).hexdigest() == digest
             assert int(size) == len(data)
+
+    def test_bundle_placeholder_clash_exits_3(self, gold_root, tmp_path, capsys):
+        catalog = Catalog.open(gold_root)
+        add_twin_asset(catalog, Iri(BASE + "dcho/25"))
+        catalog.save()
+        out_dir = tmp_path / "deposit"
+        assert run("--catalog", str(gold_root), "report", "bundle", BASE + "dcho/25", str(out_dir)) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "would both be written to assets/" in err[0]
+        assert not out_dir.exists()
 
 
 class TestReadOnlyCommands:

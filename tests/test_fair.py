@@ -67,8 +67,15 @@ class TestGoldAudit:
         monkeypatch.setattr(workflow, "build_records", counting)
         run_audit(gold_catalog)
         store = gold_catalog.store
-        digital = [entity for entity, _ in gold_catalog.objects() if vocab.DIGITAL_OBJECT in store.objects(entity, vocab.RDF_TYPE)]
+        digital = [entity for entity in gold_catalog.objects() if vocab.DIGITAL_OBJECT in store.objects(entity, vocab.RDF_TYPE)]
         assert len(built) == len(digital) == 2
+
+    def test_doubly_typed_object_is_audited_once(self, gold_catalog):
+        cho = Iri(BASE + "cho/25")
+        gold_catalog.store.insert_quads({Quad(cho, vocab.RDF_TYPE, vocab.DIGITAL_OBJECT, record_graph(cho))})
+        assert gold_catalog.objects().count(cho) == 1
+        mine = [(r.check_id, r.subject) for r in run_audit(gold_catalog).results if r.subject in (cho, record_graph(cho))]
+        assert len(mine) == len(set(mine)) == len(check_registry()) == 25
 
     def test_every_check_exercised(self, gold_catalog):
         report = run_audit(gold_catalog)
@@ -293,7 +300,7 @@ class TestMonotonicity:
     def test_random_descriptive_additions_never_flip_pass_to_fail(self, gold_catalog):
         rng = random.Random(2024)
         before = {(r.check_id, r.subject.value): r.outcome for r in run_audit(gold_catalog).results}
-        subjects = [entity for entity, _ in gold_catalog.objects()]
+        subjects = gold_catalog.objects()
         safe_predicates = [
             vocab.DCT_TITLE, vocab.DCT_DESCRIPTION, vocab.DCT_CREATOR, vocab.DCT_FORMAT,
             vocab.SAME_AS, vocab.STORAGE_LOCATION, vocab.BACKUP_LOCATION, vocab.DCT_ACCESS_RIGHTS,

@@ -1,6 +1,5 @@
 import random
 import string
-from urllib.parse import quote
 
 import pytest
 
@@ -99,6 +98,30 @@ class TestParseMapping:
         assert spec.term == Iri("https://creativecommons.org/publicdomain/zero/1.0/")
 
 
+    @pytest.mark.parametrize("replacement, message", [
+        ("- [<not an iri>, $(Name)]", "relative reference (no scheme) in 'not an iri'"),
+        ("- [ex:name, <bad obj>]", "relative reference (no scheme) in 'bad obj'"),
+        ("- [ex:name, $(Name), <bad dt>]", "relative reference (no scheme) in 'bad dt'"),
+        ("- [ex:name, http://a b~iri]", "space not allowed in IRI 'http://a b'"),
+        ("- [name, $(Name)]", "'name' is not a CURIE (no colon)"),
+        ("- [ex:name, $(Name), @1bad]", "invalid language tag '1bad'"),
+        ("- [ex:name, Roma, @1bad]", "invalid language tag '1bad'"),
+        ("- [ex:name, $(Name), @]", "invalid language tag ''"),
+        ("- [ex:name, $(Name), rdf:langString]", "language-string datatype requires a language tag"),
+    ], ids=["predicate", "object", "datatype", "iri-constant", "no-colon", "template-tag", "constant-tag", "empty-tag", "lang-string"])
+    def test_malformed_term_is_reported_at_its_line(self, replacement, message):
+        doc = MINIMAL_DOC.replace("- [ex:name, $(Name)]", replacement)
+        with pytest.raises(ParseError) as err:
+            parse_mapping(doc)
+        assert (err.value.line, err.value.message) == (8, message)
+
+    def test_malformed_graph_is_reported_at_its_line(self):
+        doc = MINIMAL_DOC.replace("    s: ex:obj/$(ID)", "    g: <bad graph>\n    s: ex:obj/$(ID)")
+        with pytest.raises(ParseError) as err:
+            parse_mapping(doc)
+        assert (err.value.line, err.value.message) == (6, "relative reference (no scheme) in 'bad graph'")
+
+
 class TestResolveCurie:
     def test_type_alias(self):
         assert resolve_curie("a", {}) == RDF_TYPE
@@ -133,11 +156,14 @@ class TestExpandTemplate:
         assert expand_template(template, {"T": "vaso a due anse"}, iri_position=True) == "vaso%20a%20due%20anse"
 
     def test_percent_encoding_matches_independent_oracle(self):
+        # RFC 3986 byte rule: unreserved ASCII stays, every other UTF-8 byte is %XX.
+        unreserved = set((string.ascii_letters + string.digits + "-._~").encode("ascii"))
         rng = random.Random(4)
         alphabet = string.printable + "àèéìòù☕ðß"
         for _ in range(200):
             text = "".join(rng.choices(alphabet, k=rng.randrange(0, 25)))
-            assert percent_encode(text) == quote(text, safe="")
+            expected = "".join(chr(byte) if byte in unreserved else f"%{byte:02X}" for byte in text.encode("utf-8"))
+            assert percent_encode(text) == expected
 
     def test_literal_position_keeps_raw_text(self):
         template = parse_template("$(T)")

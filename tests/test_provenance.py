@@ -1,4 +1,5 @@
 import random
+from datetime import datetime, timedelta, timezone
 
 import pytest
 
@@ -157,6 +158,41 @@ class TestDeletion:
         tracker.record_deletion(E, AGENT, time=ts(100))
         assert tracker.restore_state(E, ts(50)) == quads
         assert tracker.restore_state(E, ts(100)) == set()
+
+
+class TestClock:
+    """A record given no time takes the current second, or one second after
+    the last snapshot of every chain it extends when that is not yet past."""
+
+    def test_creation_takes_the_current_second(self):
+        tracker = fresh()
+        before = datetime.now(timezone.utc).replace(microsecond=0)
+        snap = tracker.record_creation(E, {eq("t", "A")}, AGENT)
+        after = datetime.now(timezone.utc)
+        assert before <= snap.generated_at <= after
+
+    def test_modification_after_a_future_snapshot_is_one_second_later(self):
+        tracker = fresh()
+        ahead = datetime.now(timezone.utc).replace(microsecond=0) + timedelta(seconds=100)
+        tracker.record_creation(E, {eq("t", "A")}, AGENT, time=ahead)
+        snap = tracker.record_modification(E, Delta(inserts={eq("t", "B")}), AGENT)
+        assert snap.generated_at == ahead + timedelta(seconds=1)
+
+    def test_merge_comes_after_both_chains(self):
+        tracker = fresh()
+        survivor, absorbed = Iri("http://ex.org/obj/s"), Iri("http://ex.org/obj/a")
+        ahead = datetime.now(timezone.utc).replace(microsecond=0) + timedelta(seconds=100)
+        tracker.record_creation(survivor, {eq("p", "a", survivor)}, AGENT, time=ts(0))
+        tracker.record_creation(absorbed, {eq("q", "b", absorbed)}, AGENT, time=ahead)
+        merge_snap, deletion_snap = tracker.record_merge(survivor, absorbed, AGENT)
+        assert merge_snap.generated_at == deletion_snap.generated_at == ahead + timedelta(seconds=1)
+        assert tracker.chain(survivor)[0].invalidated_at == merge_snap.generated_at
+
+    def test_deletion_after_a_future_snapshot_is_one_second_later(self):
+        tracker = fresh()
+        ahead = datetime.now(timezone.utc).replace(microsecond=0) + timedelta(seconds=100)
+        tracker.record_creation(E, {eq("t", "A")}, AGENT, time=ahead)
+        assert tracker.record_deletion(E, AGENT).generated_at == ahead + timedelta(seconds=1)
 
 
 # -- rejected records ----------------------------------------------------------

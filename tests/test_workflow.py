@@ -1,10 +1,11 @@
 import hashlib
 import random
+import re
 from datetime import date
 
 import pytest
 
-from conftest import DATA_DIR, gold_catalog  # noqa: F401
+from conftest import DATA_DIR, add_twin_asset, gold_catalog  # noqa: F401
 from heritage_catalog import vocab, workflow
 from heritage_catalog.catalog import Catalog
 from heritage_catalog.mapping import Table, load_table
@@ -22,6 +23,7 @@ from heritage_catalog.workflow import (
     OutOfOrder,
     PhaseKind,
     PhaseRecord,
+    PlaceholderClash,
     UnknownPhase,
     ValidationError,
     check_phase_order,
@@ -481,3 +483,16 @@ class TestBundle:
     def test_no_assets(self, gold_catalog, tmp_path):
         with pytest.raises(NoAssets):
             gold_catalog.export_bundle(Iri(BASE + "dcho/999"), tmp_path / "bundle")
+
+    def test_placeholder_clash_is_refused_before_writing(self, gold_catalog, tmp_path):
+        dcho = Iri(BASE + "dcho/25")
+        original = {asset.id for asset in gold_catalog.assets_for(dcho)}
+        twin = add_twin_asset(gold_catalog, dcho)
+        out = tmp_path / "bundle"
+        with pytest.raises(PlaceholderClash) as caught:
+            gold_catalog.export_bundle(dcho, out)
+        named = re.fullmatch(r"assets (\S+) and (\S+) would both be written to assets/(\S+)\.txt", str(caught.value))
+        assert {named[1], named[2]} == {twin.value, min(original, key=lambda a: a.value).value}
+        assert named[3] == twin.value.rsplit("/", 1)[-1]
+        assert not out.exists()
+
