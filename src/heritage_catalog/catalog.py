@@ -23,10 +23,10 @@ import shutil
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from . import rdf, vocab, workflow
+from . import vocab, workflow
 from .mapping import MappingDocument, Table, execute_mapping, load_table, percent_encode
 from .provenance import ProvenanceTracker
-from .rdf import InvalidIri, Iri, Literal, Quad
+from .rdf import InvalidIri, Iri, Literal, Quad, serialize_term
 from .store import Delta, Store
 from .workflow import (
     AssetVersion,
@@ -212,6 +212,11 @@ class BibliographicError(ValueError):
         super().__init__(f"row {row}: {message}")
 
 
+def _activity_order(phases: dict[Iri, PhaseRecord]) -> list[PhaseRecord]:
+    """The phases, keyed by activity, in canonical order of their activities."""
+    return [phases[activity] for activity in sorted(phases, key=serialize_term)]
+
+
 def record_graph(entity: Iri) -> Iri:
     return Iri(entity.value + "/record")
 
@@ -258,7 +263,8 @@ class Catalog:
             raise NotACatalog(f"{root} does not look like a catalog (no catalog.cfg)")
         config = Config.from_text((root / "catalog.cfg").read_text(encoding="utf-8"))
         # One IRI memo for every parse of this open: data.nq, prov.nq and
-        # each snapshot's update query, so each distinct IRI is built once.
+        # each snapshot's update query when it is read, so each distinct
+        # IRI is built once.
         iris: dict[str, Iri] = {}
         # Parsing and the chain rebuild allocate many tuples and form no
         # reference cycles, so cyclic GC would only re-scan live objects.
@@ -266,19 +272,19 @@ class Catalog:
         gc.disable()
         try:
             store = Store.load(root / "data.nq", iris)
-            prov_rows = rdf.read_statements((root / "prov.nq").read_text(encoding="utf-8"), iris)
-            tracker = ProvenanceTracker.from_quads(store, prov_rows, iris)
+            tracker = ProvenanceTracker.load(store, root / "prov.nq", iris)
         finally:
             if enabled:
                 gc.enable()
         return cls(root, config, tracker)
 
     def save(self):
-        """Replace prov.nq, then data.nq.  Every literal of the store is also
-        in some chain's update query, so one that cannot be written fails on
-        prov.nq, before either file is replaced; a crash between the two
-        leaves data.nq behind the chains, never ahead of them."""
-        Store(self.tracker.export_all_graphs()).save(self.root / "prov.nq")
+        """Replace prov.nq, then data.nq, each rewriting only the graphs this
+        catalog changed since it was opened.  Every literal of the store is
+        also in some chain's update query, so one that cannot be written
+        fails on prov.nq, before either file is replaced; a crash between
+        the two leaves data.nq behind the chains, never ahead of them."""
+        self.tracker.save(self.root / "prov.nq")
         self.store.save(self.root / "data.nq")
 
     def table_path(self, name: str) -> Path:
@@ -366,7 +372,8 @@ class Catalog:
         suffix = record.cho.value.rsplit("/", 1)[-1]
         return Iri(self.config.base_iri + f"activity/{suffix}/{record.kind.value}/{occurrence}")
 
-    def register_phase(self, record: PhaseRecord, asset=None, upload=None, source: Iri | None = None, occurrence: int | None = None) -> str:
+    def register_phase(self, record: PhaseRecord, asset=None, upload=None, source: Iri | None = None,
+                       occurrence: int | None = None, registered: dict | None = None) -> str:
         """Register one workflow phase (plus its output asset and upload, if any).
 
         Enforces the rank ordering against the phases already in the
@@ -375,10 +382,20 @@ class Catalog:
         same activities instead of multiplying them.  The object must be
         minted under the base IRI, since its activities and digital
         counterpart are named by its last path segment.
+
+        ``registered`` maps each object to its phases by activity.  A
+        caller that registers many phases (ingest) passes one dict, empty
+        at first, to every call, so that an object's phases are read from
+        the store once and each call then rebuilds only the phase it wrote.
         """
         if record.cho != workflow.object_iri(self.config.base_iri, "cho", record.cho):
             raise NoSuchObject(f"{record.cho} is not an object IRI under {self.config.base_iri}cho/")
-        existing = self.phases_for(record.cho)
+        if registered is None:
+            registered = {}
+        phases = registered.get(record.cho)
+        if phases is None:
+            phases = registered[record.cho] = self._phases_by_activity(record.cho)
+        existing = _activity_order(phases)
         workflow.check_phase_order(existing, record)
         if occurrence is None:
             occurrence = 1 + sum(1 for p in existing if p.kind == record.kind)
@@ -402,17 +419,21 @@ class Catalog:
             asset_outcome = self._apply_entity_state(asset.id, asset_state, workflow.ASSET_RECORD.owned, source)
             if outcome == "unchanged" and asset_outcome != "unchanged":
                 outcome = asset_outcome
+        phases.pop(activity, None)
+        phases.update(self._phases_by_activity(record.cho, [activity]))
         return outcome
 
     def ingest_process(self, table: Table, source: Iri) -> IngestStats:
         rows = parse_process_table(table, self.config.base_iri)
         stats = IngestStats()
         occurrences: dict[tuple, int] = {}
+        registered: dict = {}
         for item in rows:
             key = (item.record.cho, item.record.kind)
             occurrences[key] = occurrences.get(key, 0) + 1
             outcome = self.register_phase(
-                item.record, asset=item.asset, upload=item.upload, source=source, occurrence=occurrences[key]
+                item.record, asset=item.asset, upload=item.upload, source=source, occurrence=occurrences[key],
+                registered=registered,
             )
             stats.note(outcome)
         return stats
@@ -474,8 +495,15 @@ class Catalog:
         return workflow.phases_from_store(self.store)
 
     def phases_for(self, cho: Iri) -> list[PhaseRecord]:
-        concerning = self.store.subjects(vocab.CONCERNS, cho)
-        return [p for p in workflow.build_records(workflow.phase_record, self.store, concerning) if p.cho == cho]
+        return _activity_order(self._phases_by_activity(cho))
+
+    def _phases_by_activity(self, cho: Iri, activities=None) -> dict[Iri, PhaseRecord]:
+        """The object's phases keyed by activity, as :meth:`phases_for` reads
+        them, from the given activities or else every one concerning it."""
+        if activities is None:
+            activities = self.store.subjects(vocab.CONCERNS, cho)
+        built = {activity: workflow.phase_record(self.store, activity) for activity in activities}
+        return {activity: p for activity, p in built.items() if p is not None and p.cho == cho}
 
     @property
     def uploads(self) -> list[UploadRecord]:

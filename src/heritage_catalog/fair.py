@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 from . import vocab
 from .catalog import Catalog, record_graph
+from .provenance import iso_timestamp
 from .rdf import Iri, Literal, Quad, Term, parse_nquads, serialize_nquads, serialize_quad
 from .store import QuadPattern, Variable
 
@@ -200,7 +201,7 @@ def _record_provenance(catalog, entity):
     if missing:
         return FAIL, f"latest snapshot <{latest.iri.value}> lacks " + " and ".join(missing)
     return PASS, (
-        f"snapshot <{latest.iri.value}> generated {latest.generated_at.isoformat()} "
+        f"snapshot <{latest.iri.value}> generated {iso_timestamp(latest.generated_at)} "
         f"by {latest.attributed_to[0].value} from {latest.primary_source.value}"
     )
 

@@ -5,17 +5,24 @@ is captured as a snapshot carrying generation/invalidation timestamps,
 attribution, a primary source and a reversible delta.  Restoring a past
 state replays inverted deltas backwards from the current state, so the
 chain alone is enough to reconstruct any point of the entity's history.
+
+A snapshot's update query is the stored record of its change, so it is
+kept as its canonical text (:class:`UpdateQuery`); the delta is a view
+of that text, parsed the first time it is read.  Saving rewrites only
+the provenance graphs of the entities whose chain grew since the chains
+were loaded.
 """
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from datetime import datetime, timedelta, timezone
 
 from . import vocab
-from .rdf import Iri, Literal, ParseError, Quad, memo_iri
-from .store import Delta, Store, ordered_terms, parse_update, serialize_update
+from .rdf import XSD_STRING, Iri, Literal, ParseError, Quad, is_canonical_update, memo_iri, read_statements
+from .store import Delta, Store, ordered_terms, parse_update, serialize_update, splice_nquads, write_atomic
 
 CREATION = "creation"
 MODIFICATION = "modification"
@@ -87,6 +94,41 @@ def prov_graph_iri(entity: Iri) -> Iri:
     return Iri(entity.value + "/prov")
 
 
+class UpdateQuery:
+    """A snapshot's update query: its canonical text, which is the stored
+    record of the change, and the delta it records, built from the text
+    the first time it is read.  Two are equal when their texts are."""
+
+    __slots__ = ("text", "_delta", "_iris")
+
+    def __init__(self, text: str, delta: Delta | None = None, iris: dict[str, Iri] | None = None):
+        self.text = text
+        self._delta = delta
+        self._iris = iris
+
+    @classmethod
+    def of(cls, delta: Delta) -> "UpdateQuery":
+        return cls(serialize_update(delta), delta)
+
+    @property
+    def delta(self) -> Delta:
+        """The delta, parsed on first read through the IRI memo the query
+        was made with."""
+        if self._delta is None:
+            self._delta = parse_update(self.text, self._iris)
+            self._iris = None
+        return self._delta
+
+    def __eq__(self, other):
+        return isinstance(other, UpdateQuery) and self.text == other.text
+
+    def __hash__(self):
+        return hash(self.text)
+
+    def __repr__(self):
+        return f"UpdateQuery({self.text!r})"
+
+
 @dataclass(frozen=True)
 class Snapshot:
     iri: Iri
@@ -97,8 +139,12 @@ class Snapshot:
     attributed_to: tuple[Iri, ...]
     primary_source: Iri | None
     derived_from: Iri | None
-    update_query: Delta
+    update: UpdateQuery
     kind: str
+
+    @property
+    def update_query(self) -> Delta:
+        return self.update.delta
 
 
 def _check_subjects(entity: Iri, quads):
@@ -126,11 +172,18 @@ class ProvenanceTracker:
 
     Record operations are the only mutators and must be serialized by the
     caller (single writer); reads never mutate.
+
+    The tracker also keeps the ``prov.nq`` text it was loaded from or last
+    saved as, and the entities whose graph that text does not hold as
+    :meth:`save` writes it: those whose chain grew since, and those whose
+    graph did not read back as written.  Save serializes only their graphs.
     """
 
     def __init__(self, store: Store):
         self.store = store
         self._chains: dict[Iri, list[Snapshot]] = {}
+        self._kept = ""
+        self._unsaved: set[Iri] = set()
 
     def entities(self) -> list[Iri]:
         return sorted(self._chains, key=lambda e: e.value)
@@ -196,10 +249,11 @@ class ProvenanceTracker:
             attributed_to=agents,
             primary_source=source,
             derived_from=chain[-1].iri if chain else None,
-            update_query=delta,
+            update=UpdateQuery.of(delta),
             kind=kind,
         )
         chain.append(snap)
+        self._unsaved.add(entity)
         return snap
 
     def record_creation(self, entity: Iri, initial, agents, source: Iri | None = None, time: datetime | None = None) -> Snapshot:
@@ -264,7 +318,7 @@ class ProvenanceTracker:
 
         Per snapshot: type assertion, specialization link, timestamps as
         typed literals, attributions, primary source, derivation link and
-        the update query serialized as a plain literal.
+        the update query's text as a plain literal.
         """
         graph = prov_graph_iri(entity)
         quads: set[Quad] = set()
@@ -280,22 +334,42 @@ class ProvenanceTracker:
                 quads.add(Quad(snap.iri, vocab.PRIMARY_SOURCE, snap.primary_source, graph))
             if snap.derived_from is not None:
                 quads.add(Quad(snap.iri, vocab.DERIVED_FROM, snap.derived_from, graph))
-            quads.add(Quad(snap.iri, vocab.HAS_UPDATE_QUERY, Literal(serialize_update(snap.update_query)), graph))
+            quads.add(Quad(snap.iri, vocab.HAS_UPDATE_QUERY, Literal(snap.update.text), graph))
+        return quads
+
+    def _saved_graph(self, entity: Iri) -> set[Quad]:
+        """The entity's graph as ``prov.nq`` holds it: its
+        :meth:`export_prov_graph` plus one change-kind marker per snapshot,
+        which keeps merge snapshots distinguishable from plain
+        modifications after a reload."""
+        quads = self.export_prov_graph(entity)
+        graph = prov_graph_iri(entity)
+        quads.update(Quad(snap.iri, vocab.CHANGE_KIND, Literal(snap.kind), graph) for snap in self._chains[entity])
         return quads
 
     def export_all_graphs(self) -> set[Quad]:
-        """Persistence payload: every entity's graph plus change-kind markers.
+        """Persistence payload: every entity's graph as :meth:`save` writes it."""
+        return set().union(*map(self._saved_graph, self._chains))
 
-        The extra marker quad keeps merge snapshots distinguishable from
-        plain modifications after a reload.
-        """
-        quads: set[Quad] = set()
-        for entity in self.entities():
-            quads |= self.export_prov_graph(entity)
-            graph = prov_graph_iri(entity)
-            for snap in self._chains[entity]:
-                quads.add(Quad(snap.iri, vocab.CHANGE_KIND, Literal(snap.kind), graph))
-        return quads
+    def save(self, path):
+        """Write every entity's graph to ``path`` as canonical N-Quads, with
+        :func:`store.write_atomic`; a graph the kept text holds as it would
+        be written is taken from that text (see :func:`store.splice_nquads`)."""
+        graphs = {prov_graph_iri(entity): entity for entity in self._chains}
+        changed = {graph for graph, entity in graphs.items() if entity in self._unsaved}
+        text = splice_nquads(self._kept, graphs, lambda graph: self._saved_graph(graphs[graph]), changed)
+        write_atomic(path, text)
+        self._kept, self._unsaved = text, set()
+
+    @classmethod
+    def load(cls, store: Store, path, iris: dict[str, Iri] | None = None) -> "ProvenanceTracker":
+        """The chains of a ``prov.nq`` file over ``store``, rebuilt by
+        :meth:`from_quads` from the file's rows; :meth:`save` reuses the text."""
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
+        tracker = cls.from_quads(store, read_statements(text, iris), iris)
+        tracker._kept = text
+        return tracker
 
     @classmethod
     def from_quads(cls, store: Store, rows, iris: dict[str, Iri] | None = None) -> "ProvenanceTracker":
@@ -305,7 +379,10 @@ class ProvenanceTracker:
 
         Every IRI the rebuild builds, in the update queries and the entity
         names, goes through ``iris`` when given, otherwise through one memo
-        of this rebuild.
+        of this rebuild.  An update query in canonical text is kept as text
+        and parsed when first read; any other is parsed here.  An entity
+        whose graph is not exactly what :meth:`save` writes for its chain is
+        marked for :meth:`save` to write afresh.
         """
         if iris is None:
             iris = {}
@@ -316,16 +393,33 @@ class ProvenanceTracker:
                 by_graph.setdefault(graph, {}).setdefault(subject, {}).setdefault(predicate, []).append(obj)
         for graph in sorted(by_graph, key=lambda g: g.value):
             entity = memo_iri(graph.value[: -len("/prov")], iris)
-            tracker._chains[entity] = _parse_chain(entity, by_graph[graph], iris)
+            tracker._chains[entity], as_saved = _parse_chain(entity, by_graph[graph], iris)
+            if not as_saved:
+                tracker._unsaved.add(entity)
         return tracker
 
 
-def _parse_chain(entity: Iri, graph: dict, iris: dict[str, Iri]) -> list:
+# A timestamp as ``iso_timestamp`` writes it: what ``parse_timestamp``
+# reads from such text is written back as the same text.
+_SAVED_TIME = re.compile(r"[1-9][0-9]{3}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}Z")
+
+
+def _spelled_as_saved(literal: Literal) -> bool:
+    return literal.datatype == vocab.XSD_DATETIME and _SAVED_TIME.fullmatch(literal.lexical) is not None
+
+
+def _parse_chain(entity: Iri, graph: dict, iris: dict[str, Iri]) -> tuple[list, bool]:
     """One entity's chain from its graph, grouped as subject -> predicate ->
-    objects.  Where a property has several values the lowest in
-    :func:`ordered_terms` order is read, as :meth:`Store.objects` lists them."""
+    objects, and whether the graph holds exactly the quads that saving the
+    chain writes.  Where a property has several values the lowest in
+    :func:`ordered_terms` order is read, as :meth:`Store.objects` lists them.
+
+    The graph is as saved when it holds every quad the save writes, spelled
+    as the save spells it, and no more quads than that."""
     marker = f"{entity.value}/prov/se/"
     snapshots = []
+    as_saved = True
+    saved_rows = 0
     typed = [s for s, properties in graph.items() if vocab.PROV_ENTITY in properties.get(vocab.RDF_TYPE, ())]
     for subject in ordered_terms(typed):
         if not isinstance(subject, Iri) or not subject.value.startswith(marker):
@@ -353,12 +447,30 @@ def _parse_chain(entity: Iri, graph: dict, iris: dict[str, Iri]) -> list:
         kinds = ordered_terms(properties.get(vocab.CHANGE_KIND, ()), Literal)
         kind = kinds[0].lexical if kinds else None
         if kind not in CHANGE_KINDS:
+            as_saved = False
             if index == 1:
                 kind = CREATION
             elif invalidated_at is not None and invalidated_at == generated_at:
                 kind = DELETION
             else:
                 kind = MODIFICATION
+        text = updates[0].lexical
+        if is_canonical_update(text):
+            update = UpdateQuery(text, iris=iris)
+        else:
+            update = UpdateQuery.of(parse_update(text, iris))
+            as_saved = False
+        as_saved = (
+            as_saved
+            and updates[0].datatype == XSD_STRING
+            and kinds[0].datatype == XSD_STRING
+            and entity in properties.get(vocab.SPECIALIZATION_OF, ())
+            and _spelled_as_saved(generated[0])
+            and (invalidated_at is None or _spelled_as_saved(invalidated[0]))
+        )
+        # Save writes the type, specialization, generation time, update
+        # query and change kind, each agent, and what is optional if set.
+        saved_rows += 5 + len(agents) + (invalidated_at is not None) + bool(sources) + bool(derived)
         snapshots.append(
             Snapshot(
                 iri=subject,
@@ -369,7 +481,7 @@ def _parse_chain(entity: Iri, graph: dict, iris: dict[str, Iri]) -> list:
                 attributed_to=agents,
                 primary_source=sources[0] if sources else None,
                 derived_from=derived[0] if derived else None,
-                update_query=parse_update(updates[0].lexical, iris),
+                update=update,
                 kind=kind,
             )
         )
@@ -396,4 +508,5 @@ def _parse_chain(entity: Iri, graph: dict, iris: dict[str, Iri]) -> list:
             raise CorruptProvenance(f"deletion {last.iri} is not invalidated when it is generated")
         if last.kind != DELETION and last.invalidated_at is not None:
             raise CorruptProvenance(f"{last.iri} is invalidated but is the last snapshot and not a deletion")
-    return snapshots
+    rows = sum(sum(map(len, properties.values())) for properties in graph.values())
+    return snapshots, as_saved and rows == saved_rows

@@ -22,12 +22,20 @@ when open passes the same memo to every parse it makes; serialization
 renders each term once per quad and sorts the rendered rows.
 :func:`read_statements` yields each statement as a plain tuple of its
 four terms, for a reader that keeps no :class:`Quad`.
+
+Two recognizers tell text already in canonical form, built from token
+patterns that each match exactly what :func:`serialize_term` writes:
+:func:`canonical_graphs` finds the graphs whose N-Quads lines a save can
+copy instead of serializing again, and :func:`is_canonical_update` finds
+update queries that can be kept as text and parsed only when read.
 """
 
 from __future__ import annotations
 
 import re
 from collections import namedtuple
+from itertools import compress
+from operator import ne
 from typing import NoReturn
 
 RDF_NS = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
@@ -41,8 +49,11 @@ _SCHEME_RE = re.compile(_SCHEME)
 _IRI_FORBIDDEN = re.compile(f"[{_IRI_FORBIDDEN_CHARS}]")
 # What ``Iri`` accepts: a scheme, then none of those characters.
 _ABSOLUTE_IRI = re.compile(f"{_SCHEME}[^{_IRI_FORBIDDEN_CHARS}]*\\Z")
-_BNODE_RE = re.compile(r"^[A-Za-z0-9_](?:[A-Za-z0-9_.\-]*[A-Za-z0-9_\-])?$")
-_LANG_RE = re.compile(r"^[A-Za-z]+(?:-[A-Za-z0-9]+)*$")
+# What ``BlankNode`` and ``Literal`` accept as a label and a language tag.
+_BNODE_LABEL = r"[A-Za-z0-9_](?:[A-Za-z0-9_.\-]*[A-Za-z0-9_\-])?"
+_LANG_TAG = r"[A-Za-z]+(?:-[A-Za-z0-9]+)*"
+_BNODE_RE = re.compile(f"^{_BNODE_LABEL}$")
+_LANG_RE = re.compile(f"^{_LANG_TAG}$")
 
 
 class InvalidIri(ValueError):
@@ -268,6 +279,102 @@ _UPDATE_HEADER = re.compile(
     f"(INSERT|DELETE)(?!{_LETTER}){_WS_SOURCE}DATA{_WS_SOURCE}\\{{{_WS_SOURCE}"
     f"(?:GRAPH{_WS_SOURCE}{_IRI_SOURCE}{_WS_SOURCE}\\{{{_WS_SOURCE})?(?!{_WS_SOURCE}{_LETTER})"
 )
+
+# Canonical token sources: each matches exactly what ``serialize_term``
+# writes, so every term has one canonical spelling.  An IRI holds no
+# escape; a literal escapes only backslash, quote, LF and CR, and names
+# neither the plain-string datatype nor, untagged, the language-string
+# one.  The literal body is unrolled as ``_LITERAL_SOURCE`` is.
+_CANONICAL_IRI_BODY = f"{_SCHEME}[^{_IRI_FORBIDDEN_CHARS}]*"
+_CANONICAL_IRI = f"<{_CANONICAL_IRI_BODY}>"
+_CANONICAL_LITERAL = (
+    r'"[^"\\\n\r]*(?:\\[\\"nr][^"\\\n\r]*)*"'
+    f"(?:@{_LANG_TAG}|\\^\\^(?!<(?:{re.escape(XSD_STRING)}|{re.escape(RDF_LANG_STRING)})>){_CANONICAL_IRI})?"
+)
+_CANONICAL_TRIPLE = (
+    f"(?:{_CANONICAL_IRI}|_:{_BNODE_LABEL}) {_CANONICAL_IRI} "
+    f"(?:{_CANONICAL_IRI}|_:{_BNODE_LABEL}|{_CANONICAL_LITERAL})"
+)
+# A line of ``serialize_nquads`` output; group 1 is the graph IRI as
+# written.  No canonical term holds a line break, so in multi-line mode a
+# match is exactly one whole line.
+_CANONICAL_LINE = re.compile(f"^{_CANONICAL_TRIPLE}(?: ({_CANONICAL_IRI}))? \\.$", re.M)
+# One block of ``store.serialize_update`` output; group 1 is the
+# operation, group 2 the graph IRI's value, group 3 the statement lines.
+_CANONICAL_UPDATE_BLOCK = re.compile(
+    f"(DELETE|INSERT) DATA \\{{(?: GRAPH <({_CANONICAL_IRI_BODY})> \\{{)?\n"
+    f"((?:  {_CANONICAL_TRIPLE} \\.\n)+)\\}}(?(2) \\}})"
+)
+
+
+def _increasing(lines: list[str]) -> bool:
+    return all(map(str.__lt__, lines, lines[1:]))
+
+
+def is_canonical_update(text: str) -> bool:
+    """Whether ``text`` is an update query exactly as ``store.serialize_update``
+    writes one, so that ``store.parse_update`` reads it without error and
+    writing the result back gives ``text`` again.
+
+    Beyond canonical spelling that takes: DELETE blocks before INSERT
+    blocks, each side's blocks in order of graph IRI value with the default
+    graph first, at most one block per graph and side, no empty block,
+    strictly increasing lines within a block (the order of
+    :func:`canonical_rows`, see :func:`canonical_graphs`), and no statement in
+    both blocks of one graph.
+    """
+    if not text:
+        return True
+    pos, last, deleted = 0, None, {}
+    while found := _CANONICAL_UPDATE_BLOCK.match(text, pos):
+        op, graph, body = found.groups()
+        key = (op == "INSERT", graph or "")
+        lines = body.split("\n")[:-1]
+        if (last is not None and key <= last) or not _increasing(lines):
+            return False
+        if op == "DELETE":
+            deleted[key[1]] = lines
+        elif not set(deleted.get(key[1], ())).isdisjoint(lines):
+            return False
+        last, pos = key, found.end()
+        if not text.startswith("\n;\n", pos):
+            return text[pos:] == "\n"
+        pos += 3
+    return False
+
+
+def canonical_graphs(text: str) -> dict[str, list[str]]:
+    """The lines of each graph that ``text`` holds exactly as
+    :func:`serialize_nquads` writes that graph, keyed as
+    :func:`canonical_rows` writes the graph ("" for the default graph).
+
+    A graph whose lines do not increase strictly is left out.  When some
+    line is not in canonical spelling, or the text does not end with a
+    newline, the result is empty: such a line cannot be told apart by
+    graph.
+
+    Strictly increasing lines of one graph are in :func:`canonical_rows`
+    order.  A line compares by subject, then predicate, then object,
+    because the terms are separated by a space and, wherever one canonical
+    term is a prefix of another, the longer one goes on with a character
+    above space: a literal closes with its quote and may go on only with
+    '@' or '^^', a language tag with a letter, digit or '-', a blank-node
+    label with a letter, digit, '_', '.' or '-', and an IRI cannot go on
+    past its '>'.
+    """
+    if not text.endswith("\n"):
+        return {}
+    lines = text[:-1].split("\n")
+    graphs = _CANONICAL_LINE.findall(text)
+    if len(graphs) != len(lines):
+        return {}
+    # A graph's lines come in runs, one run per graph in a canonical file.
+    bounds = [0, *compress(range(1, len(lines)), map(ne, graphs[1:], graphs)), len(lines)]
+    groups: dict[str, list[str]] = {}
+    for start, end in zip(bounds, bounds[1:]):
+        groups.setdefault(graphs[start], []).extend(lines[start:end])
+    return {key: lines for key, lines in groups.items() if _increasing(lines)}
+
 
 _UCHAR = re.compile(r"\\u([0-9A-Fa-f]{4})|\\U([0-9A-Fa-f]{8})")
 _UCHAR_OR_ECHAR = re.compile(r"\\u([0-9A-Fa-f]{4})|\\U([0-9A-Fa-f]{8})|\\(.)", re.S)

@@ -3,11 +3,17 @@
 The store is the substrate for metadata records and provenance.  Mutations
 are expected from a single writer; queries work on the quad sets as they
 stand and never mutate.
+
+Saving writes the whole file atomically, but serializes only the graphs
+that changed since the store was loaded: :func:`splice_nquads` copies the
+others from the text that was read.  :func:`write_atomic` is the one
+writer of both catalog files.
 """
 
 from __future__ import annotations
 
 import os
+import stat
 import tempfile
 from dataclasses import dataclass
 
@@ -18,6 +24,7 @@ from .rdf import (
     Quad,
     Term,
     TermScanner,
+    canonical_graphs,
     canonical_rows,
     parse_nquads,
     serialize_nquads,
@@ -118,6 +125,10 @@ class Store:
 
     :meth:`objects` and :meth:`subjects` answer single-hop lookups from the
     last two, ignoring graphs.
+
+    The store also keeps the text it was loaded from or last saved as, and
+    the graphs that inserts and deletes have touched since, so that
+    :meth:`save` serializes only those graphs.
     """
 
     def __init__(self, quads=()):
@@ -125,6 +136,8 @@ class Store:
         self._by_graph: dict[Iri | None, set[Quad]] = {}
         self._by_subject: dict[Iri | BlankNode, dict[Iri, set[Quad]]] = {}
         self._by_po: dict[tuple, set[Quad]] = {}
+        self._kept = ""
+        self._changed: set[Iri | None] = set()
         if quads:
             self.insert_quads(quads)
 
@@ -166,6 +179,7 @@ class Store:
             if q not in self._quads:
                 self._quads.add(q)
                 self._index_add(q)
+                self._changed.add(q.graph)
                 added += 1
         return added
 
@@ -176,6 +190,7 @@ class Store:
             if q in self._quads:
                 self._quads.remove(q)
                 self._index_remove(q)
+                self._changed.add(q.graph)
                 removed += 1
         return removed
 
@@ -287,24 +302,67 @@ class Store:
         self.insert_quads(delta.inserts)
 
     def save(self, path):
-        """Write the canonical N-Quads file via a temp file plus rename."""
-        path = os.fspath(path)
-        directory = os.path.dirname(os.path.abspath(path))
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".store-", suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
-                handle.write(serialize_nquads(self._quads))
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        """Write the canonical N-Quads file with :func:`write_atomic`.  Graphs
+        that no insert or delete has touched since the store was loaded or
+        last saved are written as that text holds them (see
+        :func:`splice_nquads`); the others are serialized."""
+        text = splice_nquads(self._kept, self._by_graph, self._by_graph.__getitem__, self._changed)
+        write_atomic(path, text)
+        self._kept, self._changed = text, set()
 
     @classmethod
     def load(cls, path, iris: dict[str, Iri] | None = None) -> "Store":
         """The store of an N-Quads file, its IRIs built through ``iris`` when given."""
         with open(path, encoding="utf-8") as handle:
-            return cls(parse_nquads(handle.read(), iris))
+            text = handle.read()
+        store = cls(parse_nquads(text, iris))
+        store._kept, store._changed = text, set()
+        return store
+
+
+def splice_nquads(kept: str, graphs, quads_of, changed) -> str:
+    """Canonical N-Quads of the dataset whose graphs are ``graphs`` (``None``
+    is the default graph), holding ``quads_of(graph)`` in each: what
+    :func:`serialize_nquads` writes for the whole dataset.
+
+    ``kept`` is canonical text the dataset was read from or last written
+    as.  A graph not in ``changed`` is written as the lines ``kept`` holds
+    for it, when :func:`canonical_graphs` finds them; every other graph is
+    serialized from its quads.  The graphs go in ``canonical_rows`` order.
+    """
+    usable = canonical_graphs(kept)
+    pieces = []
+    for graph in graphs:
+        key = "" if graph is None else f"<{graph}>"
+        lines = None if graph in changed else usable.get(key)
+        pieces.append((key, serialize_nquads(quads_of(graph)) if lines is None else "\n".join(lines) + "\n"))
+    pieces.sort()
+    return "".join(text for _, text in pieces)
+
+
+def write_atomic(path, text: str):
+    """Replace the file at ``path`` with ``text`` as UTF-8, through a temp
+    file in the same directory and a rename, so a reader sees the old file
+    or the new one, never part of either.  A replaced file keeps its mode;
+    a new one gets the mode a plain ``open`` would give it, 0o666 less the
+    umask."""
+    path = os.fspath(path)
+    try:
+        mode = stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0o022)  # reading the umask means setting it
+        os.umask(umask)
+        mode = 0o666 & ~umask
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".store-", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+        os.chmod(tmp, mode)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def parse_update(text: str, iris: dict[str, Iri] | None = None) -> Delta:

@@ -250,6 +250,23 @@ def fuzz_lines(seed: int, count: int):
         yield rng.choice(_FUZZ_SEPARATORS).join(parts) + rng.choice(["", "", " ", " #c", "\r", rng.choice(FUZZ_TOKENS)])
 
 
+# What a single-character mutation of canonical text inserts or puts in
+# place of a character: separators, escapes and the punctuation of every
+# token.
+_MUTATION_CHARS = ' \t\r\n\\"<>._:@^{};#-Aaz09ué'
+
+
+def mutations(text: str, seed: int, count: int):
+    """Seeded single-character mutations of ``text``: one character
+    deleted, inserted or replaced."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        pos = rng.randrange(len(text) + 1)
+        roll = rng.randrange(3)
+        end = pos + 1 if roll == 0 or (roll == 2 and pos < len(text)) else pos
+        yield text[:pos] + ("" if roll == 0 else rng.choice(_MUTATION_CHARS)) + text[end:]
+
+
 def in_update(line: str) -> str:
     """The text of an update whose only data block holds ``line``."""
     return "INSERT DATA {\n  " + line + "\n}"

@@ -8,9 +8,11 @@ the same store, the same chains and the same errors.
 """
 
 import gc
+import re
 import tempfile
 from collections import Counter
 from dataclasses import fields
+from datetime import timedelta
 from pathlib import Path
 
 import pytest
@@ -18,11 +20,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import quad_strategy, ts
-from heritage_catalog import vocab
+from heritage_catalog import provenance, vocab
+from heritage_catalog import store as store_module
 from heritage_catalog.catalog import Catalog
 from heritage_catalog.provenance import ProvenanceTracker, Snapshot, prov_graph_iri
 from heritage_catalog.rdf import RDF_LANG_STRING, XSD_STRING, Iri, Literal, ParseError, Quad, parse_nquads, serialize_nquads, serialize_quad
-from heritage_catalog.store import Delta, Store
+from heritage_catalog.store import Delta, Store, parse_update
 from test_provenance import CHAIN_CORRUPTIONS, E, _three_snapshot_payload
 
 
@@ -82,32 +85,124 @@ class TestOpenEquivalence:
     def test_gold_catalog(self, gold_catalog):
         assert_opens_alike(gold_catalog.root)
 
+    @classmethod
+    def apply(cls, tracker: ProvenanceTracker, ops, first_step: int = 0):
+        """Record each step of a history that applies to the tracker's state."""
+        for step, (kind, first, second, drawn, dropped) in enumerate(ops, start=first_step):
+            entity, other = cls.ENTITIES[first], cls.ENTITIES[second]
+            quads = {Quad(entity, q.predicate, q.object, q.graph) for q in drawn}
+            agent, time = cls.AGENTS[step % 2], ts(step)
+            if kind == "creation":
+                if not tracker.has_chain(entity):
+                    tracker.record_creation(entity, quads, agent, source=other, time=time)
+            elif not tracker.is_live(entity):
+                continue
+            elif kind == "modification":
+                current = sorted(tracker.current_quads(entity), key=repr)
+                delta = Delta(deletes=current[:dropped], inserts=quads - set(current))
+                tracker.record_modification(entity, delta, agent, time=time)
+            elif kind == "merge":
+                if tracker.is_live(other) and other != entity:
+                    tracker.record_merge(entity, other, agent, time=time)
+            else:
+                tracker.record_deletion(entity, agent, time=time)
+
     @settings(max_examples=40, deadline=None)
     @given(st.lists(OPS, max_size=12))
     def test_random_histories(self, ops):
         with tempfile.TemporaryDirectory() as tmp:
             catalog = Catalog.create(Path(tmp) / "cat")
-            tracker = catalog.tracker
-            for step, (kind, first, second, drawn, dropped) in enumerate(ops):
-                entity, other = self.ENTITIES[first], self.ENTITIES[second]
-                quads = {Quad(entity, q.predicate, q.object, q.graph) for q in drawn}
-                agent, time = self.AGENTS[step % 2], ts(step)
-                if kind == "creation":
-                    if not tracker.has_chain(entity):
-                        tracker.record_creation(entity, quads, agent, source=other, time=time)
-                elif not tracker.is_live(entity):
-                    continue
-                elif kind == "modification":
-                    current = sorted(tracker.current_quads(entity), key=repr)
-                    delta = Delta(deletes=current[:dropped], inserts=quads - set(current))
-                    tracker.record_modification(entity, delta, agent, time=time)
-                elif kind == "merge":
-                    if tracker.is_live(other) and other != entity:
-                        tracker.record_merge(entity, other, agent, time=time)
-                else:
-                    tracker.record_deletion(entity, agent, time=time)
+            self.apply(catalog.tracker, ops)
             catalog.save()
             assert_opens_alike(catalog.root)
+            opened = Catalog.open(catalog.root)
+            for entity in catalog.tracker.entities():
+                written = catalog.tracker.chain(entity)
+                for snapshot, read in zip(written, opened.tracker.chain(entity)):
+                    # Parsed on first read, from the text, as an eager parse would.
+                    assert read.update_query == parse_update(read.update.text) == snapshot.update_query
+
+
+def _lines(text: str) -> list[str]:
+    """The lines of N-Quads text; a literal may hold other line separators."""
+    return text.split("\n")[:-1]
+
+
+def _with_lines(change):
+    """A rewrite of N-Quads text that changes each line with ``change``."""
+    return lambda text: "".join(change(line) + "\n" for line in _lines(text))
+
+
+def _with_extra_chain_quad(text: str) -> str:
+    """An extra quad in the first chain graph, with the lines sorted, so
+    that every graph's lines stay canonical and increasing."""
+    lines = _lines(text)
+    chain = [line for line in lines if line.endswith("/prov> .")]
+    if chain:
+        subject, graph = chain[0].split(" ")[0], chain[0].split(" ")[-2]
+        lines.append(f'{subject} <http://ex.org/extra> "x" {graph} .')
+    return "".join(line + "\n" for line in sorted(lines))
+
+
+# Rewrites of both catalog files into text that reads as the same quads
+# but is not what save writes: non-canonical spellings, which leave no
+# line to keep, and chain graphs that are not what save writes for the
+# chain read from them.
+REWRITES = [
+    pytest.param(lambda text: text, id="canonical"),
+    pytest.param(_with_lines(lambda line: line.replace(" ", "  ", 1)), id="extra-spaces"),
+    pytest.param(_with_lines(lambda line: line + "\r"), id="crlf"),
+    pytest.param(lambda text: "# a comment\n\n" + text, id="comments"),
+    pytest.param(lambda text: "".join(line + "\n" for line in reversed(_lines(text))), id="unsorted"),
+    pytest.param(_with_lines(lambda line: line.replace("<http://ex.org/e/", "<http://ex.org/\\u0065/", 1)), id="iri-escape"),
+    pytest.param(lambda text: re.sub(r'"(creation|modification|merge|deletion)" ', r'"\1"^^<http://www.w3.org/2001/XMLSchema#string> ', text), id="xsd-string"),
+    pytest.param(lambda text: re.sub(r'"(creation|modification|merge|deletion)" ', r'"\1"^^<http://ex.org/dt> ', text), id="typed-kind-markers"),
+    pytest.param(lambda text: text.replace('Z"^^<http://www.w3.org/2001/XMLSchema#dateTime>', '+00:00"^^<http://www.w3.org/2001/XMLSchema#dateTime>'), id="offset-timestamps"),
+    pytest.param(lambda text: text.replace(" DATA {\\n", " DATA {  \\n"), id="update-query-spacing"),
+    pytest.param(lambda text: "".join(line + "\n" for line in _lines(text) if f"<{vocab.CHANGE_KIND.value}>" not in line), id="no-kind-markers"),
+    pytest.param(_with_extra_chain_quad, id="extra-chain-quad"),
+]
+
+
+class TestSpliceSave:
+    """Save rewrites only the graphs a catalog changed since it was opened,
+    yet both files always equal a full serialization of the catalog."""
+
+    @pytest.mark.parametrize("rewrite", REWRITES)
+    @settings(max_examples=15, deadline=None)
+    @given(st.lists(TestOpenEquivalence.OPS, max_size=8), st.lists(TestOpenEquivalence.OPS, max_size=6))
+    def test_save_equals_full_serialization(self, rewrite, before, after):
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp) / "cat"
+            catalog = Catalog.create(root)
+            TestOpenEquivalence.apply(catalog.tracker, before)
+            catalog.save()
+            for name in ("data.nq", "prov.nq"):
+                path = root / name
+                path.write_bytes(rewrite(path.read_text(encoding="utf-8")).encode("utf-8"))
+            opened = Catalog.open(root)
+            TestOpenEquivalence.apply(opened.tracker, after, first_step=len(before))
+            opened.save()
+            assert (root / "data.nq").read_text(encoding="utf-8") == serialize_nquads(opened.store.quads())
+            assert (root / "prov.nq").read_text(encoding="utf-8") == serialize_nquads(opened.tracker.export_all_graphs())
+
+    def test_only_changed_graphs_are_serialized(self, gold_catalog, monkeypatch):
+        serialized = []
+        original = store_module.serialize_nquads
+        monkeypatch.setattr(store_module, "serialize_nquads", lambda quads: serialized.append({q.graph for q in quads}) or original(quads))
+        opened = Catalog.open(gold_catalog.root)
+        cho = Iri("https://example.org/catalog/cho/25")
+        title = Quad(cho, vocab.DCT_TITLE, Literal("Renamed"), Iri(cho.value + "/record"))
+        opened.tracker.record_modification(cho, Delta(inserts={title}), opened.config.agent_iri())
+        before = {name: (gold_catalog.root / name).read_text(encoding="utf-8") for name in ("data.nq", "prov.nq")}
+        opened.save()
+        assert serialized == [{prov_graph_iri(cho)}, {title.graph}]
+        for name, text in before.items():
+            changed = (gold_catalog.root / name).read_text(encoding="utf-8")
+            assert changed != text
+        serialized.clear()
+        Catalog.open(gold_catalog.root).save()
+        assert serialized == []
 
 
 # Syntax errors in prov.nq: a broken line, an invalid IRI, and an update
@@ -150,6 +245,19 @@ class TestOpenErrors:
         outcome = open_outcome(Catalog.open, root)
         assert outcome == open_outcome(reference_open, root)
         assert outcome[0] == "ParseError" and outcome[1] is not None
+
+
+class TestLazyUpdateQueries:
+    def test_open_parses_no_canonical_update_query(self, gold_catalog, monkeypatch):
+        parsed = []
+        monkeypatch.setattr(provenance, "parse_update", lambda text, iris=None: parsed.append(text) or parse_update(text, iris))
+        opened = Catalog.open(gold_catalog.root)
+        assert parsed == []
+        entity = opened.tracker.entities()[0]
+        chain = opened.tracker.chain(entity)
+        # Restoring the state before creation unwinds, and so reads, every snapshot.
+        assert opened.tracker.restore_state(entity, chain[0].generated_at - timedelta(seconds=1)) == set()
+        assert parsed == [snapshot.update.text for snapshot in reversed(chain)]
 
 
 class TestOpenGc:
@@ -201,6 +309,10 @@ class TestOpenIriMemo:
 
         monkeypatch.setattr(Iri, "__new__", counting)
         opened = Catalog.open(root)
+        # Update queries are parsed when first read, through the open's memo.
+        for entity in opened.tracker.entities():
+            for snapshot in opened.tracker.chain(entity):
+                snapshot.update_query
         # The configuration's two IRIs are built when catalog.cfg is read.
         config = [opened.config.base_iri, opened.config.agent]
         assert Counter(built) == Counter(distinct) + Counter(config)

@@ -1,7 +1,9 @@
 import csv
 import hashlib
+import os
 import re
 import socket
+import stat
 import threading
 import urllib.parse
 import urllib.request
@@ -549,6 +551,21 @@ class TestCatalogFiles:
             catalog.save()
         assert {name: (gold_root / name).read_bytes() for name in before} == before
         assert not list(gold_root.glob(".store-*"))
+
+    @pytest.mark.parametrize("mode", [0o644, 0o640])
+    def test_writes_keep_the_file_modes(self, tmp_path, mode):
+        root = tmp_path / "cat"
+        umask = os.umask(0o022)
+        try:
+            assert run("init", str(root)) == 0
+        finally:
+            os.umask(umask)
+        files = [root / "data.nq", root / "prov.nq"]
+        assert [stat.S_IMODE(path.stat().st_mode) for path in files] == [0o644, 0o644]
+        for path in files:
+            path.chmod(mode)
+        assert run("--catalog", str(root), "ingest", str(DATA_DIR / "gold_bibliographic.csv"), "--kind", "bibliographic") == 0
+        assert [stat.S_IMODE(path.stat().st_mode) for path in files] == [mode, mode]
 
     def test_store_files_stay_canonical_after_commands(self, gold_root):
         for name in ("data.nq", "prov.nq"):

@@ -9,6 +9,7 @@ from conftest import (
     divergences,
     fuzz_lines,
     in_update,
+    mutations,
     outcomes_on_both_paths,
     parse_outcome,
     quad_strategy,
@@ -26,6 +27,8 @@ from heritage_catalog.rdf import (
     Quad,
     RDF_LANG_STRING,
     XSD_STRING,
+    canonical_graphs,
+    canonical_rows,
     parse_nquads,
     serialize_nquads,
     serialize_term,
@@ -340,6 +343,89 @@ class TestSerialize:
     def test_trailing_newline(self):
         q = Quad(Iri("http://ex.org/s"), Iri("http://ex.org/p"), Literal("v"))
         assert serialize_nquads({q}).endswith(".\n")
+
+
+def _graph_key(quad: Quad) -> str:
+    return "" if quad.graph is None else serialize_term(quad.graph)
+
+
+class TestCanonicalGraphs:
+    """``canonical_graphs`` finds, per graph, the lines that are exactly what
+    ``serialize_nquads`` writes for that graph, and nothing else."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sets(quad_strategy, max_size=12))
+    def test_serialized_text_is_kept_whole(self, quads):
+        text = serialize_nquads(quads)
+        groups = canonical_graphs(text)
+        assert set(groups) == {_graph_key(q) for q in quads}
+        assert "".join(line + "\n" for key in sorted(groups) for line in groups[key]) == text
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sets(quad_strategy, max_size=12))
+    def test_line_order_within_a_graph_is_row_order(self, quads):
+        # Within one graph, comparing lines compares (subject, predicate,
+        # object) rows; see the canonical_graphs docstring.
+        graph = Iri("http://ex.org/g")
+        rows = canonical_rows(Quad(q.subject, q.predicate, q.object, graph) for q in quads)
+        lines = [f"{s} {p} {o} {g} ." for g, s, p, o in rows]
+        assert sorted(lines) == lines
+
+    @pytest.mark.parametrize("shorter, longer", [
+        ('"a"', '"a"@en'),
+        ('"a"', '"a"^^<http://ex.org/dt>'),
+        ('"a"@en', '"a"@en-GB'),
+        ('"a"@e', '"a"@en'),
+        ("_:a", "_:a.b"),
+        ("_:a", "_:a-"),
+        ("_:a", "_:a_"),
+    ])
+    def test_a_term_that_is_a_prefix_sorts_first(self, shorter, longer):
+        lines = [f"<http://ex.org/s> <http://ex.org/p> {term} ." for term in (shorter, longer)]
+        assert sorted(lines) == lines
+        assert canonical_graphs("".join(line + "\n" for line in lines)) == {"": lines}
+
+    def test_kept_lines_write_back_to_themselves(self):
+        rng = random.Random(20_246)
+        texts = list(fuzz_lines(seed=20_247, count=20_000))
+        texts = [line + "\n" for line in texts]
+        for seed in range(200):
+            texts += mutations(serialize_nquads(rand_dataset(rng, rng.randrange(1, 8))), seed, count=40)
+        kept = 0
+        for text in texts:
+            for key, lines in canonical_graphs(text).items():
+                block = "".join(line + "\n" for line in lines)
+                quads = parse_nquads(block)
+                assert {_graph_key(q) for q in quads} == {key}
+                assert serialize_nquads(quads) == block
+                kept += 1
+        assert 0.01 * len(texts) < kept < 0.9 * len(texts)  # the fuzz reaches both outcomes
+
+    @pytest.mark.parametrize("text", [
+        pytest.param('<http://ex.org/s> <http://ex.org/p> "a"\n', id="no-dot"),
+        pytest.param('<http://ex.org/s>  <http://ex.org/p> "a" .\n', id="double-space"),
+        pytest.param('<http://ex.org/s> <http://ex.org/p> "a" . \n', id="trailing-space"),
+        pytest.param('<http://ex.org/s> <http://ex.org/p> "a" .\r\n', id="crlf"),
+        pytest.param('# comment\n<http://ex.org/s> <http://ex.org/p> "a" .\n', id="comment"),
+        pytest.param('\n<http://ex.org/s> <http://ex.org/p> "a" .\n', id="blank-line"),
+        pytest.param('<http://ex.org/s> <http://ex.org/p> "a" .', id="no-final-newline"),
+        pytest.param('<http://ex.org/\\u0073> <http://ex.org/p> "a" .\n', id="iri-escape"),
+        pytest.param('<http://ex.org/s> <http://ex.org/p> "\\u0041" .\n', id="literal-escape"),
+        pytest.param(f'<http://ex.org/s> <http://ex.org/p> "a"^^<{XSD_STRING.value}> .\n', id="xsd-string"),
+        pytest.param('<http://ex.org/s> <http://ex.org/p> "a"@en- .\n', id="bad-tag"),
+    ])
+    def test_text_with_a_non_canonical_line_keeps_nothing(self, text):
+        good = '<http://ex.org/a> <http://ex.org/p> "a" <http://ex.org/g> .\n'
+        assert canonical_graphs(text + good) == {}
+
+    def test_unsorted_or_repeated_graph_lines_are_left_out(self):
+        a = '<http://ex.org/s> <http://ex.org/p> "a" <http://ex.org/g> .'
+        b = '<http://ex.org/s> <http://ex.org/p> "b" <http://ex.org/g> .'
+        c = '<http://ex.org/s> <http://ex.org/p> "c" .'
+        assert canonical_graphs(f"{b}\n{a}\n{c}\n") == {"": [c]}
+        assert canonical_graphs(f"{a}\n{a}\n{c}\n") == {"": [c]}
+        # Runs of one graph apart from each other still make one graph.
+        assert canonical_graphs(f"{a}\n{c}\n{b}\n") == {"": [c], "<http://ex.org/g>": [a, b]}
 
 
 class TestRoundTrip:

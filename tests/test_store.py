@@ -1,4 +1,6 @@
+import os
 import random
+import stat
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from conftest import (
     forward_replay,
     fuzz_lines,
     in_update,
+    mutations,
     outcomes_on_both_paths,
     quad_strategy,
     rand_dataset,
@@ -22,7 +25,18 @@ from conftest import (
     term_strategy,
 )
 from heritage_catalog.cli import parse_bgp_text
-from heritage_catalog.rdf import BlankNode, Iri, Literal, ParseError, Quad, Term, serialize_term
+from heritage_catalog.rdf import (
+    RDF_LANG_STRING,
+    XSD_STRING,
+    BlankNode,
+    Iri,
+    Literal,
+    ParseError,
+    Quad,
+    Term,
+    is_canonical_update,
+    serialize_term,
+)
 from heritage_catalog.store import (
     ANY,
     Delta,
@@ -472,6 +486,73 @@ class TestSerializeUpdate:
         assert parse_update(serialize_update(delta)) == delta
 
 
+_A = '<http://ex.org/s> <http://ex.org/p> "a" .'
+_B = '<http://ex.org/s> <http://ex.org/p> "b" .'
+
+
+def _block(op: str, *lines: str, graph: str | None = None) -> str:
+    body = "".join(f"  {line}\n" for line in lines)
+    return f"{op} DATA {{\n{body}}}" if graph is None else f"{op} DATA {{ GRAPH <{graph}> {{\n{body}}} }}"
+
+
+def _update(*blocks: str) -> str:
+    return "\n;\n".join(blocks) + "\n"
+
+
+class TestCanonicalUpdate:
+    """``is_canonical_update`` accepts what ``serialize_update`` writes, and
+    only texts that parse and write back to themselves."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sets(quad_strategy, max_size=8), st.sets(quad_strategy, max_size=8))
+    def test_accepts_every_serialized_delta(self, deletes, inserts):
+        assert is_canonical_update(serialize_update(Delta(deletes=deletes, inserts=inserts - deletes)))
+
+    def test_accepted_texts_write_back_to_themselves(self):
+        rng = random.Random(20_244)
+        texts = []
+        for seed in range(200):
+            quads = rand_dataset(rng, rng.randrange(1, 6))
+            texts += mutations(serialize_update(rand_strict_delta(rng, quads)), seed, count=40)
+        for line in fuzz_lines(seed=20_245, count=20_000):
+            texts += [_update(_block("INSERT", line)), _update(_block("DELETE", line, graph="http://ex.org/g"))]
+        accepted = [text for text in texts if is_canonical_update(text)]
+        assert 0.01 * len(texts) < len(accepted) < 0.9 * len(texts)  # the fuzz reaches both outcomes
+        for text in accepted:
+            assert serialize_update(parse_update(text)) == text
+
+    def test_blocks_go_in_order_of_graph_value(self):
+        # By value, .../a sorts before .../a/b; serialized, <.../a/b> sorts before <.../a>.
+        text = _update(_block("INSERT", _A, graph="http://ex.org/a"), _block("INSERT", _A, graph="http://ex.org/a/b"))
+        assert serialize_update(parse_update(text)) == text
+        assert is_canonical_update(text)
+
+    @pytest.mark.parametrize("text", [
+        pytest.param(_update(_block("DELETE", _A), _block("INSERT", _A)), id="overlap"),
+        pytest.param(_update(_block("INSERT")), id="empty-block"),
+        pytest.param(_update(_block("INSERT", _A, _A)), id="duplicate-line"),
+        pytest.param(_update(_block("INSERT", _B, _A)), id="unsorted-lines"),
+        pytest.param(_update(_block("INSERT", _A), _block("DELETE", _B)), id="insert-before-delete"),
+        pytest.param(_update(_block("INSERT", _A), _block("INSERT", _B)), id="two-blocks-one-graph"),
+        pytest.param(_update(_block("INSERT", _A, graph="http://ex.org/a/b"), _block("INSERT", _A, graph="http://ex.org/a")), id="graph-order"),
+        pytest.param(_update(_block("INSERT", f'<http://ex.org/s> <http://ex.org/p> "a"^^<{XSD_STRING.value}> .')), id="xsd-string"),
+        pytest.param(_update(_block("INSERT", f'<http://ex.org/s> <http://ex.org/p> "a"^^<{RDF_LANG_STRING.value}> .')), id="untagged-lang-string"),
+        pytest.param(_update(_block("INSERT", '<http://ex.org/\\u0073> <http://ex.org/p> "a" .')), id="iri-escape"),
+        pytest.param(_update(_block("INSERT", '<http://ex.org/s> <http://ex.org/p> "a\\tb" .')), id="tab-escape"),
+        pytest.param(_update(_block("INSERT", _A))[:-1], id="no-final-newline"),
+        pytest.param(_update(_block("INSERT", _A)) + ";\n", id="trailing-separator"),
+        pytest.param(_update(_block("INSERT", _A)).replace("  <", " <"), id="indent"),
+        pytest.param("\n", id="bare-newline"),
+    ])
+    def test_rejects_what_serialize_update_does_not_write(self, text):
+        assert not is_canonical_update(text)
+        try:
+            written = serialize_update(parse_update(text))
+        except ValueError:
+            return
+        assert written != text
+
+
 class TestDeltaAlgebra:
     def test_apply_then_inverse_restores(self):
         rng = random.Random(11)
@@ -551,6 +632,24 @@ class TestPersistence:
         with pytest.raises(ParseError) as err:
             Store.load(path)
         assert err.value.line == 7
+
+    @pytest.mark.parametrize("mode", [0o644, 0o640])
+    def test_replaced_file_keeps_its_mode(self, tmp_path, mode):
+        path = tmp_path / "store.nq"
+        path.write_text("")
+        path.chmod(mode)
+        Store({q("http://ex.org/s", "http://ex.org/p", "v")}).save(path)
+        assert stat.S_IMODE(path.stat().st_mode) == mode
+        assert len(Store.load(path)) == 1
+
+    def test_new_file_gets_the_mode_the_umask_leaves(self, tmp_path):
+        umask = os.umask(0o027)
+        try:
+            Store().save(tmp_path / "new.nq")
+            assert os.umask(0o027) == 0o027  # left as it was
+        finally:
+            os.umask(umask)
+        assert stat.S_IMODE((tmp_path / "new.nq").stat().st_mode) == 0o640
 
     def test_save_is_canonical(self, tmp_path):
         rng = random.Random(13)

@@ -445,6 +445,35 @@ class TestViewRebuilds:
         assert counts[0][:2] == counts[1][:2]
 
 
+    def test_ingest_reads_each_object_once_then_rebuilds_one_phase_per_row(self, tmp_path, monkeypatch):
+        builds = []
+        original = workflow.phase_record
+        monkeypatch.setattr(workflow, "phase_record", lambda store, subject: builds.append(subject) or original(store, subject))
+        gold = load_table(DATA_DIR / "gold_process.csv")
+        catalog = Catalog.create(tmp_path / "catalog")
+        catalog.ingest_process(gold, Iri("file:///process.csv"))
+        assert len(builds) == len(gold.rows)
+        activities = len(catalog.phases)
+        builds.clear()
+        catalog.ingest_process(gold, Iri("file:///process.csv"))
+        assert len(builds) == activities + len(gold.rows)
+
+    def test_order_check_sees_the_phases_in_the_store(self, tmp_path, monkeypatch):
+        catalog = Catalog.create(tmp_path / "catalog")
+        checked = []
+        original = workflow.check_phase_order
+
+        def check(existing, record):
+            checked.append(existing == catalog.phases_for(record.cho))
+            original(existing, record)
+
+        monkeypatch.setattr(workflow, "check_phase_order", check)
+        gold = load_table(DATA_DIR / "gold_process.csv")
+        for table in (gold, gold, _doubled_process_table(gold)):
+            catalog.ingest_process(table, Iri("file:///process.csv"))
+        assert len(checked) == 4 * len(gold.rows) and all(checked)
+
+
 class TestBundle:
     def test_bundle_layout_and_digests(self, gold_catalog, tmp_path):
         dcho = Iri(BASE + "dcho/25")
