@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 from datetime import datetime, timedelta, timezone
 
 from . import vocab
-from .rdf import XSD_STRING, Iri, Literal, ParseError, Quad, is_canonical_update, memo_iri, read_statements
+from .rdf import XSD_STRING, Iri, KeptLines, Literal, ParseError, Quad, is_canonical_update, memo_iri, read_statements
 from .store import Delta, Store, ordered_terms, parse_update, serialize_update, splice_nquads, write_atomic
 
 CREATION = "creation"
@@ -173,16 +173,17 @@ class ProvenanceTracker:
     Record operations are the only mutators and must be serialized by the
     caller (single writer); reads never mutate.
 
-    The tracker also keeps the ``prov.nq`` text it was loaded from or last
-    saved as, and the entities whose graph that text does not hold as
+    The tracker also keeps the ``prov.nq`` lines it was loaded from or last
+    saved as, and the entities whose graph those lines do not hold as
     :meth:`save` writes it: those whose chain grew since, and those whose
-    graph did not read back as written.  Save serializes only their graphs.
+    graph did not read back as written.  Save serializes only their graphs
+    and those not kept canonical.
     """
 
     def __init__(self, store: Store):
         self.store = store
         self._chains: dict[Iri, list[Snapshot]] = {}
-        self._kept = ""
+        self._kept = KeptLines()
         self._unsaved: set[Iri] = set()
 
     def entities(self) -> list[Iri]:
@@ -353,22 +354,22 @@ class ProvenanceTracker:
 
     def save(self, path):
         """Write every entity's graph to ``path`` as canonical N-Quads, with
-        :func:`store.write_atomic`; a graph the kept text holds as it would
-        be written is taken from that text (see :func:`store.splice_nquads`)."""
+        :func:`store.write_atomic`; a graph the kept lines hold as it would
+        be written is taken from them (see :func:`store.splice_nquads`)."""
         graphs = {prov_graph_iri(entity): entity for entity in self._chains}
         changed = {graph for graph, entity in graphs.items() if entity in self._unsaved}
-        text = splice_nquads(self._kept, graphs, lambda graph: self._saved_graph(graphs[graph]), changed)
-        write_atomic(path, text)
-        self._kept, self._unsaved = text, set()
+        kept = splice_nquads(self._kept, graphs, lambda graph: self._saved_graph(graphs[graph]), changed)
+        write_atomic(path, kept.text)
+        self._kept, self._unsaved = kept, set()
 
     @classmethod
     def load(cls, store: Store, path, iris: dict[str, Iri] | None = None) -> "ProvenanceTracker":
         """The chains of a ``prov.nq`` file over ``store``, rebuilt by
-        :meth:`from_quads` from the file's rows; :meth:`save` reuses the text."""
+        :meth:`from_quads` from the file's rows; :meth:`save` reuses its lines."""
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
-        tracker = cls.from_quads(store, read_statements(text, iris), iris)
-        tracker._kept = text
+        tracker = cls.from_quads(store, read_statements(text, iris, kept := KeptLines(text)), iris)
+        tracker._kept = kept
         return tracker
 
     @classmethod

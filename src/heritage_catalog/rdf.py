@@ -7,11 +7,11 @@ deterministic escaping, trailing newline), which makes byte comparison a
 valid equality test for datasets.
 
 The N-Quads and update parsers read each statement, and an update reads
-each block header, with one match of a pattern composed from the same
-token patterns the scanner uses.  What a pattern does not take, or whose
-terms fail to build, goes to :class:`TermScanner`, which reads it token
-by token and either parses it or raises its syntax error with line and
-column.  The scanner alone parses query patterns.
+each block header, with one match of a pattern that takes exactly what
+the serializers write: one statement grammar, composed from the sources
+of the scanner's tokens.  Everything else goes to :class:`TermScanner`,
+which reads it token by token and either parses it or raises its syntax
+error with line and column.  The scanner alone parses query patterns.
 
 Terms are built-in values: an :class:`Iri` or :class:`BlankNode` is a
 ``str`` and a :class:`Literal` or :class:`Quad` a ``tuple``, hashed by
@@ -23,19 +23,17 @@ renders each term once per quad and sorts the rendered rows.
 :func:`read_statements` yields each statement as a plain tuple of its
 four terms, for a reader that keeps no :class:`Quad`.
 
-Two recognizers tell text already in canonical form, built from token
-patterns that each match exactly what :func:`serialize_term` writes:
-:func:`canonical_graphs` finds the graphs whose N-Quads lines a save can
-copy instead of serializing again, and :func:`is_canonical_update` finds
-update queries that can be kept as text and parsed only when read.
+A line is in canonical spelling exactly when the statement pattern took
+it, its terms built and no IRI token holds an escape.  A parse records
+each line's graph in :class:`KeptLines`, so that a save can copy a graph's
+lines; :func:`is_canonical_update` finds the update queries that can stay
+text until read.
 """
 
 from __future__ import annotations
 
 import re
 from collections import namedtuple
-from itertools import compress
-from operator import ne
 from typing import NoReturn
 
 RDF_NS = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
@@ -52,8 +50,8 @@ _ABSOLUTE_IRI = re.compile(f"{_SCHEME}[^{_IRI_FORBIDDEN_CHARS}]*\\Z")
 # What ``BlankNode`` and ``Literal`` accept as a label and a language tag.
 _BNODE_LABEL = r"[A-Za-z0-9_](?:[A-Za-z0-9_.\-]*[A-Za-z0-9_\-])?"
 _LANG_TAG = r"[A-Za-z]+(?:-[A-Za-z0-9]+)*"
-_BNODE_RE = re.compile(f"^{_BNODE_LABEL}$")
-_LANG_RE = re.compile(f"^{_LANG_TAG}$")
+_BNODE_RE = re.compile(f"{_BNODE_LABEL}\\Z")
+_LANG_RE = re.compile(f"{_LANG_TAG}\\Z")
 
 
 class InvalidIri(ValueError):
@@ -226,9 +224,8 @@ def serialize_nquads(quads) -> str:
 
 
 # Token pattern sources.  The scanner compiles each token pattern from its
-# source and matches it at its cursor; the two statement patterns below are
-# composed from the same sources.  An IRI token runs to the next '>'; what
-# it may contain is checked by ``Iri`` alone.
+# source and matches it at its cursor.  An IRI token runs to the next '>';
+# what it may contain is checked by ``Iri`` alone.
 _WS_SOURCE = r"[ \t\r\n]*"
 _IRI_SOURCE = r"<([^>]*)>"
 # A trailing dot belongs to the statement, not the label.
@@ -237,7 +234,6 @@ _BNODE_SOURCE = r"_:((?:[\w.-]*[\w-])?)"
 # character.  Compiled with re.S, so an escape may take any character.
 _LITERAL_SOURCE = r'"([^"\\\n\r]*(?:\\.[^"\\\n\r]*)*)'
 _LANG_SOURCE = r"@((?:[^\W_]|-)*)"
-_DATATYPE_SOURCE = r"\^\^" + _IRI_SOURCE
 
 _LETTER = r"[^\W\d_]"  # word characters other than digits and '_'
 
@@ -249,61 +245,44 @@ _BNODE_TOKEN = re.compile(_BNODE_SOURCE)
 _LITERAL_TOKEN = re.compile(_LITERAL_SOURCE + '("?)', re.S)
 _LANG_TOKEN = re.compile(_LANG_SOURCE)
 
-# Statement patterns.  They must accept no text that the scanner rejects,
-# and split what they accept into the scanner's tokens; backtracking must
-# therefore never shorten a token the scanner reads as far as it can.  IRI
-# and literal tokens end at a fixed character.  An object is followed only
-# by whitespace, '<' or '.', none of which can continue a language tag, so
-# a bare '^^' or '@' (a broken suffix to the scanner) fails the match.  A
-# blank-node label could end early, so it must not be followed by more
-# label: ``\.*[\w-]`` states that after a label exactly as ``[\w.-]*[\w-]``
-# would, and fails in time linear in the dots it passes.
-_LABEL_END = r"(?!\.*[\w-])"
-_SUBJECT = f"(?:{_IRI_SOURCE}|{_BNODE_SOURCE}{_LABEL_END})"
-_OBJECT = f'(?:{_IRI_SOURCE}|{_BNODE_SOURCE}{_LABEL_END}|{_LITERAL_SOURCE}"(?:{_LANG_SOURCE}|{_DATATYPE_SOURCE})?)'
-# Groups 1-8: subject IRI or label, predicate IRI, object IRI, label or
-# literal body, language tag, datatype IRI.
-_TRIPLE = f"{_SUBJECT}{_WS_SOURCE}{_IRI_SOURCE}{_WS_SOURCE}{_OBJECT}{_WS_SOURCE}"
-# One whole N-Quads line; group 9 is the graph IRI.
-_NQUADS_STATEMENT = re.compile(f"{_WS_SOURCE}{_TRIPLE}(?:{_IRI_SOURCE}{_WS_SOURCE})?\\.{_WS_SOURCE}(?:#.*)?\\Z", re.S)
-# One statement inside an update's data block, with the whitespace after it.
-_UPDATE_STATEMENT = re.compile(f"{_TRIPLE}\\.{_WS_SOURCE}", re.S)
-# An update block's header, ``INSERT|DELETE DATA {`` and an optional
-# ``GRAPH <g> {``, with the whitespace after it; group 1 is the operation,
-# group 2 the graph IRI.  Only upper-case keywords are taken.  A keyword
-# must not run on into a letter, since the scanner would read that letter
-# as part of it.  The closing guard skips whitespace before it looks for a
-# letter, so that backtracking into the whitespace cannot pass a word the
-# scanner reports.
-_UPDATE_HEADER = re.compile(
-    f"(INSERT|DELETE)(?!{_LETTER}){_WS_SOURCE}DATA{_WS_SOURCE}\\{{{_WS_SOURCE}"
-    f"(?:GRAPH{_WS_SOURCE}{_IRI_SOURCE}{_WS_SOURCE}\\{{{_WS_SOURCE})?(?!{_WS_SOURCE}{_LETTER})"
-)
+# The statement grammar: terms exactly as ``serialize_term`` writes them,
+# one space apart.  A literal body escapes only backslash, quote, LF and
+# CR, unrolled as ``_LITERAL_SOURCE`` is; a literal names neither the
+# plain-string datatype nor, untagged, the language-string one.
+_CANONICAL_BODY = r'[^"\\\n\r]*(?:\\[\\"nr][^"\\\n\r]*)*'
+_DATATYPE_MARK = f"\\^\\^(?!<(?:{re.escape(XSD_STRING)}|{re.escape(RDF_LANG_STRING)})>)"
 
-# Canonical token sources: each matches exactly what ``serialize_term``
-# writes, so every term has one canonical spelling.  An IRI holds no
-# escape; a literal escapes only backslash, quote, LF and CR, and names
-# neither the plain-string datatype nor, untagged, the language-string
-# one.  The literal body is unrolled as ``_LITERAL_SOURCE`` is.
+
+def _triple(iri: str, group: str = "(") -> str:
+    """``subject predicate object`` in canonical spelling, given an IRI
+    token source; ``group`` opens each label, literal body and language tag
+    group.  Groups 1-8, when all capture: subject IRI or label, predicate
+    IRI, object IRI, label or literal body, language tag, datatype IRI."""
+    return (
+        f"(?:{iri}|_:{group}{_BNODE_LABEL})) {iri} "
+        f'(?:{iri}|_:{group}{_BNODE_LABEL})|"{group}{_CANONICAL_BODY})"(?:@{group}{_LANG_TAG})|{_DATATYPE_MARK}{iri})?)'
+    )
+
+
+# The parsers' patterns take only canonical text; the scanner reads the
+# rest.  Each term ends at a fixed character or before the one space after
+# it, so a match splits a statement into the scanner's tokens.  One whole
+# N-Quads line; group 9 is the graph IRI.
+_NQUADS_STATEMENT = re.compile(f"{_triple(_IRI_SOURCE)}(?: {_IRI_SOURCE})? \\.\\Z")
+# One indented statement line inside an update's data block.
+_UPDATE_STATEMENT = re.compile(f"  {_triple(_IRI_SOURCE)} \\.\n")
+# An update block's header line; group 1 is the operation, group 2 the
+# graph IRI.  The scanner reads a word after a header as part of it.
+_UPDATE_HEADER = re.compile(f"(INSERT|DELETE) DATA \\{{(?: GRAPH {_IRI_SOURCE} \\{{)?\n(?!{_WS_SOURCE}{_LETTER})")
+
+# ``is_canonical_update`` builds no terms, so its IRI token takes only what
+# ``Iri`` accepts; its statements capture nothing, which keeps open fast.
 _CANONICAL_IRI_BODY = f"{_SCHEME}[^{_IRI_FORBIDDEN_CHARS}]*"
-_CANONICAL_IRI = f"<{_CANONICAL_IRI_BODY}>"
-_CANONICAL_LITERAL = (
-    r'"[^"\\\n\r]*(?:\\[\\"nr][^"\\\n\r]*)*"'
-    f"(?:@{_LANG_TAG}|\\^\\^(?!<(?:{re.escape(XSD_STRING)}|{re.escape(RDF_LANG_STRING)})>){_CANONICAL_IRI})?"
-)
-_CANONICAL_TRIPLE = (
-    f"(?:{_CANONICAL_IRI}|_:{_BNODE_LABEL}) {_CANONICAL_IRI} "
-    f"(?:{_CANONICAL_IRI}|_:{_BNODE_LABEL}|{_CANONICAL_LITERAL})"
-)
-# A line of ``serialize_nquads`` output; group 1 is the graph IRI as
-# written.  No canonical term holds a line break, so in multi-line mode a
-# match is exactly one whole line.
-_CANONICAL_LINE = re.compile(f"^{_CANONICAL_TRIPLE}(?: ({_CANONICAL_IRI}))? \\.$", re.M)
 # One block of ``store.serialize_update`` output; group 1 is the
 # operation, group 2 the graph IRI's value, group 3 the statement lines.
 _CANONICAL_UPDATE_BLOCK = re.compile(
     f"(DELETE|INSERT) DATA \\{{(?: GRAPH <({_CANONICAL_IRI_BODY})> \\{{)?\n"
-    f"((?:  {_CANONICAL_TRIPLE} \\.\n)+)\\}}(?(2) \\}})"
+    f"((?:  {_triple(f'<{_CANONICAL_IRI_BODY}>', '(?:')} \\.\n)+)\\}}(?(2) \\}})"
 )
 
 
@@ -320,8 +299,8 @@ def is_canonical_update(text: str) -> bool:
     blocks, each side's blocks in order of graph IRI value with the default
     graph first, at most one block per graph and side, no empty block,
     strictly increasing lines within a block (the order of
-    :func:`canonical_rows`, see :func:`canonical_graphs`), and no statement in
-    both blocks of one graph.
+    :func:`canonical_rows`, see :meth:`KeptLines.copyable`), and no
+    statement in both blocks of one graph.
     """
     if not text:
         return True
@@ -343,37 +322,45 @@ def is_canonical_update(text: str) -> bool:
     return False
 
 
-def canonical_graphs(text: str) -> dict[str, list[str]]:
-    """The lines of each graph that ``text`` holds exactly as
-    :func:`serialize_nquads` writes that graph, keyed as
-    :func:`canonical_rows` writes the graph ("" for the default graph).
+# The graph of a blank or comment line.
+_NO_GRAPH = object()
 
-    A graph whose lines do not increase strictly is left out.  When some
-    line is not in canonical spelling, or the text does not end with a
-    newline, the result is empty: such a line cannot be told apart by
-    graph.
 
-    Strictly increasing lines of one graph are in :func:`canonical_rows`
-    order.  A line compares by subject, then predicate, then object,
-    because the terms are separated by a space and, wherever one canonical
-    term is a prefix of another, the longer one goes on with a character
-    above space: a literal closes with its quote and may go on only with
-    '@' or '^^', a language tag with a letter, digit or '-', a blank-node
-    label with a letter, digit, '_', '.' or '-', and an IRI cannot go on
-    past its '>'.
-    """
-    if not text.endswith("\n"):
-        return {}
-    lines = text[:-1].split("\n")
-    graphs = _CANONICAL_LINE.findall(text)
-    if len(graphs) != len(lines):
-        return {}
-    # A graph's lines come in runs, one run per graph in a canonical file.
-    bounds = [0, *compress(range(1, len(lines)), map(ne, graphs[1:], graphs)), len(lines)]
-    groups: dict[str, list[str]] = {}
-    for start, end in zip(bounds, bounds[1:]):
-        groups.setdefault(graphs[start], []).extend(lines[start:end])
-    return {key: lines for key, lines in groups.items() if _increasing(lines)}
+class KeptLines:
+    """N-Quads text that a store or tracker read or last wrote, with the
+    graph of each of its lines and the graphs that hold a line not in
+    canonical spelling, as :func:`read_statements` records them."""
+
+    __slots__ = ("text", "graphs", "rewrite")
+
+    def __init__(self, text: str = "", graphs: list | None = None):
+        self.text = text
+        self.graphs = [] if graphs is None else graphs
+        self.rewrite: set[Iri | None] = set()
+
+    @classmethod
+    def join(cls, blocks) -> "KeptLines":
+        """The text of ``(graph, lines)`` blocks of canonical lines, in order."""
+        return cls("".join(lines for _, lines in blocks), [graph for graph, lines in blocks for _ in range(lines.count("\n"))])
+
+    def copyable(self) -> dict:
+        """The lines of each graph that the text holds exactly as
+        :func:`serialize_nquads` writes that graph: all in canonical
+        spelling, and strictly increasing.
+
+        Strictly increasing lines of one graph are in :func:`canonical_rows`
+        order.  A line compares by subject, then predicate, then object,
+        because the terms are separated by a space and, wherever one canonical
+        term is a prefix of another, the longer one goes on with a character
+        above space: a literal closes with its quote and may go on only with
+        '@' or '^^', a language tag with a letter, digit or '-', a blank-node
+        label with a letter, digit, '_', '.' or '-', and an IRI cannot go on
+        past its '>'.
+        """
+        groups: dict = {}
+        for graph, line in zip(self.graphs, self.text.split("\n")):
+            groups.setdefault(graph, []).append(line)
+        return {graph: lines for graph, lines in groups.items() if graph is not _NO_GRAPH and graph not in self.rewrite and _increasing(lines)}
 
 
 _UCHAR = re.compile(r"\\u([0-9A-Fa-f]{4})|\\U([0-9A-Fa-f]{8})")
@@ -539,11 +526,10 @@ class TermScanner:
         return graph
 
     def match_statements(self, graph: Iri | None) -> list[Quad]:
-        """Read ``subject predicate object .`` statements and the whitespace
-        after each, with one statement-pattern match per statement.  Stops
-        before the first statement that does not match, or whose terms fail
-        to build, and leaves it to the token readers, which parse it or
-        report its error."""
+        """Read canonical ``  subject predicate object .`` statement lines,
+        with one statement-pattern match per line.  Stops before the first
+        line that does not match, or whose terms fail to build, and leaves
+        the rest to the token readers, which parse it or report its error."""
         quads = []
         while found := _UPDATE_STATEMENT.match(self.text, self.pos):
             try:
@@ -554,10 +540,10 @@ class TermScanner:
         return quads
 
     def match_block_header(self) -> tuple[str, Iri | None] | None:
-        """The operation and graph of an update block's header, read with
-        the whitespace after it in one match; ``None``, with the cursor left
-        in place, when the pattern does not take the header or its graph IRI
-        fails to build, which leaves it to the keyword and term readers."""
+        """The operation and graph of an update block's canonical header
+        line, read in one match; ``None``, with the cursor left in place,
+        when the pattern does not take the header or its graph IRI fails to
+        build, which leaves it to the keyword and term readers."""
         found = _UPDATE_HEADER.match(self.text, self.pos)
         if found is None:
             return None
@@ -617,24 +603,26 @@ def _scan_nquads_line(line: str, line_no: int, iris: dict[str, Iri]) -> tuple | 
     return subject, predicate, obj, graph
 
 
-def read_statements(text: str, iris: dict[str, Iri] | None = None):
+def read_statements(text: str, iris: dict[str, Iri] | None = None, kept: KeptLines | None = None):
     """Yield each statement of N-Quads (or N-Triples) text as its
     ``(subject, predicate, object, graph)`` terms, in text order, repeats
     included; the graph is ``None`` in the default graph.
 
     Accepts LF or CRLF line endings, blank lines and full-line ``#``
     comments.  The first syntax error raises :class:`ParseError` with its
-    line and column.  A statement line is read with one match of the
-    statement pattern; any other line, or one whose terms fail to build,
+    line and column.  A canonical statement line is read with one match of
+    the statement pattern; any other line, or one whose terms fail to build,
     goes to the scanner, which parses it or reports its error.  IRIs are
     built through ``iris`` when given, otherwise through a memo of this
-    parse alone.
+    parse alone.  The parse records each line's graph, and whether it is
+    canonical, in ``kept`` when given, which must hold ``text``.
     """
     if iris is None:
         iris = {}
+    if kept is None:
+        kept = KeptLines(text)
+    mark, rewrite = kept.graphs.append, kept.rewrite.add
     lines = text.split("\n")
-    # A trailing '\r' is whitespace to the statement pattern, as it is to
-    # the scanner, which is given the line without it.
     for line_no, found in enumerate(map(_NQUADS_STATEMENT.match, lines), start=1):
         if found:
             groups = found.groups()
@@ -644,15 +632,21 @@ def read_statements(text: str, iris: dict[str, Iri] | None = None):
             except (InvalidIri, InvalidTerm):
                 pass
             else:
+                if "\\" in found.string and any(groups[i] and "\\" in groups[i] for i in (0, 2, 3, 7, 8)):
+                    rewrite(row[3])
+                mark(row[3])
                 yield row
                 continue
         line = lines[line_no - 1]
+        # The scanner is given the line without a trailing '\r'.
         row = _scan_nquads_line(line[:-1] if line.endswith("\r") else line, line_no, iris)
+        mark(_NO_GRAPH if row is None else row[3])
         if row is not None:
+            rewrite(row[3])
             yield row
 
 
-def parse_nquads(text: str, iris: dict[str, Iri] | None = None) -> set[Quad]:
+def parse_nquads(text: str, iris: dict[str, Iri] | None = None, kept: KeptLines | None = None) -> set[Quad]:
     """Parse N-Quads (or N-Triples) text into a set of quads, as
     :func:`read_statements` reads it."""
-    return {Quad(*row) for row in read_statements(text, iris)}
+    return {Quad(*row) for row in read_statements(text, iris, kept)}

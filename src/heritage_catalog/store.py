@@ -6,8 +6,8 @@ stand and never mutate.
 
 Saving writes the whole file atomically, but serializes only the graphs
 that changed since the store was loaded: :func:`splice_nquads` copies the
-others from the text that was read.  :func:`write_atomic` is the one
-writer of both catalog files.
+others' canonical lines from the text read.  :func:`write_atomic` is the
+one writer of both catalog files.
 """
 
 from __future__ import annotations
@@ -20,11 +20,11 @@ from dataclasses import dataclass
 from .rdf import (
     BlankNode,
     Iri,
+    KeptLines,
     Literal,
     Quad,
     Term,
     TermScanner,
-    canonical_graphs,
     canonical_rows,
     parse_nquads,
     serialize_nquads,
@@ -126,9 +126,9 @@ class Store:
     :meth:`objects` and :meth:`subjects` answer single-hop lookups from the
     last two, ignoring graphs.
 
-    The store also keeps the text it was loaded from or last saved as, and
+    The store also keeps the lines it was loaded from or last saved as, and
     the graphs that inserts and deletes have touched since, so that
-    :meth:`save` serializes only those graphs.
+    :meth:`save` serializes only those graphs and those not kept canonical.
     """
 
     def __init__(self, quads=()):
@@ -136,7 +136,7 @@ class Store:
         self._by_graph: dict[Iri | None, set[Quad]] = {}
         self._by_subject: dict[Iri | BlankNode, dict[Iri, set[Quad]]] = {}
         self._by_po: dict[tuple, set[Quad]] = {}
-        self._kept = ""
+        self._kept = KeptLines()
         self._changed: set[Iri | None] = set()
         if quads:
             self.insert_quads(quads)
@@ -306,38 +306,37 @@ class Store:
         that no insert or delete has touched since the store was loaded or
         last saved are written as that text holds them (see
         :func:`splice_nquads`); the others are serialized."""
-        text = splice_nquads(self._kept, self._by_graph, self._by_graph.__getitem__, self._changed)
-        write_atomic(path, text)
-        self._kept, self._changed = text, set()
+        kept = splice_nquads(self._kept, self._by_graph, self._by_graph.__getitem__, self._changed)
+        write_atomic(path, kept.text)
+        self._kept, self._changed = kept, set()
 
     @classmethod
     def load(cls, path, iris: dict[str, Iri] | None = None) -> "Store":
         """The store of an N-Quads file, its IRIs built through ``iris`` when given."""
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
-        store = cls(parse_nquads(text, iris))
-        store._kept, store._changed = text, set()
+        store = cls(parse_nquads(text, iris, kept := KeptLines(text)))
+        store._kept, store._changed = kept, set()
         return store
 
 
-def splice_nquads(kept: str, graphs, quads_of, changed) -> str:
+def splice_nquads(kept: KeptLines, graphs, quads_of, changed) -> KeptLines:
     """Canonical N-Quads of the dataset whose graphs are ``graphs`` (``None``
     is the default graph), holding ``quads_of(graph)`` in each: what
-    :func:`serialize_nquads` writes for the whole dataset.
+    :func:`serialize_nquads` writes for the whole dataset, as kept lines.
 
-    ``kept`` is canonical text the dataset was read from or last written
-    as.  A graph not in ``changed`` is written as the lines ``kept`` holds
-    for it, when :func:`canonical_graphs` finds them; every other graph is
+    ``kept`` is the text the dataset was read from or last written as.  A
+    graph not in ``changed`` is written as the lines ``kept`` holds for it,
+    when :meth:`KeptLines.copyable` finds them; every other graph is
     serialized from its quads.  The graphs go in ``canonical_rows`` order.
     """
-    usable = canonical_graphs(kept)
-    pieces = []
+    usable = kept.copyable()
+    blocks = {}
     for graph in graphs:
-        key = "" if graph is None else f"<{graph}>"
-        lines = None if graph in changed else usable.get(key)
-        pieces.append((key, serialize_nquads(quads_of(graph)) if lines is None else "\n".join(lines) + "\n"))
-    pieces.sort()
-    return "".join(text for _, text in pieces)
+        lines = None if graph in changed else usable.get(graph)
+        text = serialize_nquads(quads_of(graph)) if lines is None else "\n".join(lines) + "\n"
+        blocks["" if graph is None else f"<{graph}>"] = (graph, text)
+    return KeptLines.join([blocks[key] for key in sorted(blocks)])
 
 
 def write_atomic(path, text: str):
@@ -386,6 +385,7 @@ def parse_update(text: str, iris: dict[str, Iri] | None = None) -> Delta:
         op, graph = sc.match_block_header() or _scan_block_header(sc)
         target = deletes if op == "DELETE" else inserts
         target.update(sc.match_statements(graph))
+        sc.skip_ws()
         while sc.peek() != "}":
             if sc.eof():
                 sc.error("unterminated data block")

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import quad_strategy, ts
-from heritage_catalog import provenance, vocab
+from heritage_catalog import provenance, rdf, vocab
 from heritage_catalog import store as store_module
 from heritage_catalog.catalog import Catalog
 from heritage_catalog.provenance import ProvenanceTracker, Snapshot, prov_graph_iri
@@ -203,6 +203,46 @@ class TestSpliceSave:
         serialized.clear()
         Catalog.open(gold_catalog.root).save()
         assert serialized == []
+
+    def test_no_op_save_matches_no_pattern(self, gold_catalog, monkeypatch):
+        opened = Catalog.open(gold_catalog.root)
+        before = {name: (gold_catalog.root / name).read_bytes() for name in ("data.nq", "prov.nq")}
+        # Every statement and token pattern; the term constructors' own
+        # checks stay, since save builds each provenance graph's IRI.
+        for name, value in vars(rdf).items():
+            if isinstance(value, re.Pattern) and name not in _TERM_CHECKS:
+                monkeypatch.setattr(rdf, name, _Tripwire(name))
+        opened.save()
+        assert {name: (gold_catalog.root / name).read_bytes() for name in before} == before
+
+    def test_hand_edit_rewrites_only_its_graph(self, gold_catalog, monkeypatch):
+        path = gold_catalog.root / "data.nq"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        edited = next(i for i, line in enumerate(lines) if "/record> ." in line)
+        graph = Iri(lines[edited].rsplit(" ", 2)[1][1:-1])
+        lines[edited] = lines[edited].replace(" ", "  ", 1)
+        path.write_text("".join(lines), encoding="utf-8")
+        serialized = []
+        original = store_module.serialize_nquads
+        monkeypatch.setattr(store_module, "serialize_nquads", lambda quads: serialized.append({q.graph for q in quads}) or original(quads))
+        opened = Catalog.open(gold_catalog.root)
+        opened.save()
+        assert serialized == [{graph}]
+        assert path.read_text(encoding="utf-8") == serialize_nquads(opened.store.quads())
+
+
+# The patterns that Iri, BlankNode and Literal check their values with.
+_TERM_CHECKS = {"_SCHEME_RE", "_IRI_FORBIDDEN", "_ABSOLUTE_IRI", "_BNODE_RE", "_LANG_RE"}
+
+
+class _Tripwire:
+    """Stands in for a compiled pattern and fails any use of it."""
+
+    def __init__(self, name: str):
+        self.name = name
+
+    def __getattr__(self, attribute):
+        raise AssertionError(f"{self.name}.{attribute} used")
 
 
 # Syntax errors in prov.nq: a broken line, an invalid IRI, and an update

@@ -1,5 +1,6 @@
 import random
 import re
+import types
 
 import pytest
 from hypothesis import given, settings
@@ -27,13 +28,14 @@ from heritage_catalog.rdf import (
     Quad,
     RDF_LANG_STRING,
     XSD_STRING,
-    canonical_graphs,
+    KeptLines,
     canonical_rows,
     parse_nquads,
     serialize_nquads,
     serialize_term,
 )
-from heritage_catalog.store import Delta, parse_update, serialize_update
+from heritage_catalog import store as store_module
+from heritage_catalog.store import Delta, parse_update, serialize_update, splice_nquads
 
 
 def _reference_iri_fault(value: str):
@@ -116,6 +118,13 @@ class TestTerms:
             BlankNode("")
         with pytest.raises(InvalidTerm):
             BlankNode("has space")
+
+    def test_final_line_break_rejected(self):
+        # Either would put a line break inside a serialized statement.
+        with pytest.raises(InvalidTerm):
+            BlankNode("a\n")
+        with pytest.raises(InvalidTerm):
+            Literal("x", language="en\n")
 
     def test_literal_subject_rejected(self):
         with pytest.raises(InvalidTerm):
@@ -345,27 +354,44 @@ class TestSerialize:
         assert serialize_nquads({q}).endswith(".\n")
 
 
-def _graph_key(quad: Quad) -> str:
-    return "" if quad.graph is None else serialize_term(quad.graph)
+def _graph_key(graph) -> str:
+    return "" if graph is None else serialize_term(graph)
+
+
+def _kept(text: str) -> tuple[KeptLines, set[Quad]]:
+    """The lines of ``text`` as a parse of it records them, and its quads."""
+    kept = KeptLines(text)
+    return kept, parse_nquads(text, kept=kept)
+
+
+def _by_graph(quads) -> dict:
+    groups: dict = {}
+    for q in quads:
+        groups.setdefault(q.graph, set()).add(q)
+    return groups
+
+
+_LINE_G = '<http://ex.org/a> <http://ex.org/p> "a" <http://ex.org/g> .\n'
+_G = Iri("http://ex.org/g")
 
 
 class TestCanonicalGraphs:
-    """``canonical_graphs`` finds, per graph, the lines that are exactly what
-    ``serialize_nquads`` writes for that graph, and nothing else."""
+    """A save copies the lines of each graph that are exactly what
+    ``serialize_nquads`` writes for that graph, and serializes the others."""
 
     @settings(max_examples=200, deadline=None)
     @given(st.sets(quad_strategy, max_size=12))
     def test_serialized_text_is_kept_whole(self, quads):
         text = serialize_nquads(quads)
-        groups = canonical_graphs(text)
-        assert set(groups) == {_graph_key(q) for q in quads}
-        assert "".join(line + "\n" for key in sorted(groups) for line in groups[key]) == text
+        groups = _kept(text)[0].copyable()
+        assert set(groups) == {q.graph for q in quads}
+        assert "".join(line + "\n" for graph in sorted(groups, key=_graph_key) for line in groups[graph]) == text
 
     @settings(max_examples=200, deadline=None)
     @given(st.sets(quad_strategy, max_size=12))
     def test_line_order_within_a_graph_is_row_order(self, quads):
         # Within one graph, comparing lines compares (subject, predicate,
-        # object) rows; see the canonical_graphs docstring.
+        # object) rows; see the KeptLines.copyable docstring.
         graph = Iri("http://ex.org/g")
         rows = canonical_rows(Quad(q.subject, q.predicate, q.object, graph) for q in quads)
         lines = [f"{s} {p} {o} {g} ." for g, s, p, o in rows]
@@ -383,7 +409,7 @@ class TestCanonicalGraphs:
     def test_a_term_that_is_a_prefix_sorts_first(self, shorter, longer):
         lines = [f"<http://ex.org/s> <http://ex.org/p> {term} ." for term in (shorter, longer)]
         assert sorted(lines) == lines
-        assert canonical_graphs("".join(line + "\n" for line in lines)) == {"": lines}
+        assert _kept("".join(line + "\n" for line in lines))[0].copyable() == {None: lines}
 
     def test_kept_lines_write_back_to_themselves(self):
         rng = random.Random(20_246)
@@ -391,41 +417,73 @@ class TestCanonicalGraphs:
         texts = [line + "\n" for line in texts]
         for seed in range(200):
             texts += mutations(serialize_nquads(rand_dataset(rng, rng.randrange(1, 8))), seed, count=40)
-        kept = 0
+        kept = rewritten = 0
         for text in texts:
-            for key, lines in canonical_graphs(text).items():
-                block = "".join(line + "\n" for line in lines)
-                quads = parse_nquads(block)
-                assert {_graph_key(q) for q in quads} == {key}
-                assert serialize_nquads(quads) == block
-                kept += 1
-        assert 0.01 * len(texts) < kept < 0.9 * len(texts)  # the fuzz reaches both outcomes
+            try:
+                lines, quads = _kept(text)
+            except ParseError:
+                continue
+            groups = lines.copyable()
+            for graph, graph_lines in groups.items():
+                block = "".join(line + "\n" for line in graph_lines)
+                block_quads = parse_nquads(block)
+                assert {q.graph for q in block_quads} == {graph}
+                assert serialize_nquads(block_quads) == block
+            graphs = _by_graph(quads)
+            assert splice_nquads(lines, graphs, graphs.__getitem__, set()).text == serialize_nquads(quads)
+            kept += len(groups)
+            rewritten += len(graphs) - len(groups)
+        # The fuzz reaches both outcomes.
+        assert 0.01 * len(texts) < kept < 0.9 * len(texts)
+        assert 0.01 * len(texts) < rewritten < 0.9 * len(texts)
 
-    @pytest.mark.parametrize("text", [
-        pytest.param('<http://ex.org/s> <http://ex.org/p> "a"\n', id="no-dot"),
-        pytest.param('<http://ex.org/s>  <http://ex.org/p> "a" .\n', id="double-space"),
-        pytest.param('<http://ex.org/s> <http://ex.org/p> "a" . \n', id="trailing-space"),
-        pytest.param('<http://ex.org/s> <http://ex.org/p> "a" .\r\n', id="crlf"),
-        pytest.param('# comment\n<http://ex.org/s> <http://ex.org/p> "a" .\n', id="comment"),
-        pytest.param('\n<http://ex.org/s> <http://ex.org/p> "a" .\n', id="blank-line"),
-        pytest.param('<http://ex.org/s> <http://ex.org/p> "a" .', id="no-final-newline"),
-        pytest.param('<http://ex.org/\\u0073> <http://ex.org/p> "a" .\n', id="iri-escape"),
-        pytest.param('<http://ex.org/s> <http://ex.org/p> "\\u0041" .\n', id="literal-escape"),
-        pytest.param(f'<http://ex.org/s> <http://ex.org/p> "a"^^<{XSD_STRING.value}> .\n', id="xsd-string"),
-        pytest.param('<http://ex.org/s> <http://ex.org/p> "a"@en- .\n', id="bad-tag"),
+    @pytest.mark.parametrize("text, rewritten", [
+        pytest.param('<http://ex.org/s> <http://ex.org/p> "a"\n', ParseError, id="no-dot"),
+        pytest.param('<http://ex.org/s>  <http://ex.org/p> "a" .\n', {None}, id="double-space"),
+        pytest.param('<http://ex.org/s> <http://ex.org/p> "a" . \n', {None}, id="trailing-space"),
+        pytest.param('<http://ex.org/s> <http://ex.org/p> "a" .\r\n', {None}, id="crlf"),
+        pytest.param('# comment\n<http://ex.org/s> <http://ex.org/p> "a" .\n', set(), id="comment"),
+        pytest.param('\n<http://ex.org/s> <http://ex.org/p> "a" .\n', set(), id="blank-line"),
+        pytest.param('<http://ex.org/s> <http://ex.org/p> "a" .', set(), id="no-final-newline"),
+        pytest.param('<http://ex.org/\\u0073> <http://ex.org/p> "a" .\n', {None}, id="iri-escape"),
+        pytest.param('<http://ex.org/s> <http://ex.org/p> "\\u0041" .\n', {None}, id="literal-escape"),
+        pytest.param(f'<http://ex.org/s> <http://ex.org/p> "a"^^<{XSD_STRING.value}> .\n', {None}, id="xsd-string"),
+        pytest.param('<http://ex.org/s> <http://ex.org/p> "a"@en- .\n', ParseError, id="bad-tag"),
+        pytest.param('<http://ex.org/s> <http://ex.org/p> "a" .\n<http://ex.org/s> <http://ex.org/p> "a" <http://ex.org/\\u0067> .\n', {_G},
+                     id="escaped-graph-label"),
     ])
-    def test_text_with_a_non_canonical_line_keeps_nothing(self, text):
-        good = '<http://ex.org/a> <http://ex.org/p> "a" <http://ex.org/g> .\n'
-        assert canonical_graphs(text + good) == {}
+    def test_text_with_a_non_canonical_line_keeps_nothing(self, monkeypatch, text, rewritten):
+        """The graph that holds a line not in canonical spelling keeps none
+        of its lines: a save serializes that graph again, copies every
+        other graph, and writes what ``serialize_nquads`` writes.  A blank
+        or comment line belongs to no graph, and a last line without its
+        newline is still canonical.  A line that does not parse fails the
+        parse, so nothing is kept."""
+        # Graph g also holds a canonical line; a text without its final
+        # newline goes last.
+        text = text + _LINE_G if text.endswith("\n") else _LINE_G + text
+        if rewritten is ParseError:
+            with pytest.raises(ParseError) as error:
+                _kept(text)
+            assert error.value.line == 1
+            return
+        kept, quads = _kept(text)
+        graphs = _by_graph(quads)
+        serialized = []
+        original = store_module.serialize_nquads
+        monkeypatch.setattr(store_module, "serialize_nquads", lambda quads: serialized.append({q.graph for q in quads}) or original(quads))
+        written = splice_nquads(kept, graphs, graphs.__getitem__, set())
+        assert len(serialized) == len(rewritten) and set().union(*serialized) == rewritten
+        assert written.text == serialize_nquads(quads)
 
     def test_unsorted_or_repeated_graph_lines_are_left_out(self):
         a = '<http://ex.org/s> <http://ex.org/p> "a" <http://ex.org/g> .'
         b = '<http://ex.org/s> <http://ex.org/p> "b" <http://ex.org/g> .'
         c = '<http://ex.org/s> <http://ex.org/p> "c" .'
-        assert canonical_graphs(f"{b}\n{a}\n{c}\n") == {"": [c]}
-        assert canonical_graphs(f"{a}\n{a}\n{c}\n") == {"": [c]}
+        assert _kept(f"{b}\n{a}\n{c}\n")[0].copyable() == {None: [c]}
+        assert _kept(f"{a}\n{a}\n{c}\n")[0].copyable() == {None: [c]}
         # Runs of one graph apart from each other still make one graph.
-        assert canonical_graphs(f"{a}\n{c}\n{b}\n") == {"": [c], "<http://ex.org/g>": [a, b]}
+        assert _kept(f"{a}\n{c}\n{b}\n")[0].copyable() == {None: [c], _G: [a, b]}
 
 
 class TestRoundTrip:
@@ -665,12 +723,27 @@ class TestIriMemo:
     def test_the_memo_serves_both_paths(self, monkeypatch, path):
         if path == "scanner":
             scanner_only(monkeypatch)
-        else:
-            # Statements whose subject is <http://ex.org/s> take the pattern, the others the scanner.
-            for name in ("_NQUADS_STATEMENT", "_UPDATE_STATEMENT"):
-                pattern = getattr(rdf, name)
-                monkeypatch.setattr(rdf, name, re.compile(r"(?=<http://ex\.org/s>)" + pattern.pattern, pattern.flags))
+            self._assert_each_distinct_iri_is_validated_once_per_parse(monkeypatch)
+            return
+        # Statements whose subject is <http://ex.org/s> take the pattern, the
+        # others the scanner; an update statement's pattern starts at its indent.
+        taken = {"_NQUADS_STATEMENT": [], "_UPDATE_STATEMENT": []}
+        for name, lines in taken.items():
+            pattern = re.compile(r"(?=[ ]*<http://ex\.org/s>)" + getattr(rdf, name).pattern)
+
+            def match(*args, pattern=pattern, lines=lines):
+                found = pattern.match(*args)
+                if found:
+                    lines.append(found.group())
+                return found
+
+            monkeypatch.setattr(rdf, name, types.SimpleNamespace(match=match))
         self._assert_each_distinct_iri_is_validated_once_per_parse(monkeypatch)
+        # Each text is parsed twice: three of the four N-Quads lines and two
+        # of the four update statements have subject <http://ex.org/s>.
+        assert len(taken["_NQUADS_STATEMENT"]) == 6
+        assert len(taken["_UPDATE_STATEMENT"]) == 4
+        assert all(line.startswith(f"  {S} ") for line in taken["_UPDATE_STATEMENT"])
 
     def test_repeated_invalid_iri_reports_its_first_line(self):
         bad = "<http://ex.org/a b>"
