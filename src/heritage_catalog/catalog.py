@@ -280,7 +280,8 @@ class Catalog:
 
     def save(self):
         """Replace prov.nq, then data.nq, each rewriting only the graphs this
-        catalog changed since it was opened.  Every literal of the store is
+        catalog changed since it was opened; a file whose bytes would not
+        change is left in place.  Every literal of the store is
         also in some chain's update query, so one that cannot be written
         fails on prov.nq, before either file is replaced; a crash between
         the two leaves data.nq behind the chains, never ahead of them."""

@@ -10,7 +10,16 @@ A snapshot's update query is the stored record of its change, so it is
 kept as its canonical text (:class:`UpdateQuery`); the delta is a view
 of that text, parsed the first time it is read.  Saving rewrites only
 the provenance graphs of the entities whose chain grew since the chains
-were loaded.
+were loaded, and replaces the file only when its text changes.
+
+Loading reads a ``prov.nq`` that is exactly what saving writes one
+snapshot block per match of a pattern composed from the serializations
+of the snapshot's predicates and from ``rdf``'s canonical token sources,
+building no term per line.  Any other text goes whole through the
+N-Quads reader and :meth:`ProvenanceTracker.from_quads`, which place its
+syntax errors and mark the graphs a save must write afresh.  Both hand
+each chain to :func:`_check_chain`, which holds every chain rule.  Every
+statement must belong to the graph of some entity's chain.
 """
 
 from __future__ import annotations
@@ -19,10 +28,27 @@ import re
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from datetime import datetime, timedelta, timezone
+from operator import itemgetter
 
 from . import vocab
-from .rdf import XSD_STRING, Iri, KeptLines, Literal, ParseError, Quad, is_canonical_update, memo_iri, read_statements
-from .store import Delta, Store, ordered_terms, parse_update, serialize_update, splice_nquads, write_atomic
+from .rdf import (
+    _CANONICAL_BODY,
+    _UNESCAPED_IRI_SOURCE,
+    XSD_STRING,
+    InvalidIri,
+    Iri,
+    KeptLines,
+    Literal,
+    ParseError,
+    Quad,
+    _increasing,
+    _unescape_literal,
+    is_canonical_update,
+    memo_iri,
+    read_statements,
+    serialize_term,
+)
+from .store import Delta, Store, ordered_terms, parse_update, save_spliced, serialize_update
 
 CREATION = "creation"
 MODIFICATION = "modification"
@@ -65,7 +91,8 @@ def utc_second(moment: datetime) -> datetime:
     """Normalize to UTC with seconds precision; naive datetimes are rejected."""
     if moment.tzinfo is None:
         raise ValueError("timestamps must be timezone-aware")
-    return moment.astimezone(timezone.utc).replace(microsecond=0)
+    moment = moment.astimezone(timezone.utc)
+    return moment.replace(microsecond=0) if moment.microsecond else moment
 
 
 def iso_timestamp(moment: datetime) -> str:
@@ -183,7 +210,7 @@ class ProvenanceTracker:
     def __init__(self, store: Store):
         self.store = store
         self._chains: dict[Iri, list[Snapshot]] = {}
-        self._kept = KeptLines()
+        self._kept = KeptLines(verbatim=False)  # no file read or written yet
         self._unsaved: set[Iri] = set()
 
     def entities(self) -> list[Iri]:
@@ -354,21 +381,29 @@ class ProvenanceTracker:
 
     def save(self, path):
         """Write every entity's graph to ``path`` as canonical N-Quads, with
-        :func:`store.write_atomic`; a graph the kept lines hold as it would
-        be written is taken from them (see :func:`store.splice_nquads`)."""
+        :func:`store.save_spliced`; a graph the kept lines hold as it would
+        be written is taken from them, and a file that would not change is
+        not replaced."""
         graphs = {prov_graph_iri(entity): entity for entity in self._chains}
         changed = {graph for graph, entity in graphs.items() if entity in self._unsaved}
-        kept = splice_nquads(self._kept, graphs, lambda graph: self._saved_graph(graphs[graph]), changed)
-        write_atomic(path, kept.text)
-        self._kept, self._unsaved = kept, set()
+        self._kept = save_spliced(path, self._kept, graphs, lambda graph: self._saved_graph(graphs[graph]), changed)
+        self._unsaved = set()
 
     @classmethod
     def load(cls, store: Store, path, iris: dict[str, Iri] | None = None) -> "ProvenanceTracker":
-        """The chains of a ``prov.nq`` file over ``store``, rebuilt by
-        :meth:`from_quads` from the file's rows; :meth:`save` reuses its lines."""
-        with open(path, encoding="utf-8") as handle:
-            text = handle.read()
-        tracker = cls.from_quads(store, read_statements(text, iris, kept := KeptLines(text)), iris)
+        """The chains of a ``prov.nq`` file over ``store``; :meth:`save`
+        reuses its lines.  Text that is wholly snapshot blocks as save
+        writes them is read block by block (:func:`_read_blocks`); any
+        other goes through :func:`read_statements` and :meth:`from_quads`.
+        Both check each chain with :func:`_check_chain`."""
+        if iris is None:
+            iris = {}
+        kept = KeptLines.read(path)
+        graphs = _read_blocks(kept, iris)
+        if graphs is None:
+            tracker = cls.from_quads(store, read_statements(kept.text, iris, kept), iris)
+        else:
+            tracker = cls._checked(store, graphs, iris)
         tracker._kept = kept
         return tracker
 
@@ -376,7 +411,8 @@ class ProvenanceTracker:
     def from_quads(cls, store: Store, rows, iris: dict[str, Iri] | None = None) -> "ProvenanceTracker":
         """Rebuild chains from a persisted provenance graph set, given as
         ``(subject, predicate, object, graph)`` rows (a :class:`Quad` is
-        one), grouping them once by graph, subject and predicate.
+        one), grouping them once by graph, subject and predicate.  Every row
+        must be in the graph of some entity's chain.
 
         Every IRI the rebuild builds, in the update queries and the entity
         names, goes through ``iris`` when given, otherwise through one memo
@@ -387,14 +423,33 @@ class ProvenanceTracker:
         """
         if iris is None:
             iris = {}
-        tracker = cls(store)
         by_graph: dict[Iri, dict] = {}
+        strays = set()
         for subject, predicate, obj, graph in rows:
             if graph is not None and graph.value.endswith("/prov"):
                 by_graph.setdefault(graph, {}).setdefault(subject, {}).setdefault(predicate, []).append(obj)
-        for graph in sorted(by_graph, key=lambda g: g.value):
+            else:
+                strays.add(graph)
+        # Raised once every row is read, so that a syntax error comes first,
+        # naming the graph that sorts first whatever the order of the rows.
+        if strays:
+            where = "the default graph" if None in strays else f"graph {min(strays)}"
+            raise CorruptProvenance(f"statement outside any snapshot chain, in {where}")
+        graphs = {}
+        for graph, subjects in by_graph.items():
             entity = memo_iri(graph.value[: -len("/prov")], iris)
-            tracker._chains[entity], as_saved = _parse_chain(entity, by_graph[graph], iris)
+            graphs[graph] = (entity, *_read_graph(entity, subjects, iris))
+        return cls._checked(store, graphs, iris)
+
+    @classmethod
+    def _checked(cls, store: Store, graphs: dict, iris: dict[str, Iri]) -> "ProvenanceTracker":
+        """The tracker of chains read as ``graph -> (entity, drafts,
+        as_saved)``, each checked by :func:`_check_chain` in order of graph
+        IRI; an entity whose graph is not as saved is marked unsaved."""
+        tracker = cls(store)
+        for graph in sorted(graphs):
+            entity, drafts, as_saved = graphs[graph]
+            tracker._chains[entity] = _check_chain(entity, drafts, iris)
             if not as_saved:
                 tracker._unsaved.add(entity)
         return tracker
@@ -409,69 +464,112 @@ def _spelled_as_saved(literal: Literal) -> bool:
     return literal.datatype == vocab.XSD_DATETIME and _SAVED_TIME.fullmatch(literal.lexical) is not None
 
 
-def _parse_chain(entity: Iri, graph: dict, iris: dict[str, Iri]) -> tuple[list, bool]:
-    """One entity's chain from its graph, grouped as subject -> predicate ->
-    objects, and whether the graph holds exactly the quads that saving the
-    chain writes.  Where a property has several values the lowest in
-    :func:`ordered_terms` order is read, as :meth:`Store.objects` lists them.
+def _saved_rows(agents, *optional) -> int:
+    """How many statements save writes for a snapshot: the type,
+    specialization, generation time, update query and change kind, each
+    agent, and each optional value that is set."""
+    return 5 + len(agents) + sum(map(bool, optional))
+
+
+def _read_graph(entity: Iri, graph: dict, iris: dict[str, Iri]) -> tuple[list, bool]:
+    """The drafts of one chain graph, grouped as subject -> predicate ->
+    objects, in :func:`ordered_terms` order of their subjects, and whether
+    the graph holds exactly the quads that saving the chain writes.  Where
+    a property has several values the lowest in :func:`ordered_terms`
+    order is read, as :meth:`Store.objects` lists them.
 
     The graph is as saved when it holds every quad the save writes, spelled
     as the save spells it, and no more quads than that."""
-    marker = f"{entity.value}/prov/se/"
-    snapshots = []
+    drafts = []
     as_saved = True
     saved_rows = 0
     typed = [s for s, properties in graph.items() if vocab.PROV_ENTITY in properties.get(vocab.RDF_TYPE, ())]
     for subject in ordered_terms(typed):
+        properties = graph[subject]
+        generated = ordered_terms(properties.get(vocab.GENERATED_AT, ()), Literal)
+        invalidated = ordered_terms(properties.get(vocab.INVALIDATED_AT, ()), Literal)
+        updates = ordered_terms(properties.get(vocab.HAS_UPDATE_QUERY, ()), Literal)
+        agents = tuple(ordered_terms(properties.get(vocab.ATTRIBUTED_TO, ()), Iri))
+        sources = ordered_terms(properties.get(vocab.PRIMARY_SOURCE, ()), Iri)
+        derived = ordered_terms(properties.get(vocab.DERIVED_FROM, ()), Iri)
+        kinds = ordered_terms(properties.get(vocab.CHANGE_KIND, ()), Literal)
+        kind = kinds[0].lexical if kinds else None
+        invalidation = invalidated[0].lexical if invalidated else None
+        update = None
+        if updates:
+            text = updates[0].lexical
+            update = UpdateQuery(text, iris=iris) if is_canonical_update(text) else text
+        as_saved = (
+            as_saved
+            and kind in CHANGE_KINDS
+            and isinstance(update, UpdateQuery)
+            and updates[0].datatype == XSD_STRING
+            and kinds[0].datatype == XSD_STRING
+            and entity in properties.get(vocab.SPECIALIZATION_OF, ())
+            and bool(generated)
+            and _spelled_as_saved(generated[0])
+            and (not invalidation or _spelled_as_saved(invalidated[0]))
+        )
+        saved_rows += _saved_rows(agents, invalidation, sources, derived)
+        drafts.append((
+            subject,
+            generated[0].lexical if generated else None,
+            invalidation,
+            agents,
+            sources[0] if sources else None,
+            derived[0] if derived else None,
+            update,
+            kind if kind in CHANGE_KINDS else None,
+        ))
+    rows = sum(sum(map(len, properties.values())) for properties in graph.values())
+    return drafts, as_saved and rows == saved_rows
+
+
+def _check_chain(entity: Iri, drafts: list, iris: dict[str, Iri]) -> list[Snapshot]:
+    """The chain of ``entity`` built from its drafts, given in order of
+    subject: every rule a chain read from ``prov.nq`` must keep is checked
+    here, and a broken one raises :class:`CorruptProvenance`.
+
+    A draft is what a reader takes from one typed subject of the chain's
+    graph: ``(subject, generated, invalidated, agents, source, derived,
+    update, kind)``.  The timestamps are text, ``None`` when missing (an
+    empty invalidation reads as none); ``update`` is ``None`` when missing,
+    an :class:`UpdateQuery` when its text is canonical and else the text;
+    ``kind`` is ``None`` when the snapshot holds no change-kind marker.
+
+    Each draft is checked, then its timestamps are parsed, its change kind
+    inferred when it has no marker (a first snapshot is a creation, one
+    invalidated when generated a deletion, any other a modification) and
+    an update query not in canonical text parsed, before the next draft;
+    the rules between snapshots come after all of them."""
+    if not drafts:
+        raise CorruptProvenance(f"{entity} has an empty snapshot chain")
+    marker = f"{entity.value}/prov/se/"
+    snapshots = []
+    for subject, generated, invalidated, agents, source, derived, update, kind in drafts:
         if not isinstance(subject, Iri) or not subject.value.startswith(marker):
             raise CorruptProvenance(f"unexpected snapshot identifier {subject}")
         try:
             index = int(subject.value[len(marker):])
         except ValueError:
             raise CorruptProvenance(f"non-numeric snapshot index in {subject}") from None
-        properties = graph[subject]
-        generated = ordered_terms(properties.get(vocab.GENERATED_AT, ()), Literal)
-        if not generated:
+        if generated is None:
             raise CorruptProvenance(f"{subject} has no generation timestamp")
-        invalidated = ordered_terms(properties.get(vocab.INVALIDATED_AT, ()), Literal)
-        updates = ordered_terms(properties.get(vocab.HAS_UPDATE_QUERY, ()), Literal)
-        if not updates:
+        if update is None:
             raise CorruptProvenance(f"{subject} has no update query")
-        agents = tuple(ordered_terms(properties.get(vocab.ATTRIBUTED_TO, ()), Iri))
         if not agents:
             raise CorruptProvenance(f"{subject} has no attribution")
-        sources = ordered_terms(properties.get(vocab.PRIMARY_SOURCE, ()), Iri)
-        derived = ordered_terms(properties.get(vocab.DERIVED_FROM, ()), Iri)
-        generated_at = parse_timestamp(generated[0].lexical)
-        # An empty invalidation literal reads as no invalidation.
-        invalidated_at = parse_timestamp(invalidated[0].lexical) if invalidated and invalidated[0].lexical else None
-        kinds = ordered_terms(properties.get(vocab.CHANGE_KIND, ()), Literal)
-        kind = kinds[0].lexical if kinds else None
-        if kind not in CHANGE_KINDS:
-            as_saved = False
+        generated_at = parse_timestamp(generated)
+        invalidated_at = parse_timestamp(invalidated) if invalidated else None
+        if kind is None:
             if index == 1:
                 kind = CREATION
             elif invalidated_at is not None and invalidated_at == generated_at:
                 kind = DELETION
             else:
                 kind = MODIFICATION
-        text = updates[0].lexical
-        if is_canonical_update(text):
-            update = UpdateQuery(text, iris=iris)
-        else:
-            update = UpdateQuery.of(parse_update(text, iris))
-            as_saved = False
-        as_saved = (
-            as_saved
-            and updates[0].datatype == XSD_STRING
-            and kinds[0].datatype == XSD_STRING
-            and entity in properties.get(vocab.SPECIALIZATION_OF, ())
-            and _spelled_as_saved(generated[0])
-            and (invalidated_at is None or _spelled_as_saved(invalidated[0]))
-        )
-        # Save writes the type, specialization, generation time, update
-        # query and change kind, each agent, and what is optional if set.
-        saved_rows += 5 + len(agents) + (invalidated_at is not None) + bool(sources) + bool(derived)
+        if not isinstance(update, UpdateQuery):
+            update = UpdateQuery.of(parse_update(update, iris))
         snapshots.append(
             Snapshot(
                 iri=subject,
@@ -480,8 +578,8 @@ def _parse_chain(entity: Iri, graph: dict, iris: dict[str, Iri]) -> tuple[list, 
                 generated_at=generated_at,
                 invalidated_at=invalidated_at,
                 attributed_to=agents,
-                primary_source=sources[0] if sources else None,
-                derived_from=derived[0] if derived else None,
+                primary_source=source,
+                derived_from=derived,
                 update=update,
                 kind=kind,
             )
@@ -509,5 +607,108 @@ def _parse_chain(entity: Iri, graph: dict, iris: dict[str, Iri]) -> tuple[list, 
             raise CorruptProvenance(f"deletion {last.iri} is not invalidated when it is generated")
         if last.kind != DELETION and last.invalidated_at is not None:
             raise CorruptProvenance(f"{last.iri} is invalidated but is the last snapshot and not a deletion")
-    rows = sum(sum(map(len, properties.values())) for properties in graph.values())
-    return snapshots, as_saved and rows == saved_rows
+    return snapshots
+
+
+def _snapshot_block() -> re.Pattern:
+    """The lines that :meth:`ProvenanceTracker._saved_graph` and
+    ``serialize_nquads`` write for one snapshot, in the order of their
+    predicates' serializations, each in canonical spelling: literal bodies
+    and IRI tokens as ``rdf`` takes them, timestamps as ``iso_timestamp``
+    writes them.  The first line names the subject and graph tokens the
+    others repeat.  Groups: ``subject``, ``graph``, ``entity`` (the tokens),
+    ``generated``, ``invalidated`` (timestamp text), ``source``, ``agent``,
+    ``derived`` (IRI tokens), ``agents`` (the lines of any further agents),
+    ``kind`` and ``update`` (the update query's literal body)."""
+
+    def time(name: str) -> str:
+        return f'"(?P<{name}>{_SAVED_TIME.pattern})"\\^\\^{re.escape(serialize_term(vocab.XSD_DATETIME))}'
+
+    def iri(name: str) -> str:
+        return f"(?P<{name}>{_UNESCAPED_IRI_SOURCE})"
+
+    def line(predicate: Iri, obj: str) -> str:
+        return f"(?P=subject) {re.escape(serialize_term(predicate))} {obj} (?P=graph) \\.\n"
+
+    def optional(predicate: Iri, obj: str) -> str:
+        return f"(?:{line(predicate, obj)})?"
+
+    lines = {
+        vocab.RDF_TYPE: f"{iri('subject')} {re.escape(serialize_term(vocab.RDF_TYPE))} "
+        f"{re.escape(serialize_term(vocab.PROV_ENTITY))} {iri('graph')} \\.\n",
+        vocab.GENERATED_AT: line(vocab.GENERATED_AT, time("generated")),
+        vocab.PRIMARY_SOURCE: optional(vocab.PRIMARY_SOURCE, iri("source")),
+        vocab.INVALIDATED_AT: optional(vocab.INVALIDATED_AT, time("invalidated")),
+        vocab.SPECIALIZATION_OF: line(vocab.SPECIALIZATION_OF, iri("entity")),
+        # One or more agents; the lines after the first are split later.
+        vocab.ATTRIBUTED_TO: line(vocab.ATTRIBUTED_TO, iri("agent"))
+        + f"(?P<agents>(?:{line(vocab.ATTRIBUTED_TO, _UNESCAPED_IRI_SOURCE)})*)",
+        vocab.DERIVED_FROM: optional(vocab.DERIVED_FROM, iri("derived")),
+        vocab.CHANGE_KIND: line(vocab.CHANGE_KIND, f'"(?P<kind>{"|".join(CHANGE_KINDS)})"'),
+        vocab.HAS_UPDATE_QUERY: line(vocab.HAS_UPDATE_QUERY, f'"(?P<update>{_CANONICAL_BODY})"'),
+    }
+    return re.compile("".join(lines[predicate] for predicate in sorted(lines, key=serialize_term)))
+
+
+_SNAPSHOT_BLOCK = _snapshot_block()
+_AGENT_TOKEN = serialize_term(vocab.ATTRIBUTED_TO)
+_BLOCK_GROUPS = ("subject", "graph", "entity", "generated", "invalidated", "source", "agent", "agents", "derived", "kind", "update")
+
+
+def _read_blocks(kept: KeptLines, iris: dict[str, Iri]) -> dict | None:
+    """The drafts of every chain graph of ``prov.nq`` text that is wholly
+    snapshot blocks (:data:`_SNAPSHOT_BLOCK`) in increasing order of graph
+    and subject, each in the graph of the entity it specializes, its
+    agents in increasing order and its update query canonical, as
+    ``graph -> (entity, drafts, True)``; the graph of each line is recorded
+    in ``kept``, which holds the text.  ``None``, with nothing recorded,
+    for any other text, or when one of its IRIs fails to build: every IRI
+    is built here, through ``iris``, before any chain is checked.
+    """
+    text = kept.text
+    get = iris.get
+
+    def term(token: str) -> Iri:
+        return get(token[1:-1]) or memo_iri(token[1:-1], iris)
+
+    graphs: dict[Iri, tuple] = {}
+    line_graphs: list = []
+    pos, last = 0, ("", "")
+    try:
+        while pos < len(text):
+            found = _SNAPSHOT_BLOCK.match(text, pos)
+            if found is None:
+                return None
+            subject, graph, entity, generated, invalidated, source, agent, more, derived, kind, body = found.group(*_BLOCK_GROUPS)
+            if (graph, subject) <= last or graph != entity[:-1] + "/prov>":
+                return None
+            last, pos = (graph, subject), found.end()
+            agents = [agent]
+            if more:
+                # Each further line is the subject, the predicate, the agent and the graph.
+                agents += [line[len(subject) + len(_AGENT_TOKEN) + 2 : -len(graph) - 3] for line in more.split("\n")[:-1]]
+                if not _increasing(agents):
+                    return None
+            update = _unescape_literal(body)
+            if not is_canonical_update(update):
+                return None
+            key = term(graph)
+            if key not in graphs:
+                graphs[key] = (term(entity), [], True)
+            graphs[key][1].append((
+                term(subject),
+                generated,
+                invalidated,
+                tuple(sorted(map(term, agents))),
+                None if source is None else term(source),
+                None if derived is None else term(derived),
+                UpdateQuery(update, iris=iris),
+                kind,
+            ))
+            line_graphs += [key] * _saved_rows(agents, invalidated, source, derived)
+    except InvalidIri:
+        return None
+    for _, drafts, _ in graphs.values():
+        drafts.sort(key=itemgetter(0))
+    kept.graphs = line_graphs
+    return graphs

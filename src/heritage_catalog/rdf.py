@@ -250,6 +250,9 @@ _LANG_TOKEN = re.compile(_LANG_SOURCE)
 # CR, unrolled as ``_LITERAL_SOURCE`` is; a literal names neither the
 # plain-string datatype nor, untagged, the language-string one.
 _CANONICAL_BODY = r'[^"\\\n\r]*(?:\\[\\"nr][^"\\\n\r]*)*'
+# An IRI token holding no escape, as ``serialize_term`` writes every IRI:
+# its text is the IRI's value.
+_UNESCAPED_IRI_SOURCE = r"<([^>\\]*)>"
 _DATATYPE_MARK = f"\\^\\^(?!<(?:{re.escape(XSD_STRING)}|{re.escape(RDF_LANG_STRING)})>)"
 
 
@@ -329,14 +332,25 @@ _NO_GRAPH = object()
 class KeptLines:
     """N-Quads text that a store or tracker read or last wrote, with the
     graph of each of its lines and the graphs that hold a line not in
-    canonical spelling, as :func:`read_statements` records them."""
+    canonical spelling, as :func:`read_statements` records them.  The text
+    is ``verbatim`` when it is the file's content as it stands, which it is
+    not when reading translated a line break other than LF."""
 
-    __slots__ = ("text", "graphs", "rewrite")
+    __slots__ = ("text", "graphs", "rewrite", "verbatim")
 
-    def __init__(self, text: str = "", graphs: list | None = None):
+    def __init__(self, text: str = "", graphs: list | None = None, verbatim: bool = True):
         self.text = text
         self.graphs = [] if graphs is None else graphs
         self.rewrite: set[Iri | None] = set()
+        self.verbatim = verbatim
+
+    @classmethod
+    def read(cls, path) -> "KeptLines":
+        """The text of a UTF-8 file, every line break read as LF, with no
+        line recorded yet."""
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
+            return cls(text, verbatim=handle.newlines in (None, "\n"))
 
     @classmethod
     def join(cls, blocks) -> "KeptLines":

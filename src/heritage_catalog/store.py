@@ -6,8 +6,9 @@ stand and never mutate.
 
 Saving writes the whole file atomically, but serializes only the graphs
 that changed since the store was loaded: :func:`splice_nquads` copies the
-others' canonical lines from the text read.  :func:`write_atomic` is the
-one writer of both catalog files.
+others' canonical lines from the text read, and a file whose text would
+not change is not replaced.  :func:`write_atomic` is the one writer of
+both catalog files.
 """
 
 from __future__ import annotations
@@ -136,7 +137,7 @@ class Store:
         self._by_graph: dict[Iri | None, set[Quad]] = {}
         self._by_subject: dict[Iri | BlankNode, dict[Iri, set[Quad]]] = {}
         self._by_po: dict[tuple, set[Quad]] = {}
-        self._kept = KeptLines()
+        self._kept = KeptLines(verbatim=False)  # no file read or written yet
         self._changed: set[Iri | None] = set()
         if quads:
             self.insert_quads(quads)
@@ -302,20 +303,18 @@ class Store:
         self.insert_quads(delta.inserts)
 
     def save(self, path):
-        """Write the canonical N-Quads file with :func:`write_atomic`.  Graphs
-        that no insert or delete has touched since the store was loaded or
-        last saved are written as that text holds them (see
-        :func:`splice_nquads`); the others are serialized."""
-        kept = splice_nquads(self._kept, self._by_graph, self._by_graph.__getitem__, self._changed)
-        write_atomic(path, kept.text)
-        self._kept, self._changed = kept, set()
+        """Write the canonical N-Quads file with :func:`save_spliced`.
+        Graphs that no insert or delete has touched since the store was
+        loaded or last saved are written as that text holds them; the
+        others are serialized."""
+        self._kept = save_spliced(path, self._kept, self._by_graph, self._by_graph.__getitem__, self._changed)
+        self._changed = set()
 
     @classmethod
     def load(cls, path, iris: dict[str, Iri] | None = None) -> "Store":
         """The store of an N-Quads file, its IRIs built through ``iris`` when given."""
-        with open(path, encoding="utf-8") as handle:
-            text = handle.read()
-        store = cls(parse_nquads(text, iris, kept := KeptLines(text)))
+        kept = KeptLines.read(path)
+        store = cls(parse_nquads(kept.text, iris, kept))
         store._kept, store._changed = kept, set()
         return store
 
@@ -337,6 +336,17 @@ def splice_nquads(kept: KeptLines, graphs, quads_of, changed) -> KeptLines:
         text = serialize_nquads(quads_of(graph)) if lines is None else "\n".join(lines) + "\n"
         blocks["" if graph is None else f"<{graph}>"] = (graph, text)
     return KeptLines.join([blocks[key] for key in sorted(blocks)])
+
+
+def save_spliced(path, kept: KeptLines, graphs, quads_of, changed) -> KeptLines:
+    """Write :func:`splice_nquads` of the dataset to ``path`` with
+    :func:`write_atomic`, and return it; a file read or last written as
+    ``kept`` is left in place when ``kept`` is its verbatim text and that
+    text would not change."""
+    spliced = splice_nquads(kept, graphs, quads_of, changed)
+    if not kept.verbatim or spliced.text != kept.text:
+        write_atomic(path, spliced.text)
+    return spliced
 
 
 def write_atomic(path, text: str):

@@ -1,10 +1,12 @@
 """``Catalog.open`` against the reference pipeline it replaces.
 
-The reference parses ``data.nq`` into a store and ``prov.nq`` into a set of
-quads, each with a memo of its own, and rebuilds the chains from those
-quads.  ``open`` shares one IRI memo across every parse it makes and reads
-``prov.nq`` as term rows without building a quad per line; it must give
-the same store, the same chains and the same errors.
+The reference parses ``data.nq`` into a store and ``prov.nq`` into rows of
+terms, each with a memo of its own, and rebuilds the chains from those
+rows.  ``open`` shares one IRI memo across every parse it makes, reads a
+canonical ``prov.nq`` one snapshot block per pattern match and any other
+as term rows without building a quad per line; it must give the same
+store, the same chains, the same graphs marked for a save to write afresh,
+the same record of kept lines and the same errors.
 """
 
 import gc
@@ -19,34 +21,62 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import quad_strategy, ts
+from conftest import mutations, quad_strategy, ts
 from heritage_catalog import provenance, rdf, vocab
 from heritage_catalog import store as store_module
 from heritage_catalog.catalog import Catalog
-from heritage_catalog.provenance import ProvenanceTracker, Snapshot, prov_graph_iri
-from heritage_catalog.rdf import RDF_LANG_STRING, XSD_STRING, Iri, Literal, ParseError, Quad, parse_nquads, serialize_nquads, serialize_quad
+from heritage_catalog.provenance import ProvenanceTracker, Snapshot, iso_timestamp, prov_graph_iri
+from heritage_catalog.rdf import RDF_LANG_STRING, XSD_STRING, Iri, KeptLines, Literal, ParseError, Quad, parse_nquads, serialize_nquads, serialize_quad
 from heritage_catalog.store import Delta, Store, parse_update
 from test_provenance import CHAIN_CORRUPTIONS, E, _three_snapshot_payload
 
 
 def reference_open(root: Path) -> tuple[Store, ProvenanceTracker]:
     store = Store.load(root / "data.nq")
-    prov = parse_nquads((root / "prov.nq").read_text(encoding="utf-8"))
-    return store, ProvenanceTracker.from_quads(store, prov)
+    text = (root / "prov.nq").read_text(encoding="utf-8")
+    tracker = ProvenanceTracker.from_quads(store, rdf.read_statements(text, kept=(kept := KeptLines(text))))
+    tracker._kept = kept
+    return store, tracker
 
 
 def snapshot_fields(snapshot: Snapshot) -> list:
     return [(spec.name, getattr(snapshot, spec.name)) for spec in fields(Snapshot)]
 
 
+def kept_record(kept: KeptLines) -> tuple:
+    """What a save takes from kept lines: the text, each graph's copyable
+    lines and the graphs to serialize again."""
+    return kept.text, kept.copyable(), kept.rewrite
+
+
+def opened_state(store: Store, tracker: ProvenanceTracker) -> tuple:
+    """Everything an open yields: the store, every chain field by field, the
+    entities marked unsaved and the record of the provenance lines."""
+    chains = {entity: [snapshot_fields(s) for s in tracker.chain(entity)] for entity in tracker.entities()}
+    return store.quads(), tracker.entities(), chains, tracker._unsaved, kept_record(tracker._kept)
+
+
+def _forbidden(name: str):
+    def fail(*args, **kwargs):
+        raise AssertionError(f"{name} called on a canonical prov.nq")
+
+    return fail
+
+
+def open_by_blocks(root: Path) -> Catalog:
+    """``Catalog.open`` with the line reader of ``prov.nq`` made to fail."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(provenance, "read_statements", _forbidden("read_statements"))
+        patch.setattr(ProvenanceTracker, "from_quads", classmethod(_forbidden("from_quads")))
+        return Catalog.open(root)
+
+
 def assert_opens_alike(root: Path):
+    """A catalog as save writes it opens as the reference opens it, with
+    no line of its ``prov.nq`` left to the line reader."""
     store, tracker = reference_open(root)
-    opened = Catalog.open(root)
-    assert opened.store.quads() == store.quads()
-    assert opened.tracker.entities() == tracker.entities()
-    for entity in tracker.entities():
-        expected = [snapshot_fields(s) for s in tracker.chain(entity)]
-        assert [snapshot_fields(s) for s in opened.tracker.chain(entity)] == expected
+    opened = open_by_blocks(root)
+    assert opened_state(opened.store, opened.tracker) == opened_state(store, tracker)
     assert opened.tracker.export_all_graphs() == tracker.export_all_graphs()
 
 
@@ -68,6 +98,25 @@ def open_outcome(open_, root: Path) -> tuple:
     return ("opened",)
 
 
+def full_outcome(open_, root: Path) -> tuple:
+    """The state ``open_`` yields, or the type, line, column and message of its error."""
+    try:
+        result = open_(root)
+    except Exception as exc:
+        return (type(exc).__name__, getattr(exc, "line", None), getattr(exc, "column", None), str(exc))
+    if isinstance(result, Catalog):
+        result = result.store, result.tracker
+    return ("opened", *opened_state(*result))
+
+
+def block_reads(monkeypatch) -> list:
+    """Every ``prov.nq`` read that fell back to the line reader from here on."""
+    fallbacks = []
+    original = provenance.read_statements
+    monkeypatch.setattr(provenance, "read_statements", lambda *args: fallbacks.append(args[0]) or original(*args))
+    return fallbacks
+
+
 class TestOpenEquivalence:
     ENTITIES = [Iri(f"http://ex.org/e/{i}") for i in range(3)]
     AGENTS = [Iri("http://ex.org/agent/a"), Iri("http://ex.org/agent/b")]
@@ -87,11 +136,13 @@ class TestOpenEquivalence:
 
     @classmethod
     def apply(cls, tracker: ProvenanceTracker, ops, first_step: int = 0):
-        """Record each step of a history that applies to the tracker's state."""
+        """Record each step of a history that applies to the tracker's state:
+        the steps alternate between both agents and the second alone, and
+        only a creation names a source."""
         for step, (kind, first, second, drawn, dropped) in enumerate(ops, start=first_step):
             entity, other = cls.ENTITIES[first], cls.ENTITIES[second]
             quads = {Quad(entity, q.predicate, q.object, q.graph) for q in drawn}
-            agent, time = cls.AGENTS[step % 2], ts(step)
+            agent, time = cls.AGENTS[step % 2:], ts(step)
             if kind == "creation":
                 if not tracker.has_chain(entity):
                     tracker.record_creation(entity, quads, agent, source=other, time=time)
@@ -158,9 +209,11 @@ REWRITES = [
     pytest.param(lambda text: re.sub(r'"(creation|modification|merge|deletion)" ', r'"\1"^^<http://www.w3.org/2001/XMLSchema#string> ', text), id="xsd-string"),
     pytest.param(lambda text: re.sub(r'"(creation|modification|merge|deletion)" ', r'"\1"^^<http://ex.org/dt> ', text), id="typed-kind-markers"),
     pytest.param(lambda text: text.replace('Z"^^<http://www.w3.org/2001/XMLSchema#dateTime>', '+00:00"^^<http://www.w3.org/2001/XMLSchema#dateTime>'), id="offset-timestamps"),
+    pytest.param(lambda text: re.sub(r'(invalidatedAtTime> "[^"]*)Z"', r'\1+00:00"', text), id="offset-invalidations"),
     pytest.param(lambda text: text.replace(" DATA {\\n", " DATA {  \\n"), id="update-query-spacing"),
     pytest.param(lambda text: "".join(line + "\n" for line in _lines(text) if f"<{vocab.CHANGE_KIND.value}>" not in line), id="no-kind-markers"),
     pytest.param(_with_extra_chain_quad, id="extra-chain-quad"),
+    pytest.param(lambda text: text + text, id="repeated"),
 ]
 
 
@@ -333,13 +386,24 @@ def iris_in(quads) -> list[str]:
     return values
 
 
+TEMPLATE_IRIS = {
+    term.value
+    for term in (
+        vocab.RDF_TYPE, vocab.PROV_ENTITY, vocab.GENERATED_AT, vocab.INVALIDATED_AT, vocab.XSD_DATETIME, vocab.PRIMARY_SOURCE,
+        vocab.SPECIALIZATION_OF, vocab.ATTRIBUTED_TO, vocab.DERIVED_FROM, vocab.CHANGE_KIND, vocab.HAS_UPDATE_QUERY,
+    )
+}
+
+
 class TestOpenIriMemo:
     def test_each_distinct_iri_is_built_once_per_open(self, gold_catalog, monkeypatch):
         root = gold_catalog.root
         store, tracker = reference_open(root)
         updates = [q for e in tracker.entities() for s in tracker.chain(e) for q in s.update_query.deletes | s.update_query.inserts]
         prov = parse_nquads((root / "prov.nq").read_text(encoding="utf-8"))
-        distinct = set(iris_in(store.quads())) | set(iris_in(prov)) | set(iris_in(updates))
+        # A canonical prov.nq is read block by block: the predicates, class
+        # and datatype every snapshot block spells are matched as text.
+        distinct = set(iris_in(store.quads())) | (set(iris_in(prov)) - TEMPLATE_IRIS) | set(iris_in(updates))
         built = []
         build = Iri.__new__
 
@@ -368,3 +432,170 @@ class TestOpenIriMemo:
         first, second = Catalog.open(gold_catalog.root), Catalog.open(gold_catalog.root)
         assert first.store.quads() == second.store.quads()
         assert not iri_ids(first) & iri_ids(second)
+
+
+def history_catalog(root: Path) -> Catalog:
+    """A saved catalog whose chains hold every change kind, one and two
+    agents, snapshots with and without a source, and update queries with
+    escapes, language tags, datatypes, blank nodes and several graphs."""
+    catalog = Catalog.create(root)
+    p, g = Iri("http://ex.org/p"), Iri("http://ex.org/g")
+    drawn = [
+        Quad(E, p, Literal('say "hi"\n\\ \r\t')),
+        Quad(E, p, Literal("caffè ☕", language="it"), g),
+        Quad(E, p, Literal("7", datatype=Iri("http://ex.org/dt")), g),
+        Quad(E, Iri("http://ex.org/q"), Iri("http://ex.org/o")),
+    ]
+    ops = [
+        ("creation", 0, 1, drawn[:2], 0),
+        ("creation", 1, 0, drawn[2:], 0),
+        ("modification", 0, 0, drawn[2:3], 1),
+        ("creation", 2, 0, [], 0),
+        ("merge", 0, 1, [], 0),
+        ("modification", 2, 0, drawn[3:], 0),
+        ("modification", 0, 0, drawn[1:2], 2),
+        ("deletion", 2, 0, [], 0),
+    ]
+    TestOpenEquivalence.apply(catalog.tracker, ops)
+    # Three agents whose IRIs sort one way and whose lines sort another.
+    agents = (Iri("http://ex.org/agent"), Iri("http://ex.org/agent/b"), Iri("http://ex.org/agent/c"))
+    entity = TestOpenEquivalence.ENTITIES[0]
+    catalog.tracker.record_modification(entity, Delta(inserts={Quad(entity, p, Literal("last"))}), agents, time=ts(len(ops)))
+    catalog.save()
+    return catalog
+
+
+# The CHAIN_CORRUPTIONS payloads that hold a snapshot save never writes, a
+# line missing or a value of another kind, so the line reader takes them.
+NOT_IN_TEMPLATE = {
+    "unexpected-identifier", "non-numeric-index", "no-generation-time", "iri-generation-time", "no-update-query", "no-attribution",
+    "empty-invalidation-mid-chain",
+}
+
+
+def _renamed(old: Iri, new: str):
+    """Every mention of ``old`` spelled as ``new``; the lines stay sorted."""
+    return lambda text: "".join(sorted(line + "\n" for line in _lines(text.replace(f"<{old}>", f"<{new}>"))))
+
+
+_BAD_TIME = iso_timestamp(ts(5))[:11] + "24:00:00Z"
+# Canonical text with a fault in a whole snapshot block, which only the
+# chain checks find.
+BLOCK_CORRUPTIONS = [
+    pytest.param(
+        _renamed(Iri(f"{E}/prov/se/3"), "http://ex.org/stray"),
+        ("CorruptProvenance", None, None, "unexpected snapshot identifier http://ex.org/stray"),
+        id="unexpected-identifier",
+    ),
+    pytest.param(
+        _renamed(Iri(f"{E}/prov/se/3"), f"{E}/prov/se/three"),
+        ("CorruptProvenance", None, None, f"non-numeric snapshot index in {E}/prov/se/three"),
+        id="non-numeric-index",
+    ),
+    pytest.param(
+        lambda text: text.replace(iso_timestamp(ts(5)), _BAD_TIME),
+        ("ParseError", None, None, f"bad timestamp '{_BAD_TIME}': hour must be in 0..23"),
+        id="bad-timestamp",
+    ),
+    # <.../se/1.5> comes before <.../se/1> in the text, but the value
+    # .../se/1 comes first, and so does its error.
+    pytest.param(
+        lambda text: _renamed(Iri(f"{E}/prov/se/3"), f"{E}/prov/se/1.5")(text.replace(iso_timestamp(ts(0)), _BAD_TIME)),
+        ("ParseError", None, None, f"bad timestamp '{_BAD_TIME}': hour must be in 0..23"),
+        id="errors-in-subject-order",
+    ),
+]
+
+
+def _swap_first_agents(text: str) -> str:
+    lines = _lines(text)
+    first = next(i for i, line in enumerate(lines) if f" <{vocab.ATTRIBUTED_TO}> " in line and f" <{vocab.ATTRIBUTED_TO}> " in lines[i + 1])
+    lines[first : first + 2] = lines[first + 1], lines[first]
+    return "".join(line + "\n" for line in lines)
+
+
+def _repeat_first_block(text: str) -> str:
+    lines = _lines(text)
+    subject = lines[0].split(" ")[0]
+    block = [line for line in lines if line.startswith(subject + " ")]
+    return "".join(line + "\n" for line in block + lines)
+
+
+# Text in canonical spelling that is still not what save writes, so the
+# block reader leaves it to the line reader: two agents out of order, a
+# snapshot block repeated, and a snapshot specializing another entity.
+LEFT_TO_LINES = [
+    pytest.param(_swap_first_agents, id="unsorted-agents"),
+    pytest.param(_repeat_first_block, id="repeated-block"),
+    pytest.param(
+        lambda text: text.replace(f"<{vocab.SPECIALIZATION_OF}> <{TestOpenEquivalence.ENTITIES[0]}> ", f"<{vocab.SPECIALIZATION_OF}> <{E}> ", 1),
+        id="foreign-specialization",
+    ),
+]
+
+
+class TestBlockReader:
+    """A canonical ``prov.nq`` is read one snapshot block per match, and
+    that read equals the line reader's; any other text goes to the line
+    reader whole."""
+
+    def test_history_catalog(self, tmp_path):
+        assert_opens_alike(history_catalog(tmp_path / "cat").root)
+
+    @pytest.mark.parametrize("rewrite", REWRITES)
+    @settings(max_examples=10, deadline=None)
+    @given(st.lists(TestOpenEquivalence.OPS, max_size=8))
+    def test_rewritten_files(self, rewrite, ops):
+        with tempfile.TemporaryDirectory() as tmp:
+            catalog = Catalog.create(Path(tmp) / "cat")
+            TestOpenEquivalence.apply(catalog.tracker, ops)
+            catalog.save()
+            for name in ("data.nq", "prov.nq"):
+                path = catalog.root / name
+                path.write_bytes(rewrite(path.read_text(encoding="utf-8")).encode("utf-8"))
+            assert full_outcome(Catalog.open, catalog.root) == full_outcome(reference_open, catalog.root)
+
+    def test_single_character_mutations(self, tmp_path, monkeypatch):
+        root = history_catalog(tmp_path / "cat").root
+        prov = root / "prov.nq"
+        text = prov.read_text(encoding="utf-8")
+        fallbacks = block_reads(monkeypatch)
+        outcomes = Counter()
+        for mutated in mutations(text, seed=15, count=600):
+            prov.write_text(mutated, encoding="utf-8", newline="")
+            taken = len(fallbacks)
+            outcome = full_outcome(Catalog.open, root)
+            assert outcome == full_outcome(reference_open, root), mutated
+            outcomes[len(fallbacks) == taken, outcome[0]] += 1
+        # Both readers, and both kinds of error, are reached.
+        assert {(True, "opened"), (False, "opened"), (False, "ParseError"), (False, "CorruptProvenance")} <= set(outcomes)
+
+    @pytest.mark.parametrize("corrupt, message", CHAIN_CORRUPTIONS)
+    def test_chain_corruptions(self, tmp_path, monkeypatch, corrupt, message, request):
+        text = serialize_nquads(corrupt(_three_snapshot_payload()))
+        kept = KeptLines(text)
+        parse_nquads(text, kept=kept)
+        assert kept.rewrite == set() and sum(map(len, kept.copyable().values())) == text.count("\n")
+        root = TestOpenErrors._catalog_with(tmp_path, text)
+        fallbacks = block_reads(monkeypatch)
+        assert open_outcome(Catalog.open, root) == open_outcome(reference_open, root) == ("CorruptProvenance", None, None, message)
+        assert bool(fallbacks) == (request.node.callspec.id in NOT_IN_TEMPLATE)
+
+    @pytest.mark.parametrize("edit", LEFT_TO_LINES)
+    def test_text_left_to_the_line_reader(self, tmp_path, monkeypatch, edit):
+        root = history_catalog(tmp_path / "cat").root
+        prov = root / "prov.nq"
+        prov.write_text(edit(text := prov.read_text(encoding="utf-8")), encoding="utf-8")
+        assert prov.read_text(encoding="utf-8") != text
+        fallbacks = block_reads(monkeypatch)
+        assert full_outcome(Catalog.open, root) == full_outcome(reference_open, root)
+        assert len(fallbacks) == 1
+
+    @pytest.mark.parametrize("corrupt, expected", BLOCK_CORRUPTIONS)
+    def test_corrupt_blocks(self, tmp_path, monkeypatch, corrupt, expected):
+        root = TestOpenErrors._catalog_with(tmp_path, corrupt(serialize_nquads(_three_snapshot_payload())))
+        fallbacks = block_reads(monkeypatch)
+        outcome = open_outcome(Catalog.open, root)
+        assert fallbacks == []
+        assert outcome == open_outcome(reference_open, root) == expected
+

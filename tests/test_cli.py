@@ -503,7 +503,50 @@ class TestCorruptProvenance:
         assert catalog_digests(gold_root) == before
 
 
+    # Lines a save would drop without a word: a statement in the default
+    # graph or in a graph of no chain, and a chain graph holding no snapshot.
+    @pytest.mark.parametrize("line, message", [
+        ('<http://ex.org/s> <http://ex.org/p> "x" .', "statement outside any snapshot chain, in the default graph"),
+        ('<http://ex.org/s> <http://ex.org/p> "x" <http://ex.org/g> .', "statement outside any snapshot chain, in graph http://ex.org/g"),
+        (f'<http://ex.org/s> <http://ex.org/p> "x" <{BASE}cho/99/prov> .', f"{BASE}cho/99 has an empty snapshot chain"),
+    ], ids=["default-graph", "foreign-graph", "empty-chain"])
+    def test_statements_outside_a_chain_are_refused(self, gold_root, capsys, line, message):
+        prov = gold_root / "prov.nq"
+        prov.write_text(prov.read_text(encoding="utf-8") + line + "\n", encoding="utf-8")
+        before = catalog_digests(gold_root)
+        capsys.readouterr()
+        for argv in (
+            ("prov", "log", BASE + "cho/99"),
+            ("prov", "restore", BASE + "cho/99", "2023-06-01T00:00:00Z"),
+            ("ingest", str(DATA_DIR / "gold_bibliographic.csv"), "--kind", "bibliographic"),
+        ):
+            assert run("--catalog", str(gold_root), *argv) == 3, argv
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: {message}\n"
+        assert catalog_digests(gold_root) == before
+
+
 class TestCatalogFiles:
+    def test_a_save_that_changes_no_byte_replaces_no_file(self, gold_root, capsys):
+        files = [gold_root / "data.nq", gold_root / "prov.nq"]
+        ingest = ("--catalog", str(gold_root), "ingest", str(DATA_DIR / "gold_bibliographic.csv"), "--kind", "bibliographic")
+        before = [(path.read_bytes(), path.stat().st_ino) for path in files]
+        assert run(*ingest) == 0
+        assert capsys.readouterr().out.splitlines()[-1].endswith("modified=0 unchanged=4")
+        assert [(path.read_bytes(), path.stat().st_ino) for path in files] == before
+        # A hand edit that changes no statement still has its file rewritten,
+        # line breaks included, though they read as the text of the file.
+        for edited, other, content in (
+            (files[0], files[1], b"# note\n" + before[0][0]),
+            (files[1], files[0], before[1][0].replace(b"\n", b"\r\n")),
+        ):
+            edited.write_bytes(content)
+            kept = (other.read_bytes(), other.stat().st_ino)
+            assert run(*ingest) == 0
+            assert edited.read_bytes() == before[files.index(edited)][0]
+            assert (other.read_bytes(), other.stat().st_ino) == kept
+
     def test_data_store_is_the_fold_of_every_chain(self, tmp_path, capsys):
         # Every write command, then a revised re-ingest that both deletes and
         # inserts; the chains in prov.nq alone must rebuild data.nq.

@@ -22,7 +22,7 @@ from heritage_catalog.provenance import (
     parse_timestamp,
     prov_graph_iri,
 )
-from heritage_catalog.rdf import Iri, Literal, ParseError, Quad
+from heritage_catalog.rdf import Iri, Literal, ParseError, Quad, serialize_nquads
 from heritage_catalog.store import Delta, PreconditionViolation, Store, parse_update
 
 E = Iri("http://ex.org/obj/1")
@@ -501,6 +501,14 @@ class TestExport:
 
 
 class TestPersistenceRoundTrip:
+    def test_a_tracker_no_file_was_read_for_writes_its_file(self, tmp_path):
+        # Even with no chain, so even when the text is empty.
+        stale = tmp_path / "stale.nq"
+        stale.write_text(serialize_nquads(self._populated().export_all_graphs()), encoding="utf-8")
+        for path in (tmp_path / "new.nq", stale):
+            ProvenanceTracker(Store()).save(path)
+            assert path.read_text(encoding="utf-8") == ""
+
     def _populated(self):
         tracker = fresh()
         other = Iri("http://ex.org/obj/2")
@@ -631,6 +639,22 @@ class TestChainRebuildChecks:
             ProvenanceTracker.from_quads(Store(), payload)
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("order", [1, -1])
+    def test_statements_outside_any_chain_name_the_first_graph(self, order):
+        stray = [Quad(E, eq("t", "A").predicate, Literal("x"), Iri(f"http://ex.org/{name}")) for name in "gh"]
+        with pytest.raises(CorruptProvenance) as err:
+            ProvenanceTracker.from_quads(Store(), [*sorted(_three_snapshot_payload()), *stray[::order]])
+        assert str(err.value) == "statement outside any snapshot chain, in graph http://ex.org/g"
+        with pytest.raises(CorruptProvenance) as err:
+            ProvenanceTracker.from_quads(Store(), [*stray[::order], Quad(E, stray[0].predicate, Literal("x"))])
+        assert str(err.value) == "statement outside any snapshot chain, in the default graph"
+
+    def test_unknown_change_kind_is_inferred(self):
+        payload = _replaced(se(2), vocab.CHANGE_KIND, Literal("renamed"))(_deletion_invalidated_at(_stamp(10))(_three_snapshot_payload()))
+        payload = _replaced(se(3), vocab.CHANGE_KIND, Literal("gone"))(payload)
+        chain = ProvenanceTracker.from_quads(Store(), payload).chain(E)
+        assert [s.kind for s in chain] == [CREATION, MODIFICATION, DELETION]
+
     def test_intact_payload_rebuilds(self):
         chain = ProvenanceTracker.from_quads(Store(), _three_snapshot_payload()).chain(E)
         assert [s.index for s in chain] == [1, 2, 3]
@@ -705,3 +729,7 @@ class TestTimestamps:
     def test_bad_syntax(self):
         with pytest.raises(ParseError):
             parse_timestamp("yesterday")
+
+    def test_fractions_of_a_second_are_dropped(self):
+        moment = parse_timestamp("2024-01-02T03:04:05.75+01:00")
+        assert moment == datetime(2024, 1, 2, 2, 4, 5, tzinfo=timezone.utc) and moment.microsecond == 0
