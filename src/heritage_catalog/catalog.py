@@ -26,7 +26,7 @@ from pathlib import Path
 from . import vocab, workflow
 from .mapping import MappingDocument, Table, execute_mapping, load_table, percent_encode
 from .provenance import ProvenanceTracker
-from .rdf import InvalidIri, Iri, Literal, Quad, serialize_term
+from .rdf import InvalidIri, Iri, Literal, Quad, open_utf8, serialize_term
 from .store import Delta, Store
 from .workflow import (
     AssetVersion,
@@ -88,6 +88,9 @@ class Config:
             Iri(self.agent)
         except InvalidIri as exc:
             raise ConfigError(f"agent: {exc}") from None
+        # Written so that NaN, which compares false with everything, fails too.
+        if not 0 <= self.quality_threshold <= 1:
+            raise ConfigError(f"quality_threshold must be a number from 0 to 1, got {self.quality_threshold!r}")
         try:
             self.constraint_profile()
         except ValueError as exc:
@@ -261,7 +264,8 @@ class Catalog:
         root = Path(root)
         if not (root / "catalog.cfg").is_file():
             raise NotACatalog(f"{root} does not look like a catalog (no catalog.cfg)")
-        config = Config.from_text((root / "catalog.cfg").read_text(encoding="utf-8"))
+        with open_utf8(root / "catalog.cfg") as handle:
+            config = Config.from_text(handle.read())
         # One IRI memo for every parse of this open: data.nq, prov.nq and
         # each snapshot's update query when it is read, so each distinct
         # IRI is built once.

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from datetime import datetime
 from urllib.parse import quote
 
-from .rdf import InvalidIri, InvalidTerm, Iri, Literal, ParseError, Quad, RDF_NS, Term, XSD_NS
+from .rdf import InvalidIri, InvalidTerm, Iri, Literal, ParseError, Quad, RDF_NS, Term, XSD_NS, open_utf8
 from .vocab import RDF_TYPE
 
 BUILTIN_PREFIXES = {"rdf": RDF_NS, "xsd": XSD_NS}
@@ -157,7 +157,7 @@ def load_table(path, name: str | None = None) -> Table:
 
     if name is None:
         name = os.path.splitext(os.path.basename(os.fspath(path)))[0]
-    with open(path, encoding="utf-8", newline="") as handle:
+    with open_utf8(path, newline="") as handle:
         return read_table(handle.read(), name)
 
 
@@ -454,7 +454,7 @@ def parse_mapping(text: str) -> MappingDocument:
 
 
 def load_mapping(path) -> MappingDocument:
-    with open(path, encoding="utf-8") as handle:
+    with open_utf8(path) as handle:
         return parse_mapping(handle.read())
 
 

@@ -16,10 +16,12 @@ Loading reads a ``prov.nq`` that is exactly what saving writes one
 snapshot block per match of a pattern composed from the serializations
 of the snapshot's predicates and from ``rdf``'s canonical token sources,
 building no term per line.  Any other text goes whole through the
-N-Quads reader and :meth:`ProvenanceTracker.from_quads`, which place its
-syntax errors and mark the graphs a save must write afresh.  Both hand
-each chain to :func:`_check_chain`, which holds every chain rule.  Every
-statement must belong to the graph of some entity's chain.
+N-Quads reader, which places its syntax errors, and
+:meth:`ProvenanceTracker.from_quads`, which reads each chain graph as a
+:class:`Store` and marks for a save to write afresh each graph whose
+quads differ from what a save writes for the chain read from it.  Both
+hand each chain to :func:`_check_chain`, which holds every chain rule.
+Every statement must belong to the graph of some entity's chain.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from . import vocab
 from .rdf import (
     _CANONICAL_BODY,
     _UNESCAPED_IRI_SOURCE,
-    XSD_STRING,
     InvalidIri,
     Iri,
     KeptLines,
@@ -48,7 +49,7 @@ from .rdf import (
     read_statements,
     serialize_term,
 )
-from .store import Delta, Store, ordered_terms, parse_update, save_spliced, serialize_update
+from .store import Delta, Store, parse_update, save_spliced, serialize_update
 
 CREATION = "creation"
 MODIFICATION = "modification"
@@ -203,8 +204,8 @@ class ProvenanceTracker:
     The tracker also keeps the ``prov.nq`` lines it was loaded from or last
     saved as, and the entities whose graph those lines do not hold as
     :meth:`save` writes it: those whose chain grew since, and those whose
-    graph did not read back as written.  Save serializes only their graphs
-    and those not kept canonical.
+    graph held other quads than a save writes for the chain read from it.
+    Save serializes only their graphs and those not kept canonical.
     """
 
     def __init__(self, store: Store):
@@ -411,23 +412,24 @@ class ProvenanceTracker:
     def from_quads(cls, store: Store, rows, iris: dict[str, Iri] | None = None) -> "ProvenanceTracker":
         """Rebuild chains from a persisted provenance graph set, given as
         ``(subject, predicate, object, graph)`` rows (a :class:`Quad` is
-        one), grouping them once by graph, subject and predicate.  Every row
-        must be in the graph of some entity's chain.
+        one), grouped into one :class:`Store` per graph.  Every row must be
+        in the graph of some entity's chain.
 
         Every IRI the rebuild builds, in the update queries and the entity
         names, goes through ``iris`` when given, otherwise through one memo
         of this rebuild.  An update query in canonical text is kept as text
         and parsed when first read; any other is parsed here.  An entity
-        whose graph is not exactly what :meth:`save` writes for its chain is
-        marked for :meth:`save` to write afresh.
+        whose graph holds other quads than :meth:`save` writes for the
+        chain read from it is marked for :meth:`save` to write afresh.
         """
         if iris is None:
             iris = {}
-        by_graph: dict[Iri, dict] = {}
+        by_graph: dict[Iri, list[Quad]] = {}
         strays = set()
-        for subject, predicate, obj, graph in rows:
+        for row in rows:
+            graph = row[3]
             if graph is not None and graph.value.endswith("/prov"):
-                by_graph.setdefault(graph, {}).setdefault(subject, {}).setdefault(predicate, []).append(obj)
+                by_graph.setdefault(graph, []).append(Quad(*row))
             else:
                 strays.add(graph)
         # Raised once every row is read, so that a syntax error comes first,
@@ -435,23 +437,19 @@ class ProvenanceTracker:
         if strays:
             where = "the default graph" if None in strays else f"graph {min(strays)}"
             raise CorruptProvenance(f"statement outside any snapshot chain, in {where}")
-        graphs = {}
-        for graph, subjects in by_graph.items():
-            entity = memo_iri(graph.value[: -len("/prov")], iris)
-            graphs[graph] = (entity, *_read_graph(entity, subjects, iris))
-        return cls._checked(store, graphs, iris)
+        graphs = {graph: (memo_iri(graph.value[: -len("/prov")], iris), Store(quads)) for graph, quads in by_graph.items()}
+        tracker = cls._checked(store, {graph: (entity, _read_graph(held, iris)) for graph, (entity, held) in graphs.items()}, iris)
+        tracker._unsaved = {entity for entity, held in graphs.values() if held.quads() != tracker._saved_graph(entity)}
+        return tracker
 
     @classmethod
     def _checked(cls, store: Store, graphs: dict, iris: dict[str, Iri]) -> "ProvenanceTracker":
-        """The tracker of chains read as ``graph -> (entity, drafts,
-        as_saved)``, each checked by :func:`_check_chain` in order of graph
-        IRI; an entity whose graph is not as saved is marked unsaved."""
+        """The tracker of chains read as ``graph -> (entity, drafts)``, each
+        checked by :func:`_check_chain` in order of graph IRI."""
         tracker = cls(store)
         for graph in sorted(graphs):
-            entity, drafts, as_saved = graphs[graph]
+            entity, drafts = graphs[graph]
             tracker._chains[entity] = _check_chain(entity, drafts, iris)
-            if not as_saved:
-                tracker._unsaved.add(entity)
         return tracker
 
 
@@ -460,69 +458,34 @@ class ProvenanceTracker:
 _SAVED_TIME = re.compile(r"[1-9][0-9]{3}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}Z")
 
 
-def _spelled_as_saved(literal: Literal) -> bool:
-    return literal.datatype == vocab.XSD_DATETIME and _SAVED_TIME.fullmatch(literal.lexical) is not None
-
-
-def _saved_rows(agents, *optional) -> int:
-    """How many statements save writes for a snapshot: the type,
-    specialization, generation time, update query and change kind, each
-    agent, and each optional value that is set."""
-    return 5 + len(agents) + sum(map(bool, optional))
-
-
-def _read_graph(entity: Iri, graph: dict, iris: dict[str, Iri]) -> tuple[list, bool]:
-    """The drafts of one chain graph, grouped as subject -> predicate ->
-    objects, in :func:`ordered_terms` order of their subjects, and whether
-    the graph holds exactly the quads that saving the chain writes.  Where
-    a property has several values the lowest in :func:`ordered_terms`
-    order is read, as :meth:`Store.objects` lists them.
-
-    The graph is as saved when it holds every quad the save writes, spelled
-    as the save spells it, and no more quads than that."""
+def _read_graph(graph: Store, iris: dict[str, Iri]) -> list:
+    """The drafts of one chain graph, one per subject typed as a snapshot,
+    in the order :meth:`Store.subjects` lists them.  Where a property has
+    several values the lowest is read, as :meth:`Store.objects` lists them."""
     drafts = []
-    as_saved = True
-    saved_rows = 0
-    typed = [s for s, properties in graph.items() if vocab.PROV_ENTITY in properties.get(vocab.RDF_TYPE, ())]
-    for subject in ordered_terms(typed):
-        properties = graph[subject]
-        generated = ordered_terms(properties.get(vocab.GENERATED_AT, ()), Literal)
-        invalidated = ordered_terms(properties.get(vocab.INVALIDATED_AT, ()), Literal)
-        updates = ordered_terms(properties.get(vocab.HAS_UPDATE_QUERY, ()), Literal)
-        agents = tuple(ordered_terms(properties.get(vocab.ATTRIBUTED_TO, ()), Iri))
-        sources = ordered_terms(properties.get(vocab.PRIMARY_SOURCE, ()), Iri)
-        derived = ordered_terms(properties.get(vocab.DERIVED_FROM, ()), Iri)
-        kinds = ordered_terms(properties.get(vocab.CHANGE_KIND, ()), Literal)
-        kind = kinds[0].lexical if kinds else None
-        invalidation = invalidated[0].lexical if invalidated else None
+    for subject in graph.subjects(vocab.RDF_TYPE, vocab.PROV_ENTITY):
+        generated = graph.objects(subject, vocab.GENERATED_AT, Literal)
+        invalidated = graph.objects(subject, vocab.INVALIDATED_AT, Literal)
+        updates = graph.objects(subject, vocab.HAS_UPDATE_QUERY, Literal)
+        sources = graph.objects(subject, vocab.PRIMARY_SOURCE, Iri)
+        derived = graph.objects(subject, vocab.DERIVED_FROM, Iri)
+        kinds = graph.objects(subject, vocab.CHANGE_KIND, Literal)
         update = None
         if updates:
             text = updates[0].lexical
             update = UpdateQuery(text, iris=iris) if is_canonical_update(text) else text
-        as_saved = (
-            as_saved
-            and kind in CHANGE_KINDS
-            and isinstance(update, UpdateQuery)
-            and updates[0].datatype == XSD_STRING
-            and kinds[0].datatype == XSD_STRING
-            and entity in properties.get(vocab.SPECIALIZATION_OF, ())
-            and bool(generated)
-            and _spelled_as_saved(generated[0])
-            and (not invalidation or _spelled_as_saved(invalidated[0]))
-        )
-        saved_rows += _saved_rows(agents, invalidation, sources, derived)
+        kind = kinds[0].lexical if kinds else None
         drafts.append((
             subject,
             generated[0].lexical if generated else None,
-            invalidation,
-            agents,
+            invalidated[0].lexical if invalidated else None,
+            tuple(graph.objects(subject, vocab.ATTRIBUTED_TO, Iri)),
             sources[0] if sources else None,
             derived[0] if derived else None,
             update,
             kind if kind in CHANGE_KINDS else None,
         ))
-    rows = sum(sum(map(len, properties.values())) for properties in graph.values())
-    return drafts, as_saved and rows == saved_rows
+    return drafts
 
 
 def _check_chain(entity: Iri, drafts: list, iris: dict[str, Iri]) -> list[Snapshot]:
@@ -660,7 +623,7 @@ def _read_blocks(kept: KeptLines, iris: dict[str, Iri]) -> dict | None:
     snapshot blocks (:data:`_SNAPSHOT_BLOCK`) in increasing order of graph
     and subject, each in the graph of the entity it specializes, its
     agents in increasing order and its update query canonical, as
-    ``graph -> (entity, drafts, True)``; the graph of each line is recorded
+    ``graph -> (entity, drafts)``; the graph of each line is recorded
     in ``kept``, which holds the text.  ``None``, with nothing recorded,
     for any other text, or when one of its IRIs fails to build: every IRI
     is built here, through ``iris``, before any chain is checked.
@@ -694,7 +657,7 @@ def _read_blocks(kept: KeptLines, iris: dict[str, Iri]) -> dict | None:
                 return None
             key = term(graph)
             if key not in graphs:
-                graphs[key] = (term(entity), [], True)
+                graphs[key] = (term(entity), [])
             graphs[key][1].append((
                 term(subject),
                 generated,
@@ -705,10 +668,10 @@ def _read_blocks(kept: KeptLines, iris: dict[str, Iri]) -> dict | None:
                 UpdateQuery(update, iris=iris),
                 kind,
             ))
-            line_graphs += [key] * _saved_rows(agents, invalidated, source, derived)
+            line_graphs += [key] * text.count("\n", found.start(), pos)
     except InvalidIri:
         return None
-    for _, drafts, _ in graphs.values():
+    for _, drafts in graphs.values():
         drafts.sort(key=itemgetter(0))
     kept.graphs = line_graphs
     return graphs

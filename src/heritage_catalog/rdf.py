@@ -32,8 +32,10 @@ text until read.
 
 from __future__ import annotations
 
+import os
 import re
 from collections import namedtuple
+from contextlib import contextmanager
 from typing import NoReturn
 
 RDF_NS = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
@@ -73,6 +75,19 @@ class ParseError(ValueError):
         if line is not None:
             where = f"line {line}: " if column is None else f"line {line}, column {column}: "
         super().__init__(where + message)
+
+
+@contextmanager
+def open_utf8(path, newline: str | None = None):
+    """The file at ``path`` opened for reading as UTF-8 text, as ``open``
+    opens it with ``newline``; reading bytes that are not UTF-8 raises
+    :class:`ParseError` naming the file and the offset of the first, which
+    is the file's own offset when one ``read()`` takes the whole file."""
+    with open(path, encoding="utf-8", newline=newline) as handle:
+        try:
+            yield handle
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{os.fspath(path)} is not UTF-8: {exc.reason} at byte {exc.start}") from None
 
 
 def _iri_fault(v: str) -> str:
@@ -348,7 +363,7 @@ class KeptLines:
     def read(cls, path) -> "KeptLines":
         """The text of a UTF-8 file, every line break read as LF, with no
         line recorded yet."""
-        with open(path, encoding="utf-8") as handle:
+        with open_utf8(path) as handle:
             text = handle.read()
             return cls(text, verbatim=handle.newlines in (None, "\n"))
 

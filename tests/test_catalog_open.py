@@ -268,12 +268,19 @@ class TestSpliceSave:
         opened.save()
         assert {name: (gold_catalog.root / name).read_bytes() for name in before} == before
 
-    def test_hand_edit_rewrites_only_its_graph(self, gold_catalog, monkeypatch):
-        path = gold_catalog.root / "data.nq"
+    # A doubled space is a spelling change; a timestamp's "Z" written as
+    # "+00:00" reads as the same time but changes the graph's quads.
+    @pytest.mark.parametrize("name, marker, edit", [
+        ("data.nq", "/record> .", lambda line: line.replace(" ", "  ", 1)),
+        ("prov.nq", 'Z"^^<http://www.w3.org/2001/XMLSchema#dateTime>', lambda line: line.replace(" ", "  ", 1)),
+        ("prov.nq", 'Z"^^<http://www.w3.org/2001/XMLSchema#dateTime>', lambda line: line.replace('Z"', '+00:00"', 1)),
+    ], ids=["data-spacing", "prov-spacing", "prov-offset-timestamp"])
+    def test_hand_edit_rewrites_only_its_graph(self, gold_catalog, monkeypatch, name, marker, edit):
+        path = gold_catalog.root / name
         lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
-        edited = next(i for i, line in enumerate(lines) if "/record> ." in line)
+        edited = next(i for i, line in enumerate(lines) if marker in line)
         graph = Iri(lines[edited].rsplit(" ", 2)[1][1:-1])
-        lines[edited] = lines[edited].replace(" ", "  ", 1)
+        lines[edited] = edit(lines[edited])
         path.write_text("".join(lines), encoding="utf-8")
         serialized = []
         original = store_module.serialize_nquads
@@ -281,7 +288,8 @@ class TestSpliceSave:
         opened = Catalog.open(gold_catalog.root)
         opened.save()
         assert serialized == [{graph}]
-        assert path.read_text(encoding="utf-8") == serialize_nquads(opened.store.quads())
+        saved = opened.store.quads() if name == "data.nq" else opened.tracker.export_all_graphs()
+        assert path.read_text(encoding="utf-8") == serialize_nquads(saved)
 
 
 # The patterns that Iri, BlankNode and Literal check their values with.

@@ -410,6 +410,21 @@ class TestConfigLimits:
         assert "Traceback" not in err
 
 
+class TestQualityThreshold:
+    """The quality threshold is a coverage share, so it must lie in [0, 1]."""
+
+    @pytest.mark.parametrize("value, code", [("nan", 3), ("inf", 3), ("-0.1", 3), ("1.5", 3), ("1", 0)])
+    def test_threshold_must_lie_in_the_unit_interval(self, tmp_path, capsys, value, code):
+        root = tmp_path / "cat"
+        assert run("init", str(root)) == 0
+        cfg = root / "catalog.cfg"
+        cfg.write_text(re.sub(r"(?m)^quality_threshold=.*$", f"quality_threshold={value}", cfg.read_text()))
+        capsys.readouterr()
+        assert run("--catalog", str(root), "validate") == code
+        err = capsys.readouterr().err
+        assert err == ("" if code == 0 else f"error: quality_threshold must be a number from 0 to 1, got {float(value)!r}\n")
+
+
 class TestConfigKeys:
     def test_key_given_twice_exits_3(self, tmp_path, capsys):
         root = tmp_path / "cat"
@@ -460,6 +475,34 @@ class TestReport:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and "would both be written to assets/" in err[0]
         assert not out_dir.exists()
+
+
+_INGEST = ("ingest", str(DATA_DIR / "gold_bibliographic.csv"), "--kind", "bibliographic")
+
+
+class TestUndecodableInput:
+    """A file that is not UTF-8 is an input error that names the file, and
+    a write command that reads one changes no catalog file."""
+
+    @pytest.mark.parametrize("name, command", [
+        ("gold_bibliographic.csv", ("ingest", "{bad}", "--kind", "bibliographic")),
+        ("gold_enrich_mapping.yml", ("map", "{bad}", "gold_bibliographic")),
+        ("data.nq", _INGEST),
+        ("prov.nq", _INGEST),
+        ("catalog.cfg", _INGEST),
+    ])
+    def test_non_utf8_file_exits_3(self, gold_root, tmp_path, capsys, name, command):
+        # A catalog file is spoiled in place, an input file in a copy.
+        bad = gold_root / name if (gold_root / name).exists() else tmp_path / name
+        source = bad if bad.exists() else DATA_DIR / name
+        bad.write_bytes(source.read_bytes().replace(b"e", b"\xe9", 1))
+        before = catalog_digests(gold_root)
+        capsys.readouterr()
+        assert run("--catalog", str(gold_root), *(part.format(bad=bad) for part in command)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad} is not UTF-8: ")
+        assert len(err.splitlines()) == 1
+        assert catalog_digests(gold_root) == before
 
 
 class TestReadOnlyCommands:
