@@ -26,7 +26,7 @@ from pathlib import Path
 from . import vocab, workflow
 from .mapping import MappingDocument, Table, execute_mapping, load_table, percent_encode
 from .provenance import ProvenanceTracker
-from .rdf import InvalidIri, Iri, Literal, Quad, open_utf8, serialize_term
+from .rdf import InputError, InvalidIri, Iri, Literal, Quad, open_utf8, serialize_term
 from .store import Delta, Store
 from .workflow import (
     AssetVersion,
@@ -59,7 +59,7 @@ class NotACatalog(FileNotFoundError):
     pass
 
 
-class ConfigError(ValueError):
+class ConfigError(InputError):
     pass
 
 
@@ -209,7 +209,7 @@ _BIB_COLUMNS = {
 _BIB_REQUIRED = ("id", "title")
 
 
-class BibliographicError(ValueError):
+class BibliographicError(InputError):
     def __init__(self, row, message):
         self.row = row
         super().__init__(f"row {row}: {message}")

@@ -1,8 +1,12 @@
 """Command-line entry point for catalog management.
 
 Exit codes are stable across commands: 0 success, 1 ran with findings,
-2 setup error, 3 input error, 4 unknown entity.  Read-only commands
-(query, audit, validate, report, prov) never write under the catalog.
+2 setup error, 3 input error, 4 unknown entity.  A failure's type gives
+its code: every input error of the package derives from
+:class:`~heritage_catalog.rdf.InputError`, and a missing input file is
+one too.  Any other exception is a fault of the program and keeps its
+traceback.  Read-only commands (query, audit, validate, report, prov)
+never write under the catalog.
 """
 
 from __future__ import annotations
@@ -18,67 +22,18 @@ from pathlib import Path
 from urllib.parse import parse_qs, urlparse
 
 from . import fair, provenance, workflow
-from .catalog import BibliographicError, Catalog, CatalogExists, ConfigError, NotACatalog, source_iri
-from .mapping import (
-    DuplicateMapping,
-    InvalidExpandedIri,
-    MissingTable,
-    TableError,
-    UnknownPrefix,
-    load_mapping,
-    load_table,
-)
+from .catalog import Catalog, CatalogExists, NotACatalog, source_iri
+from .mapping import load_mapping, load_table
 from .provenance import NoSuchEntity, parse_timestamp
-from .rdf import InvalidIri, InvalidTerm, Iri, ParseError, TermScanner, serialize_nquads, serialize_term
-from .store import ANY, OverlapError, PreconditionViolation, QuadPattern, Variable
-from .workflow import (
-    BadDate,
-    MissingColumn,
-    MissingLicence,
-    NoAssets,
-    NoSuchObject,
-    OutOfOrder,
-    PHASE_ORDER,
-    PlaceholderClash,
-    UnknownPhase,
-    ValidationError,
-)
+from .rdf import InputError, Iri, ParseError, TermScanner, serialize_nquads, serialize_term
+from .store import ANY, QuadPattern, Variable
+from .workflow import NoSuchObject, PHASE_ORDER
 
 EXIT_OK = 0
 EXIT_FINDINGS = 1
 EXIT_SETUP = 2
 EXIT_INPUT = 3
 EXIT_UNKNOWN_ENTITY = 4
-
-_INPUT_ERRORS = (
-    ParseError,
-    InvalidIri,
-    InvalidTerm,
-    UnknownPrefix,
-    DuplicateMapping,
-    MissingTable,
-    InvalidExpandedIri,
-    TableError,
-    OverlapError,
-    PreconditionViolation,
-    MissingColumn,
-    BadDate,
-    UnknownPhase,
-    ValidationError,
-    OutOfOrder,
-    BibliographicError,
-    ConfigError,
-    MissingLicence,
-    NoAssets,
-    PlaceholderClash,
-    fair.UnknownFormat,
-    provenance.AlreadyExists,
-    provenance.EntityDeleted,
-    provenance.ForeignSubject,
-    provenance.NonMonotonicTime,
-    provenance.SelfMerge,
-    provenance.CorruptProvenance,
-)
 
 
 def _fail(code: int, message: str) -> int:
@@ -171,7 +126,7 @@ class _QueryHandler(BaseHTTPRequestHandler):
             try:
                 patterns, variables = parse_bgp_text(queries[0])
                 solutions = self.catalog.store.bgp_query(patterns)
-            except (ParseError, InvalidIri, InvalidTerm, ValueError) as exc:
+            except ValueError as exc:
                 self._send(400, str(exc).encode("utf-8"), "text/plain; charset=utf-8")
                 return
             body = b"" if not solutions else solutions_to_csv(variables, solutions).encode("utf-8")
@@ -196,10 +151,7 @@ def _catalog_root(args) -> Path:
 
 
 def cmd_init(args) -> int:
-    try:
-        Catalog.create(args.path)
-    except CatalogExists as exc:
-        return _fail(EXIT_SETUP, str(exc))
+    Catalog.create(args.path)
     print(f"initialized catalog in {args.path}")
     return EXIT_OK
 
@@ -369,9 +321,7 @@ def main(argv=None) -> int:
         return _fail(EXIT_SETUP, str(exc))
     except (NoSuchEntity, NoSuchObject) as exc:
         return _fail(EXIT_UNKNOWN_ENTITY, str(exc))
-    except _INPUT_ERRORS as exc:
-        return _fail(EXIT_INPUT, str(exc))
-    except FileNotFoundError as exc:
+    except (InputError, FileNotFoundError) as exc:
         return _fail(EXIT_INPUT, str(exc))
 
 

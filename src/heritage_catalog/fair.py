@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from . import vocab
 from .catalog import Catalog, record_graph
 from .provenance import iso_timestamp
-from .rdf import Iri, Literal, Quad, Term, parse_nquads, serialize_nquads, serialize_quad
+from .rdf import InputError, Iri, Literal, Quad, Term, parse_nquads, serialize_nquads, serialize_quad
 from .store import QuadPattern, Variable
 
 LEVELS = ("object", "object_metadata", "metadata_record")
@@ -29,7 +29,7 @@ NOT_APPLICABLE = "not_applicable"
 _NO_CHAIN = "no snapshot chain for the record's entity"
 
 
-class UnknownFormat(ValueError):
+class UnknownFormat(InputError):
     pass
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from datetime import datetime
 from urllib.parse import quote
 
-from .rdf import InvalidIri, InvalidTerm, Iri, Literal, ParseError, Quad, RDF_NS, Term, XSD_NS, open_utf8
+from .rdf import InputError, InvalidIri, InvalidTerm, Iri, Literal, ParseError, Quad, RDF_NS, Term, XSD_NS, open_utf8
 from .vocab import RDF_TYPE
 
 BUILTIN_PREFIXES = {"rdf": RDF_NS, "xsd": XSD_NS}
@@ -25,25 +25,25 @@ _CURIE_RE = re.compile(r"^([A-Za-z][A-Za-z0-9_.\-]*):(?!//)(\S*)$")
 _LEADING_CURIE_RE = re.compile(r"^([A-Za-z][A-Za-z0-9_.\-]*):(?!//)")
 
 
-class UnknownPrefix(ValueError):
+class UnknownPrefix(InputError):
     def __init__(self, label):
         self.label = label
         super().__init__(f"unknown prefix {label!r}")
 
 
-class DuplicateMapping(ValueError):
+class DuplicateMapping(InputError):
     def __init__(self, name):
         self.name = name
         super().__init__(f"duplicate mapping {name!r}")
 
 
-class MissingTable(LookupError):
+class MissingTable(InputError, LookupError):
     def __init__(self, name):
         self.name = name
         super().__init__(f"no table named {name!r}")
 
 
-class InvalidExpandedIri(ValueError):
+class InvalidExpandedIri(InputError):
     def __init__(self, map_name, row_index, text):
         self.map_name = map_name
         self.row_index = row_index
@@ -51,7 +51,7 @@ class InvalidExpandedIri(ValueError):
         super().__init__(f"map {map_name!r}, row {row_index}: expansion {text!r} is not a valid IRI")
 
 
-class TableError(ValueError):
+class TableError(InputError):
     pass
 
 
@@ -146,7 +146,10 @@ class Table:
 def read_table(text: str, name: str) -> Table:
     """Parse CSV text (first row is the header) into a table."""
     reader = csv.reader(io.StringIO(text))
-    rows = [tuple(r) for r in reader]
+    try:
+        rows = [tuple(r) for r in reader]
+    except csv.Error as exc:
+        raise TableError(f"table {name!r} line {reader.line_num}: {exc}") from None
     if not rows:
         raise TableError(f"table {name!r} is empty (no header row)")
     return Table(name=name, header=rows[0], rows=tuple(rows[1:]))

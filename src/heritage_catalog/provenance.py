@@ -36,6 +36,7 @@ from . import vocab
 from .rdf import (
     _CANONICAL_BODY,
     _UNESCAPED_IRI_SOURCE,
+    InputError,
     InvalidIri,
     Iri,
     KeptLines,
@@ -64,27 +65,27 @@ class NoSuchEntity(LookupError):
         super().__init__(f"no snapshot chain for {entity}")
 
 
-class AlreadyExists(ValueError):
+class AlreadyExists(InputError):
     pass
 
 
-class EntityDeleted(ValueError):
+class EntityDeleted(InputError):
     pass
 
 
-class ForeignSubject(ValueError):
+class ForeignSubject(InputError):
     pass
 
 
-class NonMonotonicTime(ValueError):
+class NonMonotonicTime(InputError):
     pass
 
 
-class SelfMerge(ValueError):
+class SelfMerge(InputError):
     pass
 
 
-class CorruptProvenance(ValueError):
+class CorruptProvenance(InputError):
     pass
 
 
@@ -97,21 +98,23 @@ def utc_second(moment: datetime) -> datetime:
 
 
 def iso_timestamp(moment: datetime) -> str:
-    return utc_second(moment).strftime("%Y-%m-%dT%H:%M:%SZ")
+    """``moment`` in UTC to the second, its year in four digits."""
+    return utc_second(moment).replace(tzinfo=None).isoformat() + "Z"
 
 
 def parse_timestamp(text: str) -> datetime:
-    """Parse an ISO-8601 timestamp ('Z' or numeric offset) to UTC seconds."""
+    """Parse an ISO-8601 timestamp ('Z' or numeric offset) to UTC seconds;
+    a time whose UTC lies outside ``datetime``'s years is a bad timestamp."""
     candidate = text.strip()
     if candidate.endswith("Z"):
         candidate = candidate[:-1] + "+00:00"
     try:
         moment = datetime.fromisoformat(candidate)
-    except ValueError as exc:
+        if moment.tzinfo is None:
+            moment = moment.replace(tzinfo=timezone.utc)
+        return utc_second(moment)
+    except (ValueError, OverflowError) as exc:
         raise ParseError(f"bad timestamp {text!r}: {exc}") from None
-    if moment.tzinfo is None:
-        moment = moment.replace(tzinfo=timezone.utc)
-    return utc_second(moment)
 
 
 def snapshot_iri(entity: Iri, index: int) -> Iri:
@@ -246,7 +249,8 @@ class ProvenanceTracker:
         """The time of a record that extends the given chains: the explicit
         time, to the second, which must come after each chain's last
         snapshot; else the current second, or one second after the latest
-        of those snapshots when that is not yet in the past."""
+        of those snapshots when that is not yet in the past; a chain ending
+        at the last second ``datetime`` holds cannot be extended."""
         if time is not None:
             time = utc_second(time)
             for chain in chains:
@@ -254,7 +258,11 @@ class ProvenanceTracker:
                     raise NonMonotonicTime(f"{iso_timestamp(time)} is not after {iso_timestamp(chain[-1].generated_at)}")
             return time
         now = utc_second(datetime.now(timezone.utc))
-        return max([now] + [chain[-1].generated_at + timedelta(seconds=1) for chain in chains])
+        try:
+            return max([now] + [chain[-1].generated_at + timedelta(seconds=1) for chain in chains])
+        except OverflowError:
+            last = max((chain[-1] for chain in chains), key=lambda snap: snap.generated_at)
+            raise NonMonotonicTime(f"no record can come after {last.iri}, generated {iso_timestamp(last.generated_at)}") from None
 
     def _append(self, entity, delta, agents, source, time, kind) -> Snapshot:
         """Apply the delta to the store and append its snapshot to the
@@ -455,7 +463,7 @@ class ProvenanceTracker:
 
 # A timestamp as ``iso_timestamp`` writes it: what ``parse_timestamp``
 # reads from such text is written back as the same text.
-_SAVED_TIME = re.compile(r"[1-9][0-9]{3}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}Z")
+_SAVED_TIME = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}Z")
 
 
 def _read_graph(graph: Store, iris: dict[str, Iri]) -> list:

@@ -56,15 +56,21 @@ _BNODE_RE = re.compile(f"{_BNODE_LABEL}\\Z")
 _LANG_RE = re.compile(f"{_LANG_TAG}\\Z")
 
 
-class InvalidIri(ValueError):
+class InputError(ValueError):
+    """Input the catalog refuses: a file, table, mapping, query, timestamp
+    or request that it cannot read or must not apply.  Every input error
+    of the package derives from this class."""
+
+
+class InvalidIri(InputError):
     """Text does not form an acceptable absolute IRI."""
 
 
-class InvalidTerm(ValueError):
+class InvalidTerm(InputError):
     """Malformed blank-node label, literal or escape sequence."""
 
 
-class ParseError(ValueError):
+class ParseError(InputError):
     """Syntax error carrying a 1-based line (and column, when known)."""
 
     def __init__(self, message: str, line: int | None = None, column: int | None = None):
@@ -82,12 +88,18 @@ def open_utf8(path, newline: str | None = None):
     """The file at ``path`` opened for reading as UTF-8 text, as ``open``
     opens it with ``newline``; reading bytes that are not UTF-8 raises
     :class:`ParseError` naming the file and the offset of the first, which
-    is the file's own offset when one ``read()`` takes the whole file."""
-    with open(path, encoding="utf-8", newline=newline) as handle:
-        try:
+    is the file's own offset when one ``read()`` takes the whole file.  A
+    file that cannot be opened or read, a directory say, raises
+    :class:`InputError` naming it; a missing one stays FileNotFoundError."""
+    try:
+        with open(path, encoding="utf-8", newline=newline) as handle:
             yield handle
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"{os.fspath(path)} is not UTF-8: {exc.reason} at byte {exc.start}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{os.fspath(path)} is not UTF-8: {exc.reason} at byte {exc.start}") from None
+    except FileNotFoundError:
+        raise
+    except OSError as exc:
+        raise InputError(f"cannot read {os.fspath(path)}: {exc.strerror}") from None
 
 
 def _iri_fault(v: str) -> str:

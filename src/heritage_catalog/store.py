@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 from .rdf import (
     BlankNode,
+    InputError,
     Iri,
     KeptLines,
     Literal,
@@ -63,11 +64,11 @@ class QuadPattern:
     graph: object = ANY
 
 
-class OverlapError(ValueError):
+class OverlapError(InputError):
     """A quad appears in both the delete and the insert set."""
 
 
-class PreconditionViolation(ValueError):
+class PreconditionViolation(InputError):
     """Strict delta application found missing deletes or already-present inserts."""
 
     def __init__(self, missing_deletes=(), present_inserts=()):

@@ -22,7 +22,7 @@ from typing import Callable
 
 from . import vocab
 from .mapping import Table, percent_encode
-from .rdf import Iri, Literal, Quad, serialize_nquads, serialize_term
+from .rdf import InputError, Iri, Literal, Quad, serialize_nquads, serialize_term
 
 
 class PhaseKind(enum.Enum):
@@ -64,33 +64,33 @@ IN_PROGRESS = "in_progress"
 COMPLETE = "complete"
 
 
-class MissingColumn(ValueError):
+class MissingColumn(InputError):
     def __init__(self, name):
         self.name = name
         super().__init__(f"missing required column {name!r}")
 
 
-class BadDate(ValueError):
+class BadDate(InputError):
     def __init__(self, row, cell):
         self.row = row
         self.cell = cell
         super().__init__(f"row {row}: bad date {cell!r}")
 
 
-class UnknownPhase(ValueError):
+class UnknownPhase(InputError):
     def __init__(self, row, value):
         self.row = row
         self.value = value
         super().__init__(f"row {row}: unknown phase {value!r}")
 
 
-class ValidationError(ValueError):
+class ValidationError(InputError):
     def __init__(self, row, message):
         self.row = row
         super().__init__(f"row {row}: {message}")
 
 
-class OutOfOrder(ValueError):
+class OutOfOrder(InputError):
     def __init__(self, kind: PhaseKind, missing: str):
         self.kind = kind
         self.missing = missing
@@ -101,15 +101,15 @@ class NoSuchObject(LookupError):
     pass
 
 
-class MissingLicence(ValueError):
+class MissingLicence(InputError):
     pass
 
 
-class NoAssets(ValueError):
+class NoAssets(InputError):
     pass
 
 
-class PlaceholderClash(ValueError):
+class PlaceholderClash(InputError):
     pass
 
 

@@ -14,7 +14,7 @@ import re
 import tempfile
 from collections import Counter
 from dataclasses import fields
-from datetime import timedelta
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import pytest
@@ -607,3 +607,18 @@ class TestBlockReader:
         assert fallbacks == []
         assert outcome == open_outcome(reference_open, root) == expected
 
+
+
+class TestSavedTimes:
+    def test_year_below_1000_is_read_by_blocks(self, tmp_path):
+        """A year below 1000 is saved in four digits, and the block reader
+        takes that text as saved and reads it as the line reader does."""
+        catalog = Catalog.create(tmp_path / "cat")
+        p, agent = Iri("http://ex.org/p"), Iri("http://ex.org/agent/a")
+        last_of_999 = datetime(999, 12, 31, 23, 59, 59, tzinfo=timezone.utc)
+        catalog.tracker.record_creation(E, {Quad(E, p, Literal("x"))}, agent, time=last_of_999)
+        catalog.tracker.record_modification(E, Delta(inserts={Quad(E, p, Literal("y"))}), agent, time=last_of_999 + timedelta(seconds=1))
+        catalog.save()
+        text = (catalog.root / "prov.nq").read_text(encoding="utf-8")
+        assert '"0999-12-31T23:59:59Z"' in text and '"1000-01-01T00:00:00Z"' in text
+        assert_opens_alike(catalog.root)

@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import importlib
 import os
 import re
 import socket
@@ -13,11 +14,12 @@ from pathlib import Path
 import pytest
 
 from conftest import DATA_DIR, add_twin_asset, build_gold_catalog, ts
+import heritage_catalog
 from heritage_catalog import vocab
 from heritage_catalog.catalog import Catalog, record_graph
 from heritage_catalog.cli import main, make_query_server, parse_bgp_text, solutions_to_csv
 from heritage_catalog.provenance import ProvenanceTracker, parse_timestamp
-from heritage_catalog.rdf import Iri, Literal, ParseError, Quad, parse_nquads
+from heritage_catalog.rdf import InputError, Iri, Literal, ParseError, Quad, parse_nquads
 from heritage_catalog.store import Delta, Store
 from heritage_catalog.vocab import GENERATED_AT
 
@@ -57,6 +59,22 @@ class TestInit:
         root = tmp_path / "cat"
         assert run("init", str(root)) == 0
         assert run("init", str(root)) == 2
+
+
+class TestExitCodeByType:
+    def test_every_exception_class_is_classified(self):
+        """Exit 3 is the code of every ``InputError``: each exception class
+        of the package derives from it but the setup and unknown-entity
+        errors, which ``main`` maps to 2 and 4."""
+        package = Path(heritage_catalog.__file__).parent
+        outside = set()
+        for path in sorted(package.glob("*.py")):
+            module = importlib.import_module(f"heritage_catalog.{path.stem}")
+            for name, value in vars(module).items():
+                if isinstance(value, type) and issubclass(value, BaseException) and value.__module__ == module.__name__:
+                    if not issubclass(value, InputError):
+                        outside.add(name)
+        assert outside == {"CatalogExists", "NotACatalog", "NoSuchEntity", "NoSuchObject"}
 
 
 class TestIngest:
@@ -244,6 +262,62 @@ class TestProv:
 
     def test_bad_timestamp_exits_3(self, gold_root):
         assert run("--catalog", str(gold_root), "prov", "restore", BASE + "cho/25", "not-a-time") == 3
+
+
+def _set_first_generation_time(root: Path, text: str):
+    """Hand-edit the generation time of cho/25's first snapshot in prov.nq."""
+    prov = root / "prov.nq"
+    lines = prov.read_text(encoding="utf-8").splitlines(keepends=True)
+    i = next(i for i, line in enumerate(lines) if line.startswith(f"<{BASE}cho/25/prov/se/1> <{GENERATED_AT.value}> "))
+    lines[i] = re.sub(r'"[^"]*"', f'"{text}"', lines[i], count=1)
+    prov.write_text("".join(lines), encoding="utf-8")
+
+
+def _retitled_table(tmp_path: Path) -> Path:
+    """The gold bibliographic table with cho/25's title changed, so that
+    ingesting it extends cho/25's chain."""
+    table = tmp_path / "gold_bibliographic.csv"
+    text = (DATA_DIR / "gold_bibliographic.csv").read_text(encoding="utf-8")
+    table.write_text(text.replace("Anfora a figure nere", "Anfora attica", 1), encoding="utf-8")
+    return table
+
+
+class TestTimeRange:
+    """A time that ``datetime`` cannot hold in UTC, or a chain that no
+    later second can extend, is an input error that changes no file; a
+    year below 1000 is written in four digits and read back."""
+
+    LAST_SECOND = "9999-12-31T23:59:59"
+
+    @pytest.mark.parametrize("case", ["restore-argument", "hand-edited-offset", "chain-at-last-second"])
+    def test_out_of_range_exits_3(self, gold_root, tmp_path, capsys, case):
+        argv = ("ingest", str(_retitled_table(tmp_path)), "--kind", "bibliographic")
+        if case == "restore-argument":
+            argv = ("prov", "restore", BASE + "cho/25", self.LAST_SECOND + "-01:00")
+            message = f"bad timestamp '{self.LAST_SECOND}-01:00': "
+        elif case == "hand-edited-offset":
+            _set_first_generation_time(gold_root, self.LAST_SECOND + "-01:00")
+            message = f"bad timestamp '{self.LAST_SECOND}-01:00': "
+        else:
+            _set_first_generation_time(gold_root, self.LAST_SECOND + "Z")
+            message = f"no record can come after {BASE}cho/25/prov/se/1, generated {self.LAST_SECOND}Z"
+        before = catalog_digests(gold_root)
+        capsys.readouterr()
+        assert run("--catalog", str(gold_root), *argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}")
+        assert len(err.splitlines()) == 1
+        assert catalog_digests(gold_root) == before
+
+    def test_year_below_1000_survives_a_write(self, gold_root, tmp_path, capsys):
+        _set_first_generation_time(gold_root, "0999-10-19T07:46:36Z")
+        assert run("--catalog", str(gold_root), "ingest", str(_retitled_table(tmp_path)), "--kind", "bibliographic") == 0
+        assert '"0999-10-19T07:46:36Z"' in (gold_root / "prov.nq").read_text(encoding="utf-8")
+        capsys.readouterr()
+        assert run("--catalog", str(gold_root), "prov", "log", BASE + "cho/25") == 0
+        first, second = capsys.readouterr().out.splitlines()
+        assert first.startswith("1 creation 0999-10-19T07:46:36Z ")
+        assert second.startswith("2 modification ")
 
 
 class TestAudit:
@@ -481,8 +555,10 @@ _INGEST = ("ingest", str(DATA_DIR / "gold_bibliographic.csv"), "--kind", "biblio
 
 
 class TestUndecodableInput:
-    """A file that is not UTF-8 is an input error that names the file, and
-    a write command that reads one changes no catalog file."""
+    """A file that is not UTF-8, a directory given as a file and a CSV cell
+    over the ``csv`` module's field size limit are input errors that name
+    the file or table, and a write command that reads one changes no
+    catalog file."""
 
     @pytest.mark.parametrize("name, command", [
         ("gold_bibliographic.csv", ("ingest", "{bad}", "--kind", "bibliographic")),
@@ -490,17 +566,28 @@ class TestUndecodableInput:
         ("data.nq", _INGEST),
         ("prov.nq", _INGEST),
         ("catalog.cfg", _INGEST),
+        ("directory", ("ingest", "{bad}", "--kind", "bibliographic")),
+        ("directory", ("map", "{bad}", "gold_bibliographic")),
+        ("oversized-cell.csv", ("ingest", "{bad}", "--kind", "bibliographic")),
     ])
     def test_non_utf8_file_exits_3(self, gold_root, tmp_path, capsys, name, command):
         # A catalog file is spoiled in place, an input file in a copy.
         bad = gold_root / name if (gold_root / name).exists() else tmp_path / name
-        source = bad if bad.exists() else DATA_DIR / name
-        bad.write_bytes(source.read_bytes().replace(b"e", b"\xe9", 1))
+        if name == "directory":
+            bad.mkdir()
+            message = f"cannot read {bad}: "
+        elif name == "oversized-cell.csv":
+            bad.write_text("id,title\n25," + "x" * (csv.field_size_limit() + 1) + "\n", encoding="utf-8")
+            message = "table 'oversized-cell' line 2: "
+        else:
+            source = bad if bad.exists() else DATA_DIR / name
+            bad.write_bytes(source.read_bytes().replace(b"e", b"\xe9", 1))
+            message = f"{bad} is not UTF-8: "
         before = catalog_digests(gold_root)
         capsys.readouterr()
         assert run("--catalog", str(gold_root), *(part.format(bad=bad) for part in command)) == 3
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {bad} is not UTF-8: ")
+        assert err.startswith(f"error: {message}")
         assert len(err.splitlines()) == 1
         assert catalog_digests(gold_root) == before
 

@@ -733,3 +733,14 @@ class TestTimestamps:
     def test_fractions_of_a_second_are_dropped(self):
         moment = parse_timestamp("2024-01-02T03:04:05.75+01:00")
         assert moment == datetime(2024, 1, 2, 2, 4, 5, tzinfo=timezone.utc) and moment.microsecond == 0
+
+    def test_year_below_1000_round_trips(self):
+        moment = datetime(999, 10, 19, 7, 46, 36, tzinfo=timezone.utc)
+        assert iso_timestamp(moment) == "0999-10-19T07:46:36Z"
+        assert parse_timestamp(iso_timestamp(moment)) == moment
+
+    @pytest.mark.parametrize("text", ["9999-12-31T23:59:59-01:00", "0001-01-01T00:00:00+00:01"])
+    def test_utc_outside_datetime_is_a_bad_timestamp(self, text):
+        with pytest.raises(ParseError) as caught:
+            parse_timestamp(text)
+        assert str(caught.value).startswith(f"bad timestamp '{text}': ")
