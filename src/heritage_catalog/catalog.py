@@ -253,11 +253,10 @@ class Catalog:
         root.mkdir(parents=True, exist_ok=True)
         for sub in ("tables", "mappings", "bundles"):
             (root / sub).mkdir()
-        (root / "data.nq").write_text("", encoding="utf-8")
-        (root / "prov.nq").write_text("", encoding="utf-8")
-        config = Config()
-        (root / "catalog.cfg").write_text(config.to_text(), encoding="utf-8")
-        return cls(root, config, ProvenanceTracker(Store()))
+        catalog = cls(root, Config(), ProvenanceTracker(Store()))
+        catalog.save()
+        (root / "catalog.cfg").write_text(catalog.config.to_text(), encoding="utf-8")
+        return catalog
 
     @classmethod
     def open(cls, root) -> "Catalog":

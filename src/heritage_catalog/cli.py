@@ -4,9 +4,11 @@ Exit codes are stable across commands: 0 success, 1 ran with findings,
 2 setup error, 3 input error, 4 unknown entity.  A failure's type gives
 its code: every input error of the package derives from
 :class:`~heritage_catalog.rdf.InputError`, and a missing input file is
-one too.  Any other exception is a fault of the program and keeps its
-traceback.  Read-only commands (query, audit, validate, report, prov)
-never write under the catalog.
+one too.  An output path at or under a plain file is a setup error (an
+input is read through ``rdf.open_utf8``, which makes it an input error).
+Any other exception is a fault of the program and keeps its traceback.
+Read-only commands (query, audit, validate, report, prov) never write
+under the catalog.
 """
 
 from __future__ import annotations
@@ -317,7 +319,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CatalogExists, NotACatalog) as exc:
+    except (CatalogExists, NotACatalog, NotADirectoryError) as exc:
         return _fail(EXIT_SETUP, str(exc))
     except (NoSuchEntity, NoSuchObject) as exc:
         return _fail(EXIT_UNKNOWN_ENTITY, str(exc))

@@ -232,10 +232,6 @@ class ProvenanceTracker:
     def chain(self, entity: Iri) -> tuple[Snapshot, ...]:
         return tuple(self._chain(entity))
 
-    def is_live(self, entity: Iri) -> bool:
-        chain = self._chains.get(entity)
-        return bool(chain) and chain[-1].kind != DELETION
-
     def current_quads(self, entity: Iri) -> set[Quad]:
         return self.store.subject_quads(entity)
 
@@ -330,12 +326,6 @@ class ProvenanceTracker:
         time = self._stamp(time, self._require_live(entity))
         return self._append(entity, Delta(deletes=self.current_quads(entity)), agents, source, time, DELETION)
 
-    def snapshot_at(self, entity: Iri, time: datetime) -> Snapshot | None:
-        """Latest snapshot generated at or before the given time, if any."""
-        chain = self._chains.get(entity, [])
-        k = _in_force(chain, time)
-        return chain[k - 1] if k else None
-
     def restore_state(self, entity: Iri, time: datetime) -> set[Quad]:
         """Entity state as of the given time, by inverse-delta replay.
 
@@ -351,11 +341,14 @@ class ProvenanceTracker:
         return state
 
     def export_prov_graph(self, entity: Iri) -> set[Quad]:
-        """One named graph describing the entity's chain.
+        """The entity's chain as one named graph, as ``prov.nq`` holds it
+        and a deposit bundle carries it.
 
         Per snapshot: type assertion, specialization link, timestamps as
-        typed literals, attributions, primary source, derivation link and
-        the update query's text as a plain literal.
+        typed literals, attributions, primary source, derivation link, and
+        as plain literals the change kind, which tells a merge from a
+        modification, and the update query's text.  :meth:`save` writes
+        this graph and nothing else for the entity.
         """
         graph = prov_graph_iri(entity)
         quads: set[Quad] = set()
@@ -371,22 +364,13 @@ class ProvenanceTracker:
                 quads.add(Quad(snap.iri, vocab.PRIMARY_SOURCE, snap.primary_source, graph))
             if snap.derived_from is not None:
                 quads.add(Quad(snap.iri, vocab.DERIVED_FROM, snap.derived_from, graph))
+            quads.add(Quad(snap.iri, vocab.CHANGE_KIND, Literal(snap.kind), graph))
             quads.add(Quad(snap.iri, vocab.HAS_UPDATE_QUERY, Literal(snap.update.text), graph))
-        return quads
-
-    def _saved_graph(self, entity: Iri) -> set[Quad]:
-        """The entity's graph as ``prov.nq`` holds it: its
-        :meth:`export_prov_graph` plus one change-kind marker per snapshot,
-        which keeps merge snapshots distinguishable from plain
-        modifications after a reload."""
-        quads = self.export_prov_graph(entity)
-        graph = prov_graph_iri(entity)
-        quads.update(Quad(snap.iri, vocab.CHANGE_KIND, Literal(snap.kind), graph) for snap in self._chains[entity])
         return quads
 
     def export_all_graphs(self) -> set[Quad]:
         """Persistence payload: every entity's graph as :meth:`save` writes it."""
-        return set().union(*map(self._saved_graph, self._chains))
+        return set().union(*map(self.export_prov_graph, self._chains))
 
     def save(self, path):
         """Write every entity's graph to ``path`` as canonical N-Quads, with
@@ -395,7 +379,7 @@ class ProvenanceTracker:
         not replaced."""
         graphs = {prov_graph_iri(entity): entity for entity in self._chains}
         changed = {graph for graph, entity in graphs.items() if entity in self._unsaved}
-        self._kept = save_spliced(path, self._kept, graphs, lambda graph: self._saved_graph(graphs[graph]), changed)
+        self._kept = save_spliced(path, self._kept, graphs, lambda graph: self.export_prov_graph(graphs[graph]), changed)
         self._unsaved = set()
 
     @classmethod
@@ -447,7 +431,7 @@ class ProvenanceTracker:
             raise CorruptProvenance(f"statement outside any snapshot chain, in {where}")
         graphs = {graph: (memo_iri(graph.value[: -len("/prov")], iris), Store(quads)) for graph, quads in by_graph.items()}
         tracker = cls._checked(store, {graph: (entity, _read_graph(held, iris)) for graph, (entity, held) in graphs.items()}, iris)
-        tracker._unsaved = {entity for entity, held in graphs.values() if held.quads() != tracker._saved_graph(entity)}
+        tracker._unsaved = {entity for entity, held in graphs.values() if held.quads() != tracker.export_prov_graph(entity)}
         return tracker
 
     @classmethod
@@ -582,8 +566,8 @@ def _check_chain(entity: Iri, drafts: list, iris: dict[str, Iri]) -> list[Snapsh
 
 
 def _snapshot_block() -> re.Pattern:
-    """The lines that :meth:`ProvenanceTracker._saved_graph` and
-    ``serialize_nquads`` write for one snapshot, in the order of their
+    """The lines that ``serialize_nquads`` writes for one snapshot of a
+    :meth:`ProvenanceTracker.export_prov_graph`, in the order of their
     predicates' serializations, each in canonical spelling: literal bodies
     and IRI tokens as ``rdf`` takes them, timestamps as ``iso_timestamp``
     writes them.  The first line names the subject and graph tokens the

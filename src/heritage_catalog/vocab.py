@@ -1,4 +1,4 @@
-"""Application-profile vocabulary: the prefix and term table shared by all modules.
+"""Application-profile vocabulary: the namespaces and terms shared by all modules.
 
 Standard namespaces (Dublin Core, the W3C provenance ontology, the change
 tracking extension) are reused where a suitable term exists; everything
@@ -12,15 +12,6 @@ OCO_NS = "https://w3id.org/oc/ontology/"
 DCT_NS = "http://purl.org/dc/terms/"
 CAT_NS = "https://w3id.org/hcat/vocab/"
 AUDIT_NS = "https://w3id.org/hcat/audit/"
-
-PREFIXES = {
-    "rdf": RDF_NS,
-    "xsd": XSD_NS,
-    "prov": PROV_NS,
-    "oco": OCO_NS,
-    "dct": DCT_NS,
-    "cat": CAT_NS,
-}
 
 RDF_TYPE = Iri(RDF_NS + "type")
 

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from heritage_catalog import rdf
 from heritage_catalog.catalog import Catalog, record_graph
 from heritage_catalog.mapping import load_table
+from heritage_catalog.provenance import DELETION, ProvenanceTracker
 from heritage_catalog.rdf import XSD_STRING, BlankNode, Iri, Literal, Quad
 from heritage_catalog.store import ANY, Delta, QuadPattern, Variable
 
@@ -182,6 +183,11 @@ def forward_replay(deltas) -> set:
     for delta in deltas:
         state = (state - set(delta.deletes)) | set(delta.inserts)
     return state
+
+
+def is_live(tracker: ProvenanceTracker, entity: Iri) -> bool:
+    """Whether the entity has a chain, and one that does not end in a deletion."""
+    return tracker.has_chain(entity) and tracker.chain(entity)[-1].kind != DELETION
 
 
 def ts(seconds: int) -> datetime:

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import mutations, quad_strategy, ts
+from conftest import is_live, mutations, quad_strategy, ts
 from heritage_catalog import provenance, rdf, vocab
 from heritage_catalog import store as store_module
 from heritage_catalog.catalog import Catalog
@@ -146,14 +146,14 @@ class TestOpenEquivalence:
             if kind == "creation":
                 if not tracker.has_chain(entity):
                     tracker.record_creation(entity, quads, agent, source=other, time=time)
-            elif not tracker.is_live(entity):
+            elif not is_live(tracker, entity):
                 continue
             elif kind == "modification":
                 current = sorted(tracker.current_quads(entity), key=repr)
                 delta = Delta(deletes=current[:dropped], inserts=quads - set(current))
                 tracker.record_modification(entity, delta, agent, time=time)
             elif kind == "merge":
-                if tracker.is_live(other) and other != entity:
+                if is_live(tracker, other) and other != entity:
                     tracker.record_merge(entity, other, agent, time=time)
             else:
                 tracker.record_deletion(entity, agent, time=time)

@@ -551,6 +551,28 @@ class TestReport:
         assert not out_dir.exists()
 
 
+class TestOutputOnAFile:
+    """An output path that is a plain file, or lies under one, is a setup
+    error: exit 2 with one line naming the path, and nothing written."""
+
+    @pytest.mark.parametrize("command", [
+        ("init", "{file}"),
+        ("init", "{file}/catalog"),
+        ("--catalog", "{gold}", "report", "bundle", BASE + "dcho/25", "{file}"),
+        ("--catalog", "{gold}", "report", "bundle", BASE + "dcho/25", "{file}/deposit"),
+    ], ids=["init-on-file", "init-under-file", "bundle-on-file", "bundle-under-file"])
+    def test_exits_2(self, gold_root, tmp_path, capsys, command):
+        plain = tmp_path / "plain"
+        plain.write_text("not a directory\n", encoding="utf-8")
+        before = catalog_digests(gold_root), sorted(tmp_path.rglob("*"))
+        capsys.readouterr()
+        assert run(*(part.format(file=plain, gold=gold_root) for part in command)) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and str(plain) in err[0]
+        assert (catalog_digests(gold_root), sorted(tmp_path.rglob("*"))) == before
+        assert plain.read_text(encoding="utf-8") == "not a directory\n"
+
+
 _INGEST = ("ingest", str(DATA_DIR / "gold_bibliographic.csv"), "--kind", "bibliographic")
 
 

@@ -3,7 +3,7 @@ from datetime import datetime, timedelta, timezone
 
 import pytest
 
-from conftest import forward_replay, ts
+from conftest import forward_replay, is_live, ts
 from heritage_catalog import vocab
 from heritage_catalog.provenance import (
     AlreadyExists,
@@ -113,7 +113,7 @@ class TestMerge:
         assert merge_snap.kind == MERGE
         assert merge_snap.primary_source == absorbed
         assert deletion_snap.kind == DELETION
-        assert not tracker.is_live(absorbed)
+        assert not is_live(tracker, absorbed)
 
     def test_duplicate_quads_collapse(self):
         tracker = fresh()
@@ -368,28 +368,6 @@ def test_rejected_record_error_and_state(method, chosen):
     assert unchanged
 
 
-class TestSnapshotAt:
-    def _tracker(self):
-        tracker = fresh()
-        tracker.record_creation(E, {eq("t", "A")}, AGENT, time=ts(0))
-        tracker.record_modification(E, Delta(deletes={eq("t", "A")}, inserts={eq("t", "B")}), AGENT, time=ts(10))
-        return tracker
-
-    def test_before_creation(self):
-        assert self._tracker().snapshot_at(E, ts(-5)) is None
-
-    def test_exact_boundary_inclusive(self):
-        snap = self._tracker().snapshot_at(E, ts(10))
-        assert snap.index == 2
-
-    def test_after_last(self):
-        snap = self._tracker().snapshot_at(E, ts(1000))
-        assert snap.index == 2
-
-    def test_unknown_entity_is_none(self):
-        assert fresh().snapshot_at(E, ts(0)) is None
-
-
 class TestRestore:
     def test_after_last_is_current(self):
         tracker = fresh()
@@ -455,11 +433,11 @@ class TestRestore:
 
 
 class TestExport:
-    def test_single_snapshot_emits_six_statements(self):
+    def test_single_snapshot_emits_seven_statements(self):
         tracker = fresh()
         tracker.record_creation(E, {eq("t", "A")}, AGENT, source=SOURCE, time=ts(0))
         graph = tracker.export_prov_graph(E)
-        assert len(graph) == 6
+        assert len(graph) == 7
         predicates = {q.predicate for q in graph}
         assert predicates == {
             vocab.RDF_TYPE,
@@ -467,8 +445,10 @@ class TestExport:
             vocab.GENERATED_AT,
             vocab.ATTRIBUTED_TO,
             vocab.PRIMARY_SOURCE,
+            vocab.CHANGE_KIND,
             vocab.HAS_UPDATE_QUERY,
         }
+        assert Quad(se(1), vocab.CHANGE_KIND, Literal(CREATION), prov_graph_iri(E)) in graph
         assert {q.graph for q in graph} == {prov_graph_iri(E)}
 
     def test_two_snapshot_chain_gains_links(self):

@@ -7,8 +7,9 @@ import pytest
 
 from conftest import DATA_DIR, add_twin_asset, gold_catalog  # noqa: F401
 from heritage_catalog import vocab, workflow
-from heritage_catalog.catalog import Catalog
+from heritage_catalog.catalog import Catalog, record_graph
 from heritage_catalog.mapping import Table, load_table
+from heritage_catalog.provenance import CREATION, MERGE, ProvenanceTracker
 from heritage_catalog.rdf import Iri, Literal, Quad
 from heritage_catalog.store import Store
 from heritage_catalog.workflow import (
@@ -490,6 +491,26 @@ class TestBundle:
             data = (out / path).read_bytes()
             assert hashlib.sha256(data).hexdigest() == digest
             assert len(data) == int(size)
+
+    @pytest.mark.parametrize("merged", [False, True], ids=["gold", "with-merge"])
+    def test_provenance_is_the_chain_graph_as_saved(self, gold_catalog, tmp_path, merged):
+        """The bundle's provenance.nq is the object's lines of prov.nq, and
+        reads back as the same chain, a merge snapshot included."""
+        dcho = Iri(BASE + "dcho/25")
+        if merged:
+            absorbed = Iri(BASE + "dcho/25-duplicate")
+            agent = gold_catalog.config.agent_iri()
+            gold_catalog.tracker.record_creation(absorbed, {Quad(absorbed, vocab.DCT_TITLE, Literal("Duplicate"), record_graph(absorbed))}, agent)
+            gold_catalog.tracker.record_merge(dcho, absorbed, agent)
+            gold_catalog.save()
+        out = tmp_path / "bundle"
+        gold_catalog.export_bundle(dcho, out)
+        in_graph = f" <{dcho.value}/prov> .\n".encode()
+        held = [line for line in (gold_catalog.root / "prov.nq").read_bytes().splitlines(keepends=True) if line.endswith(in_graph)]
+        assert (out / "provenance.nq").read_bytes() == b"".join(held)
+        chain = ProvenanceTracker.load(Store(), out / "provenance.nq").chain(dcho)
+        assert chain == gold_catalog.tracker.chain(dcho)
+        assert chain[-1].kind == (MERGE if merged else CREATION)
 
     def test_descriptor_contents(self, gold_catalog, tmp_path):
         out = tmp_path / "bundle"
