@@ -29,7 +29,7 @@ from .mapping import load_mapping, load_table
 from .provenance import NoSuchEntity, parse_timestamp
 from .rdf import InputError, Iri, ParseError, TermScanner, serialize_nquads, serialize_term
 from .store import ANY, QuadPattern, Variable
-from .workflow import NoSuchObject, PHASE_ORDER
+from .workflow import NoSuchObject, OutputClash, PHASE_ORDER
 
 EXIT_OK = 0
 EXIT_FINDINGS = 1
@@ -319,7 +319,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CatalogExists, NotACatalog, NotADirectoryError) as exc:
+    except (CatalogExists, NotACatalog, NotADirectoryError, OutputClash) as exc:
         return _fail(EXIT_SETUP, str(exc))
     except (NoSuchEntity, NoSuchObject) as exc:
         return _fail(EXIT_UNKNOWN_ENTITY, str(exc))

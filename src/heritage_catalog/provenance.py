@@ -15,13 +15,15 @@ were loaded, and replaces the file only when its text changes.
 Loading reads a ``prov.nq`` that is exactly what saving writes one
 snapshot block per match of a pattern composed from the serializations
 of the snapshot's predicates and from ``rdf``'s canonical token sources,
-building no term per line.  Any other text goes whole through the
-N-Quads reader, which places its syntax errors, and
-:meth:`ProvenanceTracker.from_quads`, which reads each chain graph as a
-:class:`Store` and marks for a save to write afresh each graph whose
-quads differ from what a save writes for the chain read from it.  Both
-hand each chain to :func:`_check_chain`, which holds every chain rule.
-Every statement must belong to the graph of some entity's chain.
+building no term per line, and taking each update query as its literal
+body holds it, by ``rdf``'s one update grammar, unescaped when first
+read.  Any other text goes whole through the N-Quads reader, which
+places its syntax errors, and :meth:`ProvenanceTracker.from_quads`, which
+reads each chain graph as a :class:`Store` and marks for a save to write
+afresh each graph whose quads differ from what a save writes for the
+chain read from it.  Both hand each chain to :func:`_check_chain`, which
+holds every chain rule.  Every statement must belong to the graph of
+some entity's chain.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from operator import itemgetter
 
 from . import vocab
 from .rdf import (
-    _CANONICAL_BODY,
+    _ESCAPED_UPDATE_SOURCE,
     _UNESCAPED_IRI_SOURCE,
     InputError,
     InvalidIri,
@@ -44,6 +46,7 @@ from .rdf import (
     ParseError,
     Quad,
     _increasing,
+    _ordered_update,
     _unescape_literal,
     is_canonical_update,
     memo_iri,
@@ -128,18 +131,30 @@ def prov_graph_iri(entity: Iri) -> Iri:
 class UpdateQuery:
     """A snapshot's update query: its canonical text, which is the stored
     record of the change, and the delta it records, built from the text
-    the first time it is read.  Two are equal when their texts are."""
+    the first time it is read.  A query that the block reader takes keeps
+    instead the literal body that holds its text in ``prov.nq``: the block
+    pattern took that body, so its only escapes are of a backslash, quote
+    or line break, and it is unescaped, which cannot fail, the first time
+    the text is read.  Two are equal when their texts are."""
 
-    __slots__ = ("text", "_delta", "_iris")
+    __slots__ = ("_text", "_body", "_delta", "_iris")
 
-    def __init__(self, text: str, delta: Delta | None = None, iris: dict[str, Iri] | None = None):
-        self.text = text
+    def __init__(self, text: str | None, delta: Delta | None = None, iris: dict[str, Iri] | None = None, body: str | None = None):
+        self._text = text
+        self._body = body
         self._delta = delta
         self._iris = iris
 
     @classmethod
     def of(cls, delta: Delta) -> "UpdateQuery":
         return cls(serialize_update(delta), delta)
+
+    @property
+    def text(self) -> str:
+        if self._text is None:
+            self._text = _unescape_literal(self._body)
+            self._body = None
+        return self._text
 
     @property
     def delta(self) -> Delta:
@@ -574,7 +589,9 @@ def _snapshot_block() -> re.Pattern:
     others repeat.  Groups: ``subject``, ``graph``, ``entity`` (the tokens),
     ``generated``, ``invalidated`` (timestamp text), ``source``, ``agent``,
     ``derived`` (IRI tokens), ``agents`` (the lines of any further agents),
-    ``kind`` and ``update`` (the update query's literal body)."""
+    ``kind`` and ``update`` (the update query's literal body, which must
+    spell ``store.serialize_update`` output escaped, its blocks and lines
+    in any order: ``rdf._ordered_update`` checks the order)."""
 
     def time(name: str) -> str:
         return f'"(?P<{name}>{_SAVED_TIME.pattern})"\\^\\^{re.escape(serialize_term(vocab.XSD_DATETIME))}'
@@ -600,7 +617,7 @@ def _snapshot_block() -> re.Pattern:
         + f"(?P<agents>(?:{line(vocab.ATTRIBUTED_TO, _UNESCAPED_IRI_SOURCE)})*)",
         vocab.DERIVED_FROM: optional(vocab.DERIVED_FROM, iri("derived")),
         vocab.CHANGE_KIND: line(vocab.CHANGE_KIND, f'"(?P<kind>{"|".join(CHANGE_KINDS)})"'),
-        vocab.HAS_UPDATE_QUERY: line(vocab.HAS_UPDATE_QUERY, f'"(?P<update>{_CANONICAL_BODY})"'),
+        vocab.HAS_UPDATE_QUERY: line(vocab.HAS_UPDATE_QUERY, f'"(?P<update>{_ESCAPED_UPDATE_SOURCE})"'),
     }
     return re.compile("".join(lines[predicate] for predicate in sorted(lines, key=serialize_term)))
 
@@ -644,8 +661,7 @@ def _read_blocks(kept: KeptLines, iris: dict[str, Iri]) -> dict | None:
                 agents += [line[len(subject) + len(_AGENT_TOKEN) + 2 : -len(graph) - 3] for line in more.split("\n")[:-1]]
                 if not _increasing(agents):
                     return None
-            update = _unescape_literal(body)
-            if not is_canonical_update(update):
+            if not _ordered_update(body):
                 return None
             key = term(graph)
             if key not in graphs:
@@ -657,7 +673,7 @@ def _read_blocks(kept: KeptLines, iris: dict[str, Iri]) -> dict | None:
                 tuple(sorted(map(term, agents))),
                 None if source is None else term(source),
                 None if derived is None else term(derived),
-                UpdateQuery(update, iris=iris),
+                UpdateQuery(None, iris=iris, body=body),
                 kind,
             ))
             line_graphs += [key] * text.count("\n", found.start(), pos)

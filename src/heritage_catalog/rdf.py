@@ -26,8 +26,9 @@ four terms, for a reader that keeps no :class:`Quad`.
 A line is in canonical spelling exactly when the statement pattern took
 it, its terms built and no IRI token holds an escape.  A parse records
 each line's graph in :class:`KeptLines`, so that a save can copy a graph's
-lines; :func:`is_canonical_update` finds the update queries that can stay
-text until read.
+lines.  One grammar over the escaped spelling that ``prov.nq`` holds
+recognizes an update query as ``store.serialize_update`` writes it, so
+that the query can stay text until read.
 """
 
 from __future__ import annotations
@@ -277,20 +278,26 @@ _LANG_TOKEN = re.compile(_LANG_SOURCE)
 # CR, unrolled as ``_LITERAL_SOURCE`` is; a literal names neither the
 # plain-string datatype nor, untagged, the language-string one.
 _CANONICAL_BODY = r'[^"\\\n\r]*(?:\\[\\"nr][^"\\\n\r]*)*'
+# The same literal escaped once more, as it stands inside another literal's
+# body: its quotes are ``\"`` and each escape of its body is ``\\`` followed
+# by ``\\``, ``\"``, ``n`` or ``r``.
+_ESCAPED_QUOTE = r'\\"'
+_ESCAPED_LITERAL_BODY = r'[^"\\\n\r]*(?:\\\\(?:\\[\\"]|[nr])[^"\\\n\r]*)*'
 # An IRI token holding no escape, as ``serialize_term`` writes every IRI:
 # its text is the IRI's value.
 _UNESCAPED_IRI_SOURCE = r"<([^>\\]*)>"
 _DATATYPE_MARK = f"\\^\\^(?!<(?:{re.escape(XSD_STRING)}|{re.escape(RDF_LANG_STRING)})>)"
 
 
-def _triple(iri: str, group: str = "(") -> str:
+def _triple(iri: str, group: str = "(", quote: str = '"', body: str = _CANONICAL_BODY) -> str:
     """``subject predicate object`` in canonical spelling, given an IRI
     token source; ``group`` opens each label, literal body and language tag
-    group.  Groups 1-8, when all capture: subject IRI or label, predicate
-    IRI, object IRI, label or literal body, language tag, datatype IRI."""
+    group, and ``quote`` and ``body`` spell a literal's quotes and body.
+    Groups 1-8, when all capture: subject IRI or label, predicate IRI,
+    object IRI, label or literal body, language tag, datatype IRI."""
     return (
         f"(?:{iri}|_:{group}{_BNODE_LABEL})) {iri} "
-        f'(?:{iri}|_:{group}{_BNODE_LABEL})|"{group}{_CANONICAL_BODY})"(?:@{group}{_LANG_TAG})|{_DATATYPE_MARK}{iri})?)'
+        f"(?:{iri}|_:{group}{_BNODE_LABEL})|{quote}{group}{body}){quote}(?:@{group}{_LANG_TAG})|{_DATATYPE_MARK}{iri})?)"
     )
 
 
@@ -305,51 +312,69 @@ _UPDATE_STATEMENT = re.compile(f"  {_triple(_IRI_SOURCE)} \\.\n")
 # graph IRI.  The scanner reads a word after a header as part of it.
 _UPDATE_HEADER = re.compile(f"(INSERT|DELETE) DATA \\{{(?: GRAPH {_IRI_SOURCE} \\{{)?\n(?!{_WS_SOURCE}{_LETTER})")
 
-# ``is_canonical_update`` builds no terms, so its IRI token takes only what
-# ``Iri`` accepts; its statements capture nothing, which keeps open fast.
+# The update grammar builds no terms, so its IRI token takes only what
+# ``Iri`` accepts, and its statements capture nothing.
 _CANONICAL_IRI_BODY = f"{_SCHEME}[^{_IRI_FORBIDDEN_CHARS}]*"
-# One block of ``store.serialize_update`` output; group 1 is the
-# operation, group 2 the graph IRI's value, group 3 the statement lines.
-_CANONICAL_UPDATE_BLOCK = re.compile(
-    f"(DELETE|INSERT) DATA \\{{(?: GRAPH <({_CANONICAL_IRI_BODY})> \\{{)?\n"
-    f"((?:  {_triple(f'<{_CANONICAL_IRI_BODY}>', '(?:')} \\.\n)+)\\}}(?(2) \\}})"
-)
+# ``store.serialize_update`` output as ``prov.nq`` holds it, escaped in a
+# canonical literal body: each line break is ``\n`` and each quote ``\"``.
+# It takes the blocks in any order; ``_ordered_update`` checks the order.
+_ESCAPED_LINES = f"(?:  {_triple(f'<{_CANONICAL_IRI_BODY}>', '(?:', _ESCAPED_QUOTE, _ESCAPED_LITERAL_BODY)} \\.\\\\n)+"
+_ESCAPED_BLOCK = f"(?:DELETE|INSERT) DATA \\{{(?:\\\\n{_ESCAPED_LINES}\\}}| GRAPH <{_CANONICAL_IRI_BODY}> \\{{\\\\n{_ESCAPED_LINES}\\}} \\}})"
+_ESCAPED_UPDATE_SOURCE = f"(?:{_ESCAPED_BLOCK}(?:\\\\n;\\\\n{_ESCAPED_BLOCK})*\\\\n)?"
+_ESCAPED_UPDATE = re.compile(f"{_ESCAPED_UPDATE_SOURCE}\\Z")
 
 
 def _increasing(lines: list[str]) -> bool:
     return all(map(str.__lt__, lines, lines[1:]))
 
 
+def _ordered_update(escaped: str) -> bool:
+    """Whether an update query that ``_ESCAPED_UPDATE_SOURCE`` takes, given
+    as that escaped text, is in the order ``store.serialize_update``
+    writes: DELETE blocks before INSERT blocks, each side's blocks in order
+    of graph IRI value with the default graph first, at most one block per
+    graph and side, strictly increasing lines within a block (the order of
+    :func:`canonical_rows`, see :meth:`KeptLines.copyable`), and no
+    statement in both blocks of one graph.
+
+    The escaped text splits where the text does: the block separator and
+    a statement's closing dot, each with its line break escaped, stand
+    nowhere else, as a line break cannot stand in a literal.  Escaped lines
+    compare as the text's lines do once each escaped quote is read as a
+    quote, which is 0x22 where its escape starts with a backslash, 0x5C.  A
+    backslash, escaped as two, keeps its place: it is the only character
+    whose escape starts with one.
+    """
+    if not escaped:
+        return True
+    # A block's key is its operation's initial, D before I, and its graph
+    # IRI, which stands between "INSERT DATA { GRAPH <" and "> {".
+    last, deleted = ("", ""), {}
+    for block in escaped.split("\\n;\\n"):
+        head, _, body = block.partition("\\n")
+        key = (head[0], head[21:-3])
+        if key <= last:
+            return False
+        lines = body.split(" .\\n")
+        del lines[-1]
+        if len(lines) > 1 and not _increasing([line.replace('\\"', '"') for line in lines]):
+            return False
+        if key[0] == "D":
+            deleted[key[1]] = lines
+        elif key[1] in deleted and not set(deleted[key[1]]).isdisjoint(lines):
+            return False
+        last = key
+    return True
+
+
 def is_canonical_update(text: str) -> bool:
     """Whether ``text`` is an update query exactly as ``store.serialize_update``
     writes one, so that ``store.parse_update`` reads it without error and
-    writing the result back gives ``text`` again.
-
-    Beyond canonical spelling that takes: DELETE blocks before INSERT
-    blocks, each side's blocks in order of graph IRI value with the default
-    graph first, at most one block per graph and side, no empty block,
-    strictly increasing lines within a block (the order of
-    :func:`canonical_rows`, see :meth:`KeptLines.copyable`), and no
-    statement in both blocks of one graph.
-    """
-    if not text:
-        return True
-    pos, last, deleted = 0, None, {}
-    while found := _CANONICAL_UPDATE_BLOCK.match(text, pos):
-        op, graph, body = found.groups()
-        key = (op == "INSERT", graph or "")
-        lines = body.split("\n")[:-1]
-        if (last is not None and key <= last) or not _increasing(lines):
-            return False
-        if op == "DELETE":
-            deleted[key[1]] = lines
-        elif not set(deleted.get(key[1], ())).isdisjoint(lines):
-            return False
-        last, pos = key, found.end()
-        if not text.startswith("\n;\n", pos):
-            return text[pos:] == "\n"
-        pos += 3
-    return False
+    writing the result back gives ``text`` again.  The text is escaped as a
+    literal body and checked as the block reader checks the body it reads:
+    by the escaped-update grammar, then by :func:`_ordered_update`."""
+    escaped = _escape_literal(text)
+    return _ESCAPED_UPDATE.match(escaped) is not None and _ordered_update(escaped)
 
 
 # The graph of a blank or comment line.

@@ -113,6 +113,11 @@ class PlaceholderClash(InputError):
     pass
 
 
+class OutputClash(FileExistsError):
+    """An output path holds a file where a directory goes, or a directory
+    where a file goes."""
+
+
 @dataclass(frozen=True)
 class PhaseRecord:
     cho: Iri
@@ -649,13 +654,27 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _check_outputs(out: Path, files: list[str]):
+    """Raise :class:`OutputClash` naming the first path in the way of a
+    bundle written to ``out``: an existing one that is not a directory on
+    the way to ``out/assets``, or a directory at one of ``files``."""
+    for directory in (*reversed(out.parents), out, out / "assets"):
+        if directory.exists() and not directory.is_dir():
+            raise OutputClash(f"cannot write the bundle: {directory} is not a directory")
+    for rel in files:
+        if (out / rel).is_dir():
+            raise OutputClash(f"cannot write the bundle: {out / rel} is a directory")
+
+
 def export_bundle(catalog, dcho: Iri, out_dir) -> dict[str, tuple[str, int]]:
     """Write an offline deposit bundle for one digital object.
 
     Layout: ``descriptor.txt`` (key=value), ``provenance.nq``, per-asset
     placeholder files under ``assets/`` carrying the recorded metadata and
     checksum, and ``manifest.txt`` with one path, sha-256 and byte-size
-    line per file.  Returns {path: (digest, size)}.
+    line per file.  Returns {path: (digest, size)}.  Every output path is
+    checked before the first write, so a bundle that cannot be written
+    (:class:`OutputClash`) writes nothing.
     """
     assets = catalog.assets_for(dcho)
     if not assets:
@@ -672,8 +691,6 @@ def export_bundle(catalog, dcho: Iri, out_dir) -> dict[str, tuple[str, int]]:
             raise PlaceholderClash(f"assets {placeholders[rel].id} and {asset.id} would both be written to {rel}")
         placeholders[rel] = asset
 
-    out = Path(out_dir)
-    (out / "assets").mkdir(parents=True, exist_ok=True)
     files: dict[str, bytes] = {}
 
     lines = []
@@ -707,6 +724,9 @@ def export_bundle(catalog, dcho: Iri, out_dir) -> dict[str, tuple[str, int]]:
         body.append(f"checksum={asset.checksum}")
         files[rel] = ("\n".join(body) + "\n").encode("utf-8")
 
+    out = Path(out_dir)
+    _check_outputs(out, [*files, "manifest.txt"])
+    (out / "assets").mkdir(parents=True, exist_ok=True)
     manifest: dict[str, tuple[str, int]] = {}
     for rel in sorted(files):
         data = files[rel]

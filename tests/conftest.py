@@ -273,6 +273,58 @@ def mutations(text: str, seed: int, count: int):
         yield text[:pos] + ("" if roll == 0 else rng.choice(_MUTATION_CHARS)) + text[end:]
 
 
+# -- the update recognizer that open's escaped-update grammar replaced ----------
+
+# One block of ``store.serialize_update`` output, matched in the text
+# itself; group 1 is the operation, group 2 the graph IRI's value, group 3
+# the statement lines.
+_REFERENCE_UPDATE_BLOCK = re.compile(
+    f"(DELETE|INSERT) DATA \\{{(?: GRAPH <({rdf._CANONICAL_IRI_BODY})> \\{{)?\n"
+    f"((?:  {rdf._triple(f'<{rdf._CANONICAL_IRI_BODY}>', '(?:')} \\.\n)+)\\}}(?(2) \\}})"
+)
+
+
+def reference_is_canonical_update(text: str) -> bool:
+    """Whether ``text`` is an update query exactly as ``serialize_update``
+    writes one, checked block by block in the text itself, with the order
+    rules checked on its lines as they stand."""
+    if not text:
+        return True
+    pos, last, deleted = 0, None, {}
+    while found := _REFERENCE_UPDATE_BLOCK.match(text, pos):
+        op, graph, body = found.groups()
+        key = (op == "INSERT", graph or "")
+        lines = body.split("\n")[:-1]
+        if (last is not None and key <= last) or not all(map(str.__lt__, lines, lines[1:])):
+            return False
+        if op == "DELETE":
+            deleted[key[1]] = lines
+        elif not set(deleted.get(key[1], ())).isdisjoint(lines):
+            return False
+        last, pos = key, found.end()
+        if not text.startswith("\n;\n", pos):
+            return text[pos:] == "\n"
+        pos += 3
+    return False
+
+
+def reference_body_is_canonical(body: str) -> bool:
+    """Whether the block reader took a snapshot with this update-query
+    literal body before the escaped-update grammar: a canonical literal
+    body whose unescaped text the reference recognizer accepts."""
+    return re.fullmatch(rdf._CANONICAL_BODY, body) is not None and reference_is_canonical_update(rdf._unescape_literal(body))
+
+
+def swapped_lines(text: str, seed: int) -> str:
+    """``text`` with two of its lines swapped, chosen by ``seed``: a
+    reordering of blocks or statements when the lines are an update's."""
+    lines = text.split("\n")
+    rng = random.Random(seed)
+    i, j = rng.randrange(len(lines)), rng.randrange(len(lines))
+    lines[i], lines[j] = lines[j], lines[i]
+    return "\n".join(lines)
+
+
 def in_update(line: str) -> str:
     """The text of an update whose only data block holds ``line``."""
     return "INSERT DATA {\n  " + line + "\n}"

@@ -21,13 +21,35 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import is_live, mutations, quad_strategy, ts
+from conftest import (
+    is_live,
+    mutations,
+    quad_strategy,
+    reference_body_is_canonical,
+    reference_is_canonical_update,
+    swapped_lines,
+    ts,
+)
 from heritage_catalog import provenance, rdf, vocab
 from heritage_catalog import store as store_module
 from heritage_catalog.catalog import Catalog
+from heritage_catalog.cli import main
 from heritage_catalog.provenance import ProvenanceTracker, Snapshot, iso_timestamp, prov_graph_iri
-from heritage_catalog.rdf import RDF_LANG_STRING, XSD_STRING, Iri, KeptLines, Literal, ParseError, Quad, parse_nquads, serialize_nquads, serialize_quad
-from heritage_catalog.store import Delta, Store, parse_update
+from heritage_catalog.rdf import (
+    RDF_LANG_STRING,
+    XSD_STRING,
+    Iri,
+    KeptLines,
+    Literal,
+    ParseError,
+    Quad,
+    _escape_literal,
+    is_canonical_update,
+    parse_nquads,
+    serialize_nquads,
+    serialize_quad,
+)
+from heritage_catalog.store import Delta, Store, parse_update, serialize_update
 from test_provenance import CHAIN_CORRUPTIONS, E, _three_snapshot_payload
 
 
@@ -360,6 +382,36 @@ class TestLazyUpdateQueries:
         assert opened.tracker.restore_state(entity, chain[0].generated_at - timedelta(seconds=1)) == set()
         assert parsed == [snapshot.update.text for snapshot in reversed(chain)]
 
+    @staticmethod
+    def _unescaped_bodies(monkeypatch) -> list:
+        """Every update-query body unescaped from here on; the escaped-update
+        pattern of ``is_canonical_update`` fails if it is used."""
+        bodies = []
+        unescape = provenance._unescape_literal
+        monkeypatch.setattr(provenance, "_unescape_literal", lambda body: bodies.append(body) or unescape(body))
+        monkeypatch.setattr(rdf, "_ESCAPED_UPDATE", _Tripwire("_ESCAPED_UPDATE"))
+        return bodies
+
+    def test_open_and_log_unescape_no_update_body(self, gold_catalog, monkeypatch, capsys):
+        root = gold_catalog.root
+        entity = gold_catalog.tracker.entities()[0]
+        bodies = self._unescaped_bodies(monkeypatch)
+        Catalog.open(root)
+        assert main(["--catalog", str(root), "prov", "log", entity.value]) == 0
+        assert capsys.readouterr().out.count("\n") == len(gold_catalog.tracker.chain(entity))
+        assert bodies == []
+
+    def test_restore_unescapes_only_the_restored_entity(self, gold_catalog, monkeypatch, capsys):
+        root = gold_catalog.root
+        tracker = gold_catalog.tracker
+        entity = max(tracker.entities(), key=lambda e: (len(tracker.chain(e)), e.value))
+        chain = tracker.chain(entity)
+        before_creation = iso_timestamp(chain[0].generated_at - timedelta(seconds=1))
+        bodies = self._unescaped_bodies(monkeypatch)
+        assert main(["--catalog", str(root), "prov", "restore", entity.value, before_creation]) == 0
+        assert capsys.readouterr().out == ""
+        assert bodies == [_escape_literal(snapshot.update.text) for snapshot in reversed(chain)]
+
 
 class TestOpenGc:
     """``open`` pauses cyclic GC while it parses and leaves it as it found it."""
@@ -607,6 +659,92 @@ class TestBlockReader:
         assert fallbacks == []
         assert outcome == open_outcome(reference_open, root) == expected
 
+
+
+# The three-snapshot prov.nq text split around its first snapshot's
+# update-query literal body.
+_BEFORE_BODY, _FIRST_BODY, _AFTER_BODY = re.fullmatch(
+    f'(.*^{re.escape(_FIRST)} {re.escape(_UPDATE)} ")(.*?)(" {re.escape(_GRAPH)} \\.\n.*)',
+    serialize_nquads(_three_snapshot_payload()),
+    re.M | re.S,
+).groups()
+
+
+def read_by_blocks(body: str) -> bool:
+    """Whether the block reader takes the three-snapshot ``prov.nq`` whose
+    first snapshot holds ``body`` as its update query's literal body."""
+    return provenance._read_blocks(KeptLines(_BEFORE_BODY + body + _AFTER_BODY), {}) is not None
+
+
+_SP = "<http://ex.org/s> <http://ex.org/p>"
+
+
+def _reversed_statements(text: str) -> str:
+    """A one-block update with its statement lines in reverse order."""
+    head, *lines, foot, end = text.split("\n")
+    return "\n".join([head, *reversed(lines), foot, end])
+
+
+def _several_graphs() -> str:
+    g, h = Iri("http://ex.org/g"), Iri("http://ex.org/g/h")
+    s, p = Iri("http://ex.org/s"), Iri("http://ex.org/p")
+    deletes = {Quad(s, p, Literal("a"), graph) for graph in (None, g, h)}
+    inserts = {Quad(s, p, Literal('b"'), graph) for graph in (None, g, h)} | {Quad(s, p, Iri("http://ex.org/o"), h)}
+    return serialize_update(Delta(deletes=deletes, inserts=inserts))
+
+
+_ESCAPES = serialize_update(Delta(inserts={
+    Quad(Iri("http://ex.org/s"), Iri("http://ex.org/p"), Literal(lexical)) for lexical in ('"', "\\", "\n", "\r", 'a"', "a\\", 'a\\"\n\r', "a")
+}))
+_LITERAL_AND_IRI = f'INSERT DATA {{\n  {_SP} "a" .\n  {_SP} <http://ex.org/a> .\n}}\n'
+_LITERAL_PREFIX = f'INSERT DATA {{\n  {_SP} "a" .\n  {_SP} "a#" .\n  {_SP} "a/" .\n  {_SP} "a[" .\n}}\n'
+_GRAPHS = _several_graphs()
+_BLOCKS = _GRAPHS[:-1].split("\n;\n")
+
+
+class TestUpdateRecognizer:
+    """``is_canonical_update`` and the block reader recognize update queries
+    with one grammar over the escaped text; each answers as the recognizer
+    they replaced answers, which checked the unescaped text block by block."""
+
+    @staticmethod
+    def assert_same_answers(text: str):
+        assert is_canonical_update(text) == reference_is_canonical_update(text), text
+        body = _escape_literal(text)
+        assert read_by_blocks(body) == reference_is_canonical_update(text), body
+
+    def test_template_is_read_by_blocks(self):
+        assert read_by_blocks(_FIRST_BODY)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sets(quad_strategy, max_size=5), st.sets(quad_strategy, max_size=5), st.integers(0, 2**16))
+    def test_same_answers_as_the_reference(self, deletes, inserts, seed):
+        text = serialize_update(Delta(deletes=deletes, inserts=inserts - deletes))
+        for candidate in [text, swapped_lines(text, seed), *mutations(text, seed, count=12)]:
+            self.assert_same_answers(candidate)
+        # A mutated body may hold an escape the text cannot have.
+        for body in mutations(_escape_literal(text), seed, count=12):
+            assert read_by_blocks(body) == reference_body_is_canonical(body), body
+
+    # Where the escaped text sorts otherwise than the text: a quote is 0x22,
+    # its escape starts with 0x5C, and '<' and '#' to '[' lie between.
+    @pytest.mark.parametrize("text, canonical", [
+        pytest.param(_LITERAL_AND_IRI, True, id="literal-before-iri"),
+        pytest.param(_reversed_statements(_LITERAL_AND_IRI), False, id="iri-before-literal"),
+        pytest.param(_LITERAL_PREFIX, True, id="literal-prefix"),
+        pytest.param(_reversed_statements(_LITERAL_PREFIX), False, id="literal-prefix-reversed"),
+        pytest.param(_ESCAPES, True, id="escapes"),
+        pytest.param(_reversed_statements(_ESCAPES), False, id="escapes-reversed"),
+        pytest.param(_ESCAPES.replace("\\\\", "\\t", 1), False, id="tab-escape"),
+        pytest.param(_GRAPHS, True, id="several-graphs"),
+        pytest.param("\n;\n".join([_BLOCKS[1], _BLOCKS[0], *_BLOCKS[2:]]) + "\n", False, id="graphs-out-of-order"),
+        pytest.param("\n;\n".join([_BLOCKS[0], _BLOCKS[0].replace("DELETE", "INSERT"), *_BLOCKS[1:]]) + "\n", False, id="insert-before-delete"),
+        pytest.param("\n;\n".join([*_BLOCKS[:3], _BLOCKS[0].replace("DELETE", "INSERT"), *_BLOCKS[4:]]) + "\n", False, id="deleted-and-inserted"),
+        pytest.param("", True, id="empty"),
+    ])
+    def test_named_cases(self, text, canonical):
+        assert is_canonical_update(text) == canonical
+        self.assert_same_answers(text)
 
 
 class TestSavedTimes:

@@ -74,7 +74,7 @@ class TestExitCodeByType:
                 if isinstance(value, type) and issubclass(value, BaseException) and value.__module__ == module.__name__:
                     if not issubclass(value, InputError):
                         outside.add(name)
-        assert outside == {"CatalogExists", "NotACatalog", "NoSuchEntity", "NoSuchObject"}
+        assert outside == {"CatalogExists", "NotACatalog", "OutputClash", "NoSuchEntity", "NoSuchObject"}
 
 
 class TestIngest:
@@ -552,7 +552,8 @@ class TestReport:
 
 
 class TestOutputOnAFile:
-    """An output path that is a plain file, or lies under one, is a setup
+    """An output path that is a plain file, or lies under one, or a bundle
+    path that is a directory where the bundle writes a file, is a setup
     error: exit 2 with one line naming the path, and nothing written."""
 
     @pytest.mark.parametrize("command", [
@@ -571,6 +572,22 @@ class TestOutputOnAFile:
         assert len(err) == 1 and err[0].startswith("error: ") and str(plain) in err[0]
         assert (catalog_digests(gold_root), sorted(tmp_path.rglob("*"))) == before
         assert plain.read_text(encoding="utf-8") == "not a directory\n"
+
+    @pytest.mark.parametrize("taken, make", [
+        ("assets", lambda path: path.write_text("not a directory\n", encoding="utf-8")),
+        ("descriptor.txt", lambda path: path.mkdir()),
+        ("manifest.txt", lambda path: path.mkdir()),
+    ], ids=["assets-is-a-file", "descriptor-is-a-directory", "manifest-is-a-directory"])
+    def test_bundle_path_taken_exits_2(self, gold_root, tmp_path, capsys, taken, make):
+        out_dir = tmp_path / "deposit"
+        out_dir.mkdir()
+        make(out_dir / taken)
+        before = catalog_digests(gold_root), sorted(tmp_path.rglob("*"))
+        capsys.readouterr()
+        assert run("--catalog", str(gold_root), "report", "bundle", BASE + "dcho/25", str(out_dir)) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and str(out_dir / taken) in err[0]
+        assert (catalog_digests(gold_root), sorted(tmp_path.rglob("*"))) == before
 
 
 _INGEST = ("ingest", str(DATA_DIR / "gold_bibliographic.csv"), "--kind", "bibliographic")
