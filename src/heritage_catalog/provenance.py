@@ -8,9 +8,10 @@ chain alone is enough to reconstruct any point of the entity's history.
 
 A snapshot's update query is the stored record of its change, so it is
 kept as its canonical text (:class:`UpdateQuery`); the delta is a view
-of that text, parsed the first time it is read.  Saving rewrites only
-the provenance graphs of the entities whose chain grew since the chains
-were loaded, and replaces the file only when its text changes.
+of that text, parsed the first time it is read.  Saving keeps the lines
+of each provenance graph that were loaded or last saved, adds to a
+grown chain's graph the lines of what it gained, and replaces the file
+only when its text changes.
 
 Loading reads a ``prov.nq`` that is exactly what saving writes one
 snapshot block per match of a pattern composed from the serializations
@@ -53,7 +54,7 @@ from .rdf import (
     read_statements,
     serialize_term,
 )
-from .store import Delta, Store, parse_update, save_spliced, serialize_update
+from .store import Delta, OverlapError, Store, parse_update, save_spliced, serialize_update
 
 CREATION = "creation"
 MODIFICATION = "modification"
@@ -220,17 +221,21 @@ class ProvenanceTracker:
     caller (single writer); reads never mutate.
 
     The tracker also keeps the ``prov.nq`` lines it was loaded from or last
-    saved as, and the entities whose graph those lines do not hold as
-    :meth:`save` writes it: those whose chain grew since, and those whose
+    saved as, and for each entity whose graph those lines do not hold as
+    :meth:`save` writes it, how many of its snapshots they do hold: the
+    length of a chain that grew since, and 0 for a new chain or one whose
     graph held other quads than a save writes for the chain read from it.
-    Save serializes only their graphs and those not kept canonical.
+    A chain only grows by appending, which also invalidates the snapshot
+    that was last, so save adds to a grown chain's kept lines the lines of
+    what it gained, and serializes afresh only the graphs of the other
+    entities and those not kept canonical.
     """
 
     def __init__(self, store: Store):
         self.store = store
         self._chains: dict[Iri, list[Snapshot]] = {}
         self._kept = KeptLines(verbatim=False)  # no file read or written yet
-        self._unsaved: set[Iri] = set()
+        self._unsaved: dict[Iri, int] = {}
 
     def entities(self) -> list[Iri]:
         return sorted(self._chains, key=lambda e: e.value)
@@ -301,7 +306,7 @@ class ProvenanceTracker:
             kind=kind,
         )
         chain.append(snap)
-        self._unsaved.add(entity)
+        self._unsaved.setdefault(entity, snap.index - 1)
         return snap
 
     def record_creation(self, entity: Iri, initial, agents, source: Iri | None = None, time: datetime | None = None) -> Snapshot:
@@ -365,14 +370,23 @@ class ProvenanceTracker:
         modification, and the update query's text.  :meth:`save` writes
         this graph and nothing else for the entity.
         """
+        return self._gained(entity, 0)
+
+    def _gained(self, entity: Iri, saved: int) -> set[Quad]:
+        """The quads of :meth:`export_prov_graph` that the graph of the
+        entity's first ``saved`` snapshots, as a save wrote it, lacks: every
+        later snapshot's, and when ``saved`` is not 0, the invalidation time
+        of the last of those."""
         graph = prov_graph_iri(entity)
         quads: set[Quad] = set()
-        for snap in self._chain(entity):
+        for snap in self._chain(entity)[max(saved - 1, 0):]:
+            if snap.invalidated_at is not None:
+                quads.add(Quad(snap.iri, vocab.INVALIDATED_AT, Literal(iso_timestamp(snap.invalidated_at), datatype=vocab.XSD_DATETIME), graph))
+            if snap.index == saved:
+                continue
             quads.add(Quad(snap.iri, vocab.RDF_TYPE, vocab.PROV_ENTITY, graph))
             quads.add(Quad(snap.iri, vocab.SPECIALIZATION_OF, entity, graph))
             quads.add(Quad(snap.iri, vocab.GENERATED_AT, Literal(iso_timestamp(snap.generated_at), datatype=vocab.XSD_DATETIME), graph))
-            if snap.invalidated_at is not None:
-                quads.add(Quad(snap.iri, vocab.INVALIDATED_AT, Literal(iso_timestamp(snap.invalidated_at), datatype=vocab.XSD_DATETIME), graph))
             for agent in snap.attributed_to:
                 quads.add(Quad(snap.iri, vocab.ATTRIBUTED_TO, agent, graph))
             if snap.primary_source is not None:
@@ -389,13 +403,15 @@ class ProvenanceTracker:
 
     def save(self, path):
         """Write every entity's graph to ``path`` as canonical N-Quads, with
-        :func:`store.save_spliced`; a graph the kept lines hold as it would
-        be written is taken from them, and a file that would not change is
-        not replaced."""
+        :func:`store.save_spliced`: a graph the kept lines hold as it would
+        be written is taken from them, a grown chain's graph is its kept
+        lines with those of the quads it gained merged in (:meth:`_gained`),
+        and only a new chain's graph, or one not kept canonical, is
+        serialized whole.  A file that would not change is not replaced."""
         graphs = {prov_graph_iri(entity): entity for entity in self._chains}
-        changed = {graph for graph, entity in graphs.items() if entity in self._unsaved}
+        changed = {prov_graph_iri(entity): self._gained(entity, saved) if saved else None for entity, saved in self._unsaved.items()}
         self._kept = save_spliced(path, self._kept, graphs, lambda graph: self.export_prov_graph(graphs[graph]), changed)
-        self._unsaved = set()
+        self._unsaved = {}
 
     @classmethod
     def load(cls, store: Store, path, iris: dict[str, Iri] | None = None) -> "ProvenanceTracker":
@@ -446,7 +462,7 @@ class ProvenanceTracker:
             raise CorruptProvenance(f"statement outside any snapshot chain, in {where}")
         graphs = {graph: (memo_iri(graph.value[: -len("/prov")], iris), Store(quads)) for graph, quads in by_graph.items()}
         tracker = cls._checked(store, {graph: (entity, _read_graph(held, iris)) for graph, (entity, held) in graphs.items()}, iris)
-        tracker._unsaved = {entity for entity, held in graphs.values() if held.quads() != tracker.export_prov_graph(entity)}
+        tracker._unsaved = {entity: 0 for entity, held in graphs.values() if held.quads() != tracker.export_prov_graph(entity)}
         return tracker
 
     @classmethod
@@ -511,7 +527,8 @@ def _check_chain(entity: Iri, drafts: list, iris: dict[str, Iri]) -> list[Snapsh
     inferred when it has no marker (a first snapshot is a creation, one
     invalidated when generated a deletion, any other a modification) and
     an update query not in canonical text parsed, before the next draft;
-    the rules between snapshots come after all of them."""
+    the rules between snapshots come after all of them.  A query that does
+    not parse names its snapshot, then the parser's error within it."""
     if not drafts:
         raise CorruptProvenance(f"{entity} has an empty snapshot chain")
     marker = f"{entity.value}/prov/se/"
@@ -539,7 +556,10 @@ def _check_chain(entity: Iri, drafts: list, iris: dict[str, Iri]) -> list[Snapsh
             else:
                 kind = MODIFICATION
         if not isinstance(update, UpdateQuery):
-            update = UpdateQuery.of(parse_update(update, iris))
+            try:
+                update = UpdateQuery.of(parse_update(update, iris))
+            except (ParseError, OverlapError) as exc:
+                raise CorruptProvenance(f"{subject} has a broken update query: {exc}") from None
         snapshots.append(
             Snapshot(
                 iri=subject,

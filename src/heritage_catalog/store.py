@@ -308,7 +308,7 @@ class Store:
         Graphs that no insert or delete has touched since the store was
         loaded or last saved are written as that text holds them; the
         others are serialized."""
-        self._kept = save_spliced(path, self._kept, self._by_graph, self._by_graph.__getitem__, self._changed)
+        self._kept = save_spliced(path, self._kept, self._by_graph, self._by_graph.__getitem__, dict.fromkeys(self._changed))
         self._changed = set()
 
     @classmethod
@@ -327,13 +327,20 @@ def splice_nquads(kept: KeptLines, graphs, quads_of, changed) -> KeptLines:
 
     ``kept`` is the text the dataset was read from or last written as.  A
     graph not in ``changed`` is written as the lines ``kept`` holds for it,
-    when :meth:`KeptLines.copyable` finds them; every other graph is
-    serialized from its quads.  The graphs go in ``canonical_rows`` order.
+    when :meth:`KeptLines.copyable` finds them.  ``changed`` maps every
+    other graph to ``None``, or, when the graph has only gained quads since
+    ``kept``, to those quads: their lines are then merged into the kept
+    ones, if copyable, as strictly increasing lines of one graph are in
+    ``canonical_rows`` order.  Every other graph is serialized from its
+    quads.  The graphs go in ``canonical_rows`` order.
     """
     usable = kept.copyable()
     blocks = {}
     for graph in graphs:
-        lines = None if graph in changed else usable.get(graph)
+        lines = usable.get(graph)
+        if graph in changed:
+            added = changed[graph]
+            lines = None if lines is None or added is None else sorted(lines + serialize_nquads(added).split("\n")[:-1])
         text = serialize_nquads(quads_of(graph)) if lines is None else "\n".join(lines) + "\n"
         blocks["" if graph is None else f"<{graph}>"] = (graph, text)
     return KeptLines.join([blocks[key] for key in sorted(blocks)])

@@ -22,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    DATA_DIR,
     is_live,
     mutations,
     quad_strategy,
@@ -279,6 +280,53 @@ class TestSpliceSave:
         Catalog.open(gold_catalog.root).save()
         assert serialized == []
 
+    # A chain grown by a record keeps its kept lines and gains the lines of
+    # its new snapshots and of the invalidation of the one that was last; a
+    # merge grows two chains.  A doubled space in a kept line of the grown
+    # chain leaves no line to keep, so its whole graph is serialized.
+    @pytest.mark.parametrize("growth, doubled", [
+        ("modification", False), ("merge", False), ("deletion", False), ("modification", True),
+    ], ids=["modification", "merge", "deletion", "doubled-space"])
+    def test_a_grown_chain_serializes_only_what_it_gained(self, gold_catalog, monkeypatch, growth, doubled):
+        root = gold_catalog.root
+        cho, other = Iri("https://example.org/catalog/cho/25"), Iri("https://example.org/catalog/cho/26")
+        if doubled:
+            path = root / "prov.nq"
+            text = path.read_text(encoding="utf-8")
+            first = text.index(f"<{cho.value}/prov/se/1> ")
+            path.write_text(text[:first] + text[first:].replace(" ", "  ", 1), encoding="utf-8")
+        serialized = {}
+        original = store_module.serialize_nquads
+        monkeypatch.setattr(store_module, "serialize_nquads", lambda quads: serialized.update({q.graph: quads for q in quads}) or original(quads))
+        opened = Catalog.open(root)
+        saved = {entity: len(opened.tracker.chain(entity)) for entity in opened.tracker.entities()}
+        agent = opened.config.agent_iri()
+        if growth == "merge":
+            opened.tracker.record_merge(cho, other, agent)
+        elif growth == "deletion":
+            opened.tracker.record_deletion(cho, agent)
+        else:
+            title = Quad(cho, vocab.DCT_TITLE, Literal("Renamed"), Iri(cho.value + "/record"))
+            opened.tracker.record_modification(cho, Delta(inserts={title}), agent)
+        opened.save()
+        grown = [cho, other] if growth == "merge" else [cho]
+        for entity in grown:
+            graph, chain = prov_graph_iri(entity), opened.tracker.chain(entity)
+            if doubled:
+                expected = opened.tracker.export_prov_graph(entity)
+            else:
+                last = chain[saved[entity] - 1]
+                invalidated = Literal(iso_timestamp(last.invalidated_at), datatype=vocab.XSD_DATETIME)
+                added = {snapshot.iri for snapshot in chain[saved[entity]:]}
+                expected = {q for q in opened.tracker.export_prov_graph(entity) if q.subject in added}
+                expected.add(Quad(last.iri, vocab.INVALIDATED_AT, invalidated, graph))
+            assert serialized.pop(graph) == expected
+        assert not any(graph.value.endswith("/prov") for graph in serialized)
+        assert (root / "prov.nq").read_text(encoding="utf-8") == serialize_nquads(opened.tracker.export_all_graphs())
+        reopened = Catalog.open(root)
+        assert (root / "prov.nq").read_text(encoding="utf-8") == serialize_nquads(reopened.tracker.export_all_graphs())
+        assert (root / "data.nq").read_text(encoding="utf-8") == serialize_nquads(reopened.store.quads())
+
     def test_no_op_save_matches_no_pattern(self, gold_catalog, monkeypatch):
         opened = Catalog.open(gold_catalog.root)
         before = {name: (gold_catalog.root / name).read_bytes() for name in ("data.nq", "prov.nq")}
@@ -328,16 +376,27 @@ class _Tripwire:
         raise AssertionError(f"{self.name}.{attribute} used")
 
 
-# Syntax errors in prov.nq: a broken line, an invalid IRI, and an update
-# query whose data block holds a stray word, which replaces the first
-# snapshot's own.
+# Syntax errors in prov.nq, each with the message of the corrupt chain it
+# makes, or None for a syntax error of the file: a broken line, an invalid
+# IRI, and update queries that replace the first snapshot's own: one whose
+# data block holds a stray word, placed within the query, and one that
+# deletes and inserts the same quad.
 _FIRST = f"<{E.value}/prov/se/1>"
 _GRAPH = f"<{prov_graph_iri(E).value}>"
 _UPDATE = f"<{vocab.HAS_UPDATE_QUERY.value}>"
 BROKEN_LINES = [
-    pytest.param(f'{_FIRST} <http://ex.org/p> "v" x {_GRAPH} .', id="syntax-error"),
-    pytest.param(f"{_FIRST} <http://ex.org/p> <http://ex.org/a b> {_GRAPH} .", id="invalid-iri"),
-    pytest.param(f'{_FIRST} {_UPDATE} "INSERT DATA {{ oops" {_GRAPH} .', id="bad-update-query"),
+    pytest.param(f'{_FIRST} <http://ex.org/p> "v" x {_GRAPH} .', None, id="syntax-error"),
+    pytest.param(f"{_FIRST} <http://ex.org/p> <http://ex.org/a b> {_GRAPH} .", None, id="invalid-iri"),
+    pytest.param(
+        f'{_FIRST} {_UPDATE} "INSERT DATA {{ oops" {_GRAPH} .',
+        f"{_FIRST[1:-1]} has a broken update query: line 1, column 19: unexpected token 'oops' in data block",
+        id="bad-update-query",
+    ),
+    pytest.param(
+        f'{_FIRST} {_UPDATE} "DELETE DATA {{ <{E.value}> <http://ex.org/p> \\"x\\" . }} ; INSERT DATA {{ <{E.value}> <http://ex.org/p> \\"x\\" . }}" {_GRAPH} .',
+        f"{_FIRST[1:-1]} has a broken update query: 1 quad(s) in both delete and insert sets",
+        id="overlapping-update-query",
+    ),
 ]
 
 
@@ -359,15 +418,18 @@ class TestOpenErrors:
         assert outcome == open_outcome(reference_open, root)
         assert outcome == ("CorruptProvenance", None, None, message)
 
-    @pytest.mark.parametrize("line", BROKEN_LINES)
-    def test_broken_line(self, tmp_path, line):
+    @pytest.mark.parametrize("line, corrupt", BROKEN_LINES)
+    def test_broken_line(self, tmp_path, line, corrupt):
         lines = serialize_nquads(_three_snapshot_payload()).splitlines(keepends=True)
         lines = [x for x in lines if not (_UPDATE in line and x.startswith(f"{_FIRST} {_UPDATE} "))]
         lines.insert(3, line + "\n")
         root = self._catalog_with(tmp_path, "".join(lines))
         outcome = open_outcome(Catalog.open, root)
         assert outcome == open_outcome(reference_open, root)
-        assert outcome[0] == "ParseError" and outcome[1] is not None
+        if corrupt is None:
+            assert outcome[0] == "ParseError" and outcome[1] is not None
+        else:
+            assert outcome == ("CorruptProvenance", None, None, corrupt)
 
 
 class TestLazyUpdateQueries:
@@ -400,6 +462,17 @@ class TestLazyUpdateQueries:
         assert main(["--catalog", str(root), "prov", "log", entity.value]) == 0
         assert capsys.readouterr().out.count("\n") == len(gold_catalog.tracker.chain(entity))
         assert bodies == []
+
+    def test_write_unescapes_no_stored_update_body(self, gold_catalog, monkeypatch, capsys, tmp_path):
+        root = gold_catalog.root
+        header, first, second = (DATA_DIR / "gold_bibliographic.csv").read_text(encoding="utf-8").splitlines(keepends=True)[:3]
+        table = tmp_path / "gold_bibliographic.csv"
+        table.write_text(header + first.replace("Anfora a figure nere", "Anfora attica", 1) + second, encoding="utf-8")
+        bodies = self._unescaped_bodies(monkeypatch)
+        assert main(["--catalog", str(root), "ingest", str(table), "--kind", "bibliographic"]) == 0
+        assert capsys.readouterr().out == "table=gold_bibliographic created=0 modified=1 unchanged=1\n"
+        assert bodies == []
+        assert (root / "prov.nq").read_text(encoding="utf-8") == serialize_nquads(Catalog.open(root).tracker.export_all_graphs())
 
     def test_restore_unescapes_only_the_restored_entity(self, gold_catalog, monkeypatch, capsys):
         root = gold_catalog.root

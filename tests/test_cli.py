@@ -671,6 +671,20 @@ class TestCorruptProvenance:
             assert "unexpected token 'oops' in data block" in captured.err
         assert catalog_digests(gold_root) == before
 
+    def test_a_broken_update_query_names_its_snapshot(self, gold_root, capsys):
+        prov = gold_root / "prov.nq"
+        lines = prov.read_text(encoding="utf-8").splitlines(keepends=True)
+        target = next(i for i, line in enumerate(lines) if "hasUpdateQuery" in line)
+        subject, predicate, _ = lines[target].split(" ", 2)
+        graph = lines[target].rsplit(" ", 2)[-2]
+        lines[target] = f'{subject} {predicate} "INSERT DATA {{ oops" {graph} .\n'
+        prov.write_text("".join(lines), encoding="utf-8")
+        capsys.readouterr()
+        assert run("--catalog", str(gold_root), "report", "status", BASE + "cho/25") == 3
+        assert capsys.readouterr().err == (
+            f"error: {subject[1:-1]} has a broken update query: line 1, column 19: unexpected token 'oops' in data block\n"
+        )
+
 
     # Lines a save would drop without a word: a statement in the default
     # graph or in a graph of no chain, and a chain graph holding no snapshot.
