@@ -443,8 +443,8 @@ class Catalog:
         return stats
 
     def ingest_table_file(self, path, kind: str) -> tuple[str, IngestStats]:
-        """Ingest the CSV and, once that succeeded, copy it under tables/;
-        returns (table name, stats).  A failed ingest leaves tables/ as it was."""
+        """Ingest the CSV, save the catalog, then copy the CSV under tables/;
+        returns (table name, stats).  A failed ingest or save leaves tables/ as it was."""
         path = Path(path)
         table = load_table(path)
         source = source_iri(path)
@@ -454,6 +454,7 @@ class Catalog:
             stats = self.ingest_process(table, source)
         else:
             raise ValueError(f"unknown table kind {kind!r}")
+        self.save()
         stored = self.table_path(table.name)
         stored.parent.mkdir(exist_ok=True)
         if path.resolve() != stored.resolve():

@@ -161,7 +161,6 @@ def cmd_init(args) -> int:
 def cmd_ingest(args) -> int:
     catalog = Catalog.open(_catalog_root(args))
     name, stats = catalog.ingest_table_file(args.table, args.kind)
-    catalog.save()
     print(f"table={name} created={stats.created} modified={stats.modified} unchanged={stats.unchanged}")
     return EXIT_OK
 
@@ -175,11 +174,11 @@ def cmd_map(args) -> int:
     table = load_table(table_path, args.table)
     mapping = Path(args.mapping)
     quads, entities = catalog.apply_mapping(document, [table], source_iri(mapping))
-    # Stored only once the mapping applied, so a failed map leaves mappings/ as it was.
+    catalog.save()
+    # Stored only once the catalog saved, so a failed map leaves mappings/ as it was.
     stored = catalog.root / "mappings" / mapping.name
     if mapping.resolve() != stored.resolve():
         stored.write_bytes(mapping.read_bytes())
-    catalog.save()
     print(f"quads={quads} entities={entities}")
     return EXIT_OK
 

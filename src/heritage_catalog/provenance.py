@@ -8,9 +8,9 @@ chain alone is enough to reconstruct any point of the entity's history.
 
 A snapshot's update query is the stored record of its change, so it is
 kept as its canonical text (:class:`UpdateQuery`); the delta is a view
-of that text, parsed the first time it is read.  Saving keeps the lines
-of each provenance graph that were loaded or last saved, adds to a
-grown chain's graph the lines of what it gained, and replaces the file
+of that text, parsed the first time it is read.  Saving copies each
+provenance graph's span of the text loaded or last saved, merges into a
+grown chain's span the lines of what it gained, and replaces the file
 only when its text changes.
 
 Loading reads a ``prov.nq`` that is exactly what saving writes one
@@ -42,7 +42,7 @@ from .rdf import (
     InputError,
     InvalidIri,
     Iri,
-    KeptLines,
+    KeptText,
     Literal,
     ParseError,
     Quad,
@@ -220,21 +220,21 @@ class ProvenanceTracker:
     Record operations are the only mutators and must be serialized by the
     caller (single writer); reads never mutate.
 
-    The tracker also keeps the ``prov.nq`` lines it was loaded from or last
-    saved as, and for each entity whose graph those lines do not hold as
-    :meth:`save` writes it, how many of its snapshots they do hold: the
+    The tracker also keeps the ``prov.nq`` text it was loaded from or last
+    saved as, and for each entity whose graph that text does not hold as
+    :meth:`save` writes it, how many of its snapshots it does hold: the
     length of a chain that grew since, and 0 for a new chain or one whose
     graph held other quads than a save writes for the chain read from it.
     A chain only grows by appending, which also invalidates the snapshot
-    that was last, so save adds to a grown chain's kept lines the lines of
+    that was last, so save merges into a grown chain's span the lines of
     what it gained, and serializes afresh only the graphs of the other
-    entities and those not kept canonical.
+    entities and those the text holds no span of.
     """
 
     def __init__(self, store: Store):
         self.store = store
         self._chains: dict[Iri, list[Snapshot]] = {}
-        self._kept = KeptLines(verbatim=False)  # no file read or written yet
+        self._kept = KeptText(verbatim=False)  # no file read or written yet
         self._unsaved: dict[Iri, int] = {}
 
     def entities(self) -> list[Iri]:
@@ -403,11 +403,10 @@ class ProvenanceTracker:
 
     def save(self, path):
         """Write every entity's graph to ``path`` as canonical N-Quads, with
-        :func:`store.save_spliced`: a graph the kept lines hold as it would
-        be written is taken from them, a grown chain's graph is its kept
-        lines with those of the quads it gained merged in (:meth:`_gained`),
-        and only a new chain's graph, or one not kept canonical, is
-        serialized whole.  A file that would not change is not replaced."""
+        :func:`store.save_spliced`: a graph the kept text holds a span of is
+        copied, a grown chain's is its span with the lines of the quads it
+        gained merged in (:meth:`_gained`), and any other is serialized
+        whole.  A file that would not change is not replaced."""
         graphs = {prov_graph_iri(entity): entity for entity in self._chains}
         changed = {prov_graph_iri(entity): self._gained(entity, saved) if saved else None for entity, saved in self._unsaved.items()}
         self._kept = save_spliced(path, self._kept, graphs, lambda graph: self.export_prov_graph(graphs[graph]), changed)
@@ -416,13 +415,13 @@ class ProvenanceTracker:
     @classmethod
     def load(cls, store: Store, path, iris: dict[str, Iri] | None = None) -> "ProvenanceTracker":
         """The chains of a ``prov.nq`` file over ``store``; :meth:`save`
-        reuses its lines.  Text that is wholly snapshot blocks as save
+        copies its spans.  Text that is wholly snapshot blocks as save
         writes them is read block by block (:func:`_read_blocks`); any
         other goes through :func:`read_statements` and :meth:`from_quads`.
         Both check each chain with :func:`_check_chain`."""
         if iris is None:
             iris = {}
-        kept = KeptLines.read(path)
+        kept = KeptText.read(path)
         graphs = _read_blocks(kept, iris)
         if graphs is None:
             tracker = cls.from_quads(store, read_statements(kept.text, iris, kept), iris)
@@ -647,15 +646,16 @@ _AGENT_TOKEN = serialize_term(vocab.ATTRIBUTED_TO)
 _BLOCK_GROUPS = ("subject", "graph", "entity", "generated", "invalidated", "source", "agent", "agents", "derived", "kind", "update")
 
 
-def _read_blocks(kept: KeptLines, iris: dict[str, Iri]) -> dict | None:
+def _read_blocks(kept: KeptText, iris: dict[str, Iri]) -> dict | None:
     """The drafts of every chain graph of ``prov.nq`` text that is wholly
     snapshot blocks (:data:`_SNAPSHOT_BLOCK`) in increasing order of graph
     and subject, each in the graph of the entity it specializes, its
     agents in increasing order and its update query canonical, as
-    ``graph -> (entity, drafts)``; the graph of each line is recorded
-    in ``kept``, which holds the text.  ``None``, with nothing recorded,
-    for any other text, or when one of its IRIs fails to build: every IRI
-    is built here, through ``iris``, before any chain is checked.
+    ``graph -> (entity, drafts)``; each graph's span, from its first block
+    to its last, is recorded in ``kept``, which holds the text.  ``None``,
+    with nothing recorded, for any other text, or when one of its IRIs
+    fails to build: every IRI is built here, through ``iris``, before any
+    chain is checked.
     """
     text = kept.text
     get = iris.get
@@ -664,7 +664,7 @@ def _read_blocks(kept: KeptLines, iris: dict[str, Iri]) -> dict | None:
         return get(token[1:-1]) or memo_iri(token[1:-1], iris)
 
     graphs: dict[Iri, tuple] = {}
-    line_graphs: list = []
+    spans: dict[Iri, tuple[int, int]] = {}
     pos, last = 0, ("", "")
     try:
         while pos < len(text):
@@ -685,7 +685,8 @@ def _read_blocks(kept: KeptLines, iris: dict[str, Iri]) -> dict | None:
                 return None
             key = term(graph)
             if key not in graphs:
-                graphs[key] = (term(entity), [])
+                graphs[key], start = (term(entity), []), found.start()
+            spans[key] = (start, pos - 1)  # in order, a graph's blocks stand together
             graphs[key][1].append((
                 term(subject),
                 generated,
@@ -696,10 +697,9 @@ def _read_blocks(kept: KeptLines, iris: dict[str, Iri]) -> dict | None:
                 UpdateQuery(None, iris=iris, body=body),
                 kind,
             ))
-            line_graphs += [key] * text.count("\n", found.start(), pos)
     except InvalidIri:
         return None
     for _, drafts in graphs.values():
         drafts.sort(key=itemgetter(0))
-    kept.graphs = line_graphs
+    kept.spans = spans
     return graphs

@@ -25,10 +25,10 @@ four terms, for a reader that keeps no :class:`Quad`.
 
 A line is in canonical spelling exactly when the statement pattern took
 it, its terms built and no IRI token holds an escape.  A parse records
-each line's graph in :class:`KeptLines`, so that a save can copy a graph's
-lines.  One grammar over the escaped spelling that ``prov.nq`` holds
-recognizes an update query as ``store.serialize_update`` writes it, so
-that the query can stay text until read.
+in :class:`KeptText` the span of each graph that a save can copy.  One
+grammar over the escaped spelling that ``prov.nq`` holds recognizes an
+update query as ``store.serialize_update`` writes it, so that the query
+can stay text until read.
 """
 
 from __future__ import annotations
@@ -334,7 +334,7 @@ def _ordered_update(escaped: str) -> bool:
     writes: DELETE blocks before INSERT blocks, each side's blocks in order
     of graph IRI value with the default graph first, at most one block per
     graph and side, strictly increasing lines within a block (the order of
-    :func:`canonical_rows`, see :meth:`KeptLines.copyable`), and no
+    :func:`canonical_rows`, see :class:`KeptText`), and no
     statement in both blocks of one graph.
 
     The escaped text splits where the text does: the block separator and
@@ -377,56 +377,38 @@ def is_canonical_update(text: str) -> bool:
     return _ESCAPED_UPDATE.match(escaped) is not None and _ordered_update(escaped)
 
 
-# The graph of a blank or comment line.
-_NO_GRAPH = object()
-
-
-class KeptLines:
-    """N-Quads text that a store or tracker read or last wrote, with the
-    graph of each of its lines and the graphs that hold a line not in
-    canonical spelling, as :func:`read_statements` records them.  The text
+class KeptText:
+    """N-Quads text that a store or tracker read or last wrote, and the
+    span its reader recorded of each graph that a save may copy.  The text
     is ``verbatim`` when it is the file's content as it stands, which it is
-    not when reading translated a line break other than LF."""
+    not when reading translated a line break other than LF.
 
-    __slots__ = ("text", "graphs", "rewrite", "verbatim")
+    ``spans`` maps such a graph to the ``(start, end)`` offsets of all its
+    lines, the last line break left out.  They stand together, each in
+    canonical spelling, strictly increasing, and so in :func:`canonical_rows`
+    order, as :func:`serialize_nquads` writes them: a line compares by
+    subject, then predicate, then object, because the terms are separated
+    by a space and, wherever one canonical term is a prefix of another, the
+    longer one goes on with a character above space: a literal closes with
+    its quote and may go on only with '@' or '^^', a language tag with a
+    letter, digit or '-', a blank-node label with a letter, digit, '_', '.'
+    or '-', and an IRI cannot go on past its '>'.
+    """
 
-    def __init__(self, text: str = "", graphs: list | None = None, verbatim: bool = True):
+    __slots__ = ("text", "spans", "verbatim")
+
+    def __init__(self, text: str = "", spans: dict | None = None, verbatim: bool = True):
         self.text = text
-        self.graphs = [] if graphs is None else graphs
-        self.rewrite: set[Iri | None] = set()
+        self.spans: dict[Iri | None, tuple[int, int]] = {} if spans is None else spans
         self.verbatim = verbatim
 
     @classmethod
-    def read(cls, path) -> "KeptLines":
+    def read(cls, path) -> "KeptText":
         """The text of a UTF-8 file, every line break read as LF, with no
-        line recorded yet."""
+        span recorded yet."""
         with open_utf8(path) as handle:
             text = handle.read()
             return cls(text, verbatim=handle.newlines in (None, "\n"))
-
-    @classmethod
-    def join(cls, blocks) -> "KeptLines":
-        """The text of ``(graph, lines)`` blocks of canonical lines, in order."""
-        return cls("".join(lines for _, lines in blocks), [graph for graph, lines in blocks for _ in range(lines.count("\n"))])
-
-    def copyable(self) -> dict:
-        """The lines of each graph that the text holds exactly as
-        :func:`serialize_nquads` writes that graph: all in canonical
-        spelling, and strictly increasing.
-
-        Strictly increasing lines of one graph are in :func:`canonical_rows`
-        order.  A line compares by subject, then predicate, then object,
-        because the terms are separated by a space and, wherever one canonical
-        term is a prefix of another, the longer one goes on with a character
-        above space: a literal closes with its quote and may go on only with
-        '@' or '^^', a language tag with a letter, digit or '-', a blank-node
-        label with a letter, digit, '_', '.' or '-', and an IRI cannot go on
-        past its '>'.
-        """
-        groups: dict = {}
-        for graph, line in zip(self.graphs, self.text.split("\n")):
-            groups.setdefault(graph, []).append(line)
-        return {graph: lines for graph, lines in groups.items() if graph is not _NO_GRAPH and graph not in self.rewrite and _increasing(lines)}
 
 
 _UCHAR = re.compile(r"\\u([0-9A-Fa-f]{4})|\\U([0-9A-Fa-f]{8})")
@@ -669,7 +651,7 @@ def _scan_nquads_line(line: str, line_no: int, iris: dict[str, Iri]) -> tuple | 
     return subject, predicate, obj, graph
 
 
-def read_statements(text: str, iris: dict[str, Iri] | None = None, kept: KeptLines | None = None):
+def read_statements(text: str, iris: dict[str, Iri] | None = None, kept: KeptText | None = None):
     """Yield each statement of N-Quads (or N-Triples) text as its
     ``(subject, predicate, object, graph)`` terms, in text order, repeats
     included; the graph is ``None`` in the default graph.
@@ -680,14 +662,19 @@ def read_statements(text: str, iris: dict[str, Iri] | None = None, kept: KeptLin
     the statement pattern; any other line, or one whose terms fail to build,
     goes to the scanner, which parses it or reports its error.  IRIs are
     built through ``iris`` when given, otherwise through a memo of this
-    parse alone.  The parse records each line's graph, and whether it is
-    canonical, in ``kept`` when given, which must hold ``text``.
+    parse alone.  Once every statement is read, the parse records in
+    ``kept``, when given, which must hold ``text``, the span of each graph
+    (see :class:`KeptText`): a canonical line extends its graph's run when
+    it directly follows the run's last line and sorts after it, and any
+    other line of the graph drops the graph's span.
     """
     if iris is None:
         iris = {}
-    if kept is None:
-        kept = KeptLines(text)
-    mark, rewrite = kept.graphs.append, kept.rewrite.add
+    # Each graph's [start, end], None once dropped; and the graph, offsets
+    # and last line of the run the last canonical line began or extended.
+    spans: dict = {}
+    run, span, last = None, [0, -2], ""
+    pos = 0
     lines = text.split("\n")
     for line_no, found in enumerate(map(_NQUADS_STATEMENT.match, lines), start=1):
         if found:
@@ -698,21 +685,30 @@ def read_statements(text: str, iris: dict[str, Iri] | None = None, kept: KeptLin
             except (InvalidIri, InvalidTerm):
                 pass
             else:
-                if "\\" in found.string and any(groups[i] and "\\" in groups[i] for i in (0, 2, 3, 7, 8)):
-                    rewrite(row[3])
-                mark(row[3])
+                line, graph = found.string, row[3]
+                end = pos + len(line)
+                if "\\" in line and any(groups[i] and "\\" in groups[i] for i in (0, 2, 3, 7, 8)):
+                    spans[graph] = None
+                elif graph is run and pos == span[1] + 1 and line > last:
+                    span[1], last = end, line
+                else:
+                    run, span, last = graph, [pos, end], line
+                    spans[graph] = None if graph in spans else span
+                pos = end + 1
                 yield row
                 continue
         line = lines[line_no - 1]
+        pos += len(line) + 1
         # The scanner is given the line without a trailing '\r'.
         row = _scan_nquads_line(line[:-1] if line.endswith("\r") else line, line_no, iris)
-        mark(_NO_GRAPH if row is None else row[3])
         if row is not None:
-            rewrite(row[3])
+            spans[row[3]] = None
             yield row
+    if kept is not None:
+        kept.spans = {graph: tuple(span) for graph, span in spans.items() if span is not None}
 
 
-def parse_nquads(text: str, iris: dict[str, Iri] | None = None, kept: KeptLines | None = None) -> set[Quad]:
+def parse_nquads(text: str, iris: dict[str, Iri] | None = None, kept: KeptText | None = None) -> set[Quad]:
     """Parse N-Quads (or N-Triples) text into a set of quads, as
     :func:`read_statements` reads it."""
     return {Quad(*row) for row in read_statements(text, iris, kept)}

@@ -5,10 +5,10 @@ are expected from a single writer; queries work on the quad sets as they
 stand and never mutate.
 
 Saving writes the whole file atomically, but serializes only the graphs
-that changed since the store was loaded: :func:`splice_nquads` copies the
-others' canonical lines from the text read, and a file whose text would
-not change is not replaced.  :func:`write_atomic` is the one writer of
-both catalog files.
+that changed since the store was loaded: :func:`splice_nquads` copies each
+other graph's span of the text read, and a file whose text would not
+change is not replaced.  :func:`write_atomic` is the one writer of both
+catalog files.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .rdf import (
     BlankNode,
     InputError,
     Iri,
-    KeptLines,
+    KeptText,
     Literal,
     Quad,
     Term,
@@ -128,9 +128,9 @@ class Store:
     :meth:`objects` and :meth:`subjects` answer single-hop lookups from the
     last two, ignoring graphs.
 
-    The store also keeps the lines it was loaded from or last saved as, and
-    the graphs that inserts and deletes have touched since, so that
-    :meth:`save` serializes only those graphs and those not kept canonical.
+    The store also keeps the text it was loaded from or last saved as, and
+    the graphs that inserts and deletes have touched since: :meth:`save`
+    serializes only those graphs and those the text holds no span of.
     """
 
     def __init__(self, quads=()):
@@ -138,7 +138,7 @@ class Store:
         self._by_graph: dict[Iri | None, set[Quad]] = {}
         self._by_subject: dict[Iri | BlankNode, dict[Iri, set[Quad]]] = {}
         self._by_po: dict[tuple, set[Quad]] = {}
-        self._kept = KeptLines(verbatim=False)  # no file read or written yet
+        self._kept = KeptText(verbatim=False)  # no file read or written yet
         self._changed: set[Iri | None] = set()
         if quads:
             self.insert_quads(quads)
@@ -306,47 +306,51 @@ class Store:
     def save(self, path):
         """Write the canonical N-Quads file with :func:`save_spliced`.
         Graphs that no insert or delete has touched since the store was
-        loaded or last saved are written as that text holds them; the
-        others are serialized."""
+        loaded or last saved are copied from that text; the others are
+        serialized."""
         self._kept = save_spliced(path, self._kept, self._by_graph, self._by_graph.__getitem__, dict.fromkeys(self._changed))
         self._changed = set()
 
     @classmethod
     def load(cls, path, iris: dict[str, Iri] | None = None) -> "Store":
         """The store of an N-Quads file, its IRIs built through ``iris`` when given."""
-        kept = KeptLines.read(path)
+        kept = KeptText.read(path)
         store = cls(parse_nquads(kept.text, iris, kept))
         store._kept, store._changed = kept, set()
         return store
 
 
-def splice_nquads(kept: KeptLines, graphs, quads_of, changed) -> KeptLines:
+def splice_nquads(kept: KeptText, graphs, quads_of, changed) -> KeptText:
     """Canonical N-Quads of the dataset whose graphs are ``graphs`` (``None``
     is the default graph), holding ``quads_of(graph)`` in each: what
-    :func:`serialize_nquads` writes for the whole dataset, as kept lines.
+    :func:`serialize_nquads` writes for the whole dataset, with the span
+    at which each graph is written.
 
-    ``kept`` is the text the dataset was read from or last written as.  A
-    graph not in ``changed`` is written as the lines ``kept`` holds for it,
-    when :meth:`KeptLines.copyable` finds them.  ``changed`` maps every
-    other graph to ``None``, or, when the graph has only gained quads since
-    ``kept``, to those quads: their lines are then merged into the kept
-    ones, if copyable, as strictly increasing lines of one graph are in
-    ``canonical_rows`` order.  Every other graph is serialized from its
-    quads.  The graphs go in ``canonical_rows`` order.
+    ``kept`` is the text the dataset was read from or last written as,
+    with its reader's spans.  A graph not in ``changed`` is copied as its
+    span of ``kept``, when there is one.  ``changed`` maps every other
+    graph to ``None``, or, when the graph has only gained quads since
+    ``kept``, to those quads: their lines are then merged into its span,
+    if any, as a span's lines are in ``canonical_rows`` order (see
+    :class:`KeptText`).  Every other graph is serialized from its quads.
     """
-    usable = kept.copyable()
-    blocks = {}
-    for graph in graphs:
-        lines = usable.get(graph)
-        if graph in changed:
-            added = changed[graph]
-            lines = None if lines is None or added is None else sorted(lines + serialize_nquads(added).split("\n")[:-1])
-        text = serialize_nquads(quads_of(graph)) if lines is None else "\n".join(lines) + "\n"
-        blocks["" if graph is None else f"<{graph}>"] = (graph, text)
-    return KeptLines.join([blocks[key] for key in sorted(blocks)])
+    pieces, written, pos = [], {}, 0
+    for graph in sorted(graphs, key=lambda graph: "" if graph is None else f"<{graph}>"):
+        span = kept.spans.get(graph)
+        if span is not None and graph not in changed:
+            piece = kept.text[span[0] : span[1]] + "\n"
+        elif span is not None and changed[graph] is not None:
+            lines = kept.text[span[0] : span[1]].split("\n") + serialize_nquads(changed[graph]).split("\n")[:-1]
+            piece = "\n".join(sorted(lines)) + "\n"
+        else:
+            piece = serialize_nquads(quads_of(graph))
+        pieces.append(piece)
+        written[graph] = (pos, pos + len(piece) - 1)
+        pos += len(piece)
+    return KeptText("".join(pieces), written)
 
 
-def save_spliced(path, kept: KeptLines, graphs, quads_of, changed) -> KeptLines:
+def save_spliced(path, kept: KeptText, graphs, quads_of, changed) -> KeptText:
     """Write :func:`splice_nquads` of the dataset to ``path`` with
     :func:`write_atomic`, and return it; a file read or last written as
     ``kept`` is left in place when ``kept`` is its verbatim text and that

@@ -40,7 +40,7 @@ from heritage_catalog.rdf import (
     RDF_LANG_STRING,
     XSD_STRING,
     Iri,
-    KeptLines,
+    KeptText,
     Literal,
     ParseError,
     Quad,
@@ -57,7 +57,7 @@ from test_provenance import CHAIN_CORRUPTIONS, E, _three_snapshot_payload
 def reference_open(root: Path) -> tuple[Store, ProvenanceTracker]:
     store = Store.load(root / "data.nq")
     text = (root / "prov.nq").read_text(encoding="utf-8")
-    tracker = ProvenanceTracker.from_quads(store, rdf.read_statements(text, kept=(kept := KeptLines(text))))
+    tracker = ProvenanceTracker.from_quads(store, rdf.read_statements(text, kept=(kept := KeptText(text))))
     tracker._kept = kept
     return store, tracker
 
@@ -66,10 +66,9 @@ def snapshot_fields(snapshot: Snapshot) -> list:
     return [(spec.name, getattr(snapshot, spec.name)) for spec in fields(Snapshot)]
 
 
-def kept_record(kept: KeptLines) -> tuple:
-    """What a save takes from kept lines: the text, each graph's copyable
-    lines and the graphs to serialize again."""
-    return kept.text, kept.copyable(), kept.rewrite
+def kept_record(kept: KeptText) -> tuple:
+    """What a save takes from kept text: the text and each graph's span."""
+    return kept.text, kept.spans
 
 
 def opened_state(store: Store, tracker: ProvenanceTracker) -> tuple:
@@ -101,6 +100,20 @@ def assert_opens_alike(root: Path):
     opened = open_by_blocks(root)
     assert opened_state(opened.store, opened.tracker) == opened_state(store, tracker)
     assert opened.tracker.export_all_graphs() == tracker.export_all_graphs()
+
+
+def assert_spans_are_read_back(root: Path, opened: Catalog):
+    """The spans a save returned for each file are those its readers record
+    on the text it wrote: the line reader for both files, and the block
+    reader too for ``prov.nq``."""
+    for name, kept in (("data.nq", opened.store._kept), ("prov.nq", opened.tracker._kept)):
+        text = (root / name).read_text(encoding="utf-8")
+        read = KeptText(text)
+        parse_nquads(text, kept=read)
+        assert (kept.text, kept.spans) == (text, read.spans)
+    blocks = KeptText(kept.text)
+    assert provenance._read_blocks(blocks, {}) is not None
+    assert blocks.spans == kept.spans
 
 
 def utf8_encodable(quad: Quad) -> bool:
@@ -261,6 +274,7 @@ class TestSpliceSave:
             opened.save()
             assert (root / "data.nq").read_text(encoding="utf-8") == serialize_nquads(opened.store.quads())
             assert (root / "prov.nq").read_text(encoding="utf-8") == serialize_nquads(opened.tracker.export_all_graphs())
+            assert_spans_are_read_back(root, opened)
 
     def test_only_changed_graphs_are_serialized(self, gold_catalog, monkeypatch):
         serialized = []
@@ -330,13 +344,24 @@ class TestSpliceSave:
     def test_no_op_save_matches_no_pattern(self, gold_catalog, monkeypatch):
         opened = Catalog.open(gold_catalog.root)
         before = {name: (gold_catalog.root / name).read_bytes() for name in ("data.nq", "prov.nq")}
-        # Every statement and token pattern; the term constructors' own
-        # checks stay, since save builds each provenance graph's IRI.
-        for name, value in vars(rdf).items():
-            if isinstance(value, re.Pattern) and name not in _TERM_CHECKS:
-                monkeypatch.setattr(rdf, name, _Tripwire(name))
+        trip_patterns(monkeypatch)
         opened.save()
         assert {name: (gold_catalog.root / name).read_bytes() for name in before} == before
+
+    def test_a_write_reads_no_unchanged_graph(self, gold_catalog, monkeypatch):
+        """After a write to one entity, a save copies every other graph as
+        its slice of the text read: no pattern matches a line, and no line
+        order is checked."""
+        opened = Catalog.open(gold_catalog.root)
+        cho = Iri("https://example.org/catalog/cho/25")
+        title = Quad(cho, vocab.DCT_TITLE, Literal("Renamed"), Iri(cho.value + "/record"))
+        opened.tracker.record_modification(cho, Delta(inserts={title}), opened.config.agent_iri())
+        trip_patterns(monkeypatch)
+        monkeypatch.setattr(rdf, "_increasing", _Tripwire("_increasing"))
+        opened.save()
+        monkeypatch.undo()
+        assert (gold_catalog.root / "data.nq").read_text(encoding="utf-8") == serialize_nquads(opened.store.quads())
+        assert (gold_catalog.root / "prov.nq").read_text(encoding="utf-8") == serialize_nquads(opened.tracker.export_all_graphs())
 
     # A doubled space is a spelling change; a timestamp's "Z" written as
     # "+00:00" reads as the same time but changes the graph's quads.
@@ -367,13 +392,25 @@ _TERM_CHECKS = {"_SCHEME_RE", "_IRI_FORBIDDEN", "_ABSOLUTE_IRI", "_BNODE_RE", "_
 
 
 class _Tripwire:
-    """Stands in for a compiled pattern and fails any use of it."""
+    """Stands in for a compiled pattern or a function and fails any use of it."""
 
     def __init__(self, name: str):
         self.name = name
 
     def __getattr__(self, attribute):
         raise AssertionError(f"{self.name}.{attribute} used")
+
+    def __call__(self, *args):
+        raise AssertionError(f"{self.name} called")
+
+
+def trip_patterns(monkeypatch):
+    """Make every statement and token pattern of ``rdf`` fail when used; the
+    term constructors' own checks stay, since save builds each provenance
+    graph's IRI."""
+    for name, value in vars(rdf).items():
+        if isinstance(value, re.Pattern) and name not in _TERM_CHECKS:
+            monkeypatch.setattr(rdf, name, _Tripwire(name))
 
 
 # Syntax errors in prov.nq, each with the message of the corrupt chain it
@@ -706,9 +743,9 @@ class TestBlockReader:
     @pytest.mark.parametrize("corrupt, message", CHAIN_CORRUPTIONS)
     def test_chain_corruptions(self, tmp_path, monkeypatch, corrupt, message, request):
         text = serialize_nquads(corrupt(_three_snapshot_payload()))
-        kept = KeptLines(text)
+        kept = KeptText(text)
         parse_nquads(text, kept=kept)
-        assert kept.rewrite == set() and sum(map(len, kept.copyable().values())) == text.count("\n")
+        assert sum(end - start + 1 for start, end in kept.spans.values()) == len(text)
         root = TestOpenErrors._catalog_with(tmp_path, text)
         fallbacks = block_reads(monkeypatch)
         assert open_outcome(Catalog.open, root) == open_outcome(reference_open, root) == ("CorruptProvenance", None, None, message)
@@ -746,7 +783,7 @@ _BEFORE_BODY, _FIRST_BODY, _AFTER_BODY = re.fullmatch(
 def read_by_blocks(body: str) -> bool:
     """Whether the block reader takes the three-snapshot ``prov.nq`` whose
     first snapshot holds ``body`` as its update query's literal body."""
-    return provenance._read_blocks(KeptLines(_BEFORE_BODY + body + _AFTER_BODY), {}) is not None
+    return provenance._read_blocks(KeptText(_BEFORE_BODY + body + _AFTER_BODY), {}) is not None
 
 
 _SP = "<http://ex.org/s> <http://ex.org/p>"

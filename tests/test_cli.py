@@ -1,4 +1,5 @@
 import csv
+import errno
 import hashlib
 import importlib
 import os
@@ -15,6 +16,7 @@ import pytest
 
 from conftest import DATA_DIR, add_twin_asset, build_gold_catalog, ts
 import heritage_catalog
+from heritage_catalog import store as store_module
 from heritage_catalog import vocab
 from heritage_catalog.catalog import Catalog, record_graph
 from heritage_catalog.cli import main, make_query_server, parse_bgp_text, solutions_to_csv
@@ -777,6 +779,27 @@ class TestCatalogFiles:
             catalog.save()
         assert {name: (gold_root / name).read_bytes() for name in before} == before
         assert not list(gold_root.glob(".store-*"))
+
+    @pytest.mark.parametrize("command", ["ingest", "map"])
+    def test_failed_save_stores_no_input(self, gold_root, tmp_path, monkeypatch, command):
+        """A save that fails, here on a full disk, leaves every file of the
+        catalog as it was: the table or mapping is stored only once the
+        save succeeded."""
+        if command == "ingest":
+            argv = ("ingest", str(_retitled_table(tmp_path)), "--kind", "bibliographic")
+        else:
+            assert run("--catalog", str(gold_root), "ingest", str(DATA_DIR / "gold_bibliographic.csv"), "--kind", "bibliographic") == 0
+            argv = ("map", str(DATA_DIR / "gold_enrich_mapping.yml"), "gold_bibliographic")
+        before = catalog_digests(gold_root)
+
+        def disk_full(path, text):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+
+        monkeypatch.setattr(store_module, "write_atomic", disk_full)
+        with pytest.raises(OSError) as error:
+            run("--catalog", str(gold_root), *argv)
+        assert error.value.errno == errno.ENOSPC
+        assert catalog_digests(gold_root) == before
 
     @pytest.mark.parametrize("mode", [0o644, 0o640])
     def test_writes_keep_the_file_modes(self, tmp_path, mode):

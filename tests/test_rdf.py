@@ -28,7 +28,7 @@ from heritage_catalog.rdf import (
     Quad,
     RDF_LANG_STRING,
     XSD_STRING,
-    KeptLines,
+    KeptText,
     canonical_rows,
     parse_nquads,
     serialize_nquads,
@@ -358,10 +358,15 @@ def _graph_key(graph) -> str:
     return "" if graph is None else serialize_term(graph)
 
 
-def _kept(text: str) -> tuple[KeptLines, set[Quad]]:
-    """The lines of ``text`` as a parse of it records them, and its quads."""
-    kept = KeptLines(text)
+def _kept(text: str) -> tuple[KeptText, set[Quad]]:
+    """``text`` with the spans a parse of it records, and its quads."""
+    kept = KeptText(text)
     return kept, parse_nquads(text, kept=kept)
+
+
+def _spanned(kept: KeptText) -> dict:
+    """The lines of each graph that ``kept`` holds a span of."""
+    return {graph: kept.text[start:end].split("\n") for graph, (start, end) in kept.spans.items()}
 
 
 def _by_graph(quads) -> dict:
@@ -383,15 +388,20 @@ class TestCanonicalGraphs:
     @given(st.sets(quad_strategy, max_size=12))
     def test_serialized_text_is_kept_whole(self, quads):
         text = serialize_nquads(quads)
-        groups = _kept(text)[0].copyable()
+        kept = _kept(text)[0]
+        groups = _spanned(kept)
         assert set(groups) == {q.graph for q in quads}
         assert "".join(line + "\n" for graph in sorted(groups, key=_graph_key) for line in groups[graph]) == text
+        # A save that serializes every graph returns the spans a read records.
+        graphs = _by_graph(quads)
+        written = splice_nquads(KeptText(), graphs, graphs.__getitem__, set())
+        assert (written.text, written.spans) == (text, kept.spans)
 
     @settings(max_examples=200, deadline=None)
     @given(st.sets(quad_strategy, max_size=12))
     def test_line_order_within_a_graph_is_row_order(self, quads):
         # Within one graph, comparing lines compares (subject, predicate,
-        # object) rows; see the KeptLines.copyable docstring.
+        # object) rows; see the KeptText docstring.
         graph = Iri("http://ex.org/g")
         rows = canonical_rows(Quad(q.subject, q.predicate, q.object, graph) for q in quads)
         lines = [f"{s} {p} {o} {g} ." for g, s, p, o in rows]
@@ -409,7 +419,7 @@ class TestCanonicalGraphs:
     def test_a_term_that_is_a_prefix_sorts_first(self, shorter, longer):
         lines = [f"<http://ex.org/s> <http://ex.org/p> {term} ." for term in (shorter, longer)]
         assert sorted(lines) == lines
-        assert _kept("".join(line + "\n" for line in lines))[0].copyable() == {None: lines}
+        assert _spanned(_kept("".join(line + "\n" for line in lines))[0]) == {None: lines}
 
     def test_kept_lines_write_back_to_themselves(self):
         rng = random.Random(20_246)
@@ -423,14 +433,16 @@ class TestCanonicalGraphs:
                 lines, quads = _kept(text)
             except ParseError:
                 continue
-            groups = lines.copyable()
+            groups = _spanned(lines)
             for graph, graph_lines in groups.items():
                 block = "".join(line + "\n" for line in graph_lines)
                 block_quads = parse_nquads(block)
                 assert {q.graph for q in block_quads} == {graph}
                 assert serialize_nquads(block_quads) == block
             graphs = _by_graph(quads)
-            assert splice_nquads(lines, graphs, graphs.__getitem__, set()).text == serialize_nquads(quads)
+            written = splice_nquads(lines, graphs, graphs.__getitem__, set())
+            assert written.text == serialize_nquads(quads)
+            assert written.spans == _kept(written.text)[0].spans
             kept += len(groups)
             rewritten += len(graphs) - len(groups)
         # The fuzz reaches both outcomes.
@@ -480,10 +492,10 @@ class TestCanonicalGraphs:
         a = '<http://ex.org/s> <http://ex.org/p> "a" <http://ex.org/g> .'
         b = '<http://ex.org/s> <http://ex.org/p> "b" <http://ex.org/g> .'
         c = '<http://ex.org/s> <http://ex.org/p> "c" .'
-        assert _kept(f"{b}\n{a}\n{c}\n")[0].copyable() == {None: [c]}
-        assert _kept(f"{a}\n{a}\n{c}\n")[0].copyable() == {None: [c]}
-        # Runs of one graph apart from each other still make one graph.
-        assert _kept(f"{a}\n{c}\n{b}\n")[0].copyable() == {None: [c], _G: [a, b]}
+        assert _spanned(_kept(f"{b}\n{a}\n{c}\n")[0]) == {None: [c]}
+        assert _spanned(_kept(f"{a}\n{a}\n{c}\n")[0]) == {None: [c]}
+        # Runs of one graph apart from each other leave it to be serialized.
+        assert _spanned(_kept(f"{a}\n{c}\n{b}\n")[0]) == {None: [c]}
 
 
 class TestRoundTrip:
